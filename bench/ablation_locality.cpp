@@ -17,8 +17,7 @@
 #include "apps/pointcorr.hpp"
 #include "bench/support/report.hpp"
 #include "core/driver.hpp"
-#include "lockstep/lockstep_barneshut.hpp"
-#include "lockstep/lockstep_pointcorr.hpp"
+#include "simd/dispatch.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/morton.hpp"
@@ -58,7 +57,7 @@ int main(int argc, char** argv) {
       const double t_lock =
           rep.add_timed(rep.make("pointcorr", std::string("lockstep:") + order), 3, [&] {
             ls = {};
-            lock = tb::lockstep::lockstep_pointcorr(prog, &ls);
+            lock = tb::simd::kernels().lockstep_pointcorr(prog, &ls);
           });
       rep.add_metric(rep.make("pointcorr", std::string("lockstep:") + order), "occupancy",
                      ls.occupancy());
@@ -103,7 +102,7 @@ int main(int argc, char** argv) {
           rep.add_timed(rep.make("barneshut", std::string("lockstep:") + order), 3, [&] {
             reset();
             ls = {};
-            lock = tb::lockstep::lockstep_barneshut(prog, theta, &ls);
+            lock = tb::simd::kernels().lockstep_barneshut(prog, theta, &ls);
           });
       rep.add_metric(rep.make("barneshut", std::string("lockstep:") + order), "occupancy",
                      ls.occupancy());

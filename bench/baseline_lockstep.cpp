@@ -6,9 +6,10 @@
 // no multicore.  This harness runs the three traversal benchmarks under
 //
 //   seq        — plain recursive traversal (Ts)
-//   lockstep   — the prior-work model (single core, masked lanes)
-//   blocked    — the blocked re-expansion traversal engine (this PR's
-//                lockstep/blocked.hpp): dense query blocks, streaming
+//   lockstep   — the prior-work model (single core, masked lanes): the
+//                blocked engine's masked mode (lockstep::run_classic)
+//   blocked    — the blocked re-expansion traversal engine
+//                (lockstep/blocked.hpp): dense query blocks, streaming
 //                compaction, masked fallback below t_reexp; single core
 //   taskblock  — this paper: restart policy, SIMD layer, sequential core
 //
@@ -27,9 +28,7 @@
 #include "apps/pointcorr.hpp"
 #include "bench/support/report.hpp"
 #include "core/driver.hpp"
-#include "lockstep/lockstep_barneshut.hpp"
-#include "lockstep/lockstep_knn.hpp"
-#include "lockstep/lockstep_pointcorr.hpp"
+#include "simd/dispatch.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/octree.hpp"
@@ -83,12 +82,12 @@ int main(int argc, char** argv) {
     tb::lockstep::LockstepStats ls;
     r.t_lockstep = rep.add_timed(rep.make("pointcorr", "lockstep"), 3, [&] {
       ls = {};
-      lock = tb::lockstep::lockstep_pointcorr(prog, &ls);
+      lock = tb::simd::kernels().lockstep_pointcorr(prog, &ls);
     });
     tb::core::ExecStats bst;
     r.t_blocked = rep.add_timed(rep.make("pointcorr", "blocked", "-", "simd"), 3, [&] {
       bst = {};
-      blk = tb::lockstep::blocked_pointcorr(prog, 32, &bst);
+      blk = tb::simd::kernels().blocked_pointcorr(prog, 32, &bst);
     });
     r.blocked_util = bst.simd_utilization();
     const auto roots = prog.roots();
@@ -135,7 +134,7 @@ int main(int argc, char** argv) {
       ls = {};
       tb::apps::KnnState state(pts.size(), k);
       tb::apps::KnnProgram prog{&pts, &tree, &state};
-      tb::lockstep::lockstep_knn(prog, &ls);
+      tb::simd::kernels().lockstep_knn(prog, &ls);
       d_lock = digest(state);
     });
     tb::core::ExecStats bst;
@@ -143,7 +142,7 @@ int main(int argc, char** argv) {
       bst = {};
       tb::apps::KnnState state(pts.size(), k);
       tb::apps::KnnProgram prog{&pts, &tree, &state};
-      tb::lockstep::blocked_knn(prog, 32, &bst);
+      tb::simd::kernels().blocked_knn(prog, 32, &bst);
       d_blk = digest(state);
     });
     r.blocked_util = bst.simd_utilization();
@@ -185,13 +184,13 @@ int main(int argc, char** argv) {
     r.t_lockstep = rep.add_timed(rep.make("barneshut", "lockstep"), 3, [&] {
       reset();
       ls = {};
-      lock = tb::lockstep::lockstep_barneshut(prog, theta, &ls);
+      lock = tb::simd::kernels().lockstep_barneshut(prog, theta, &ls);
     });
     tb::core::ExecStats bst;
     r.t_blocked = rep.add_timed(rep.make("barneshut", "blocked", "-", "simd"), 3, [&] {
       reset();
       bst = {};
-      blk = tb::lockstep::blocked_barneshut(prog, theta, 32, &bst);
+      blk = tb::simd::kernels().blocked_barneshut(prog, theta, 32, &bst);
     });
     r.blocked_util = bst.simd_utilization();
     const auto roots = prog.roots(theta);

@@ -20,7 +20,7 @@
 #include "apps/nqueens.hpp"
 #include "apps/pointcorr.hpp"
 #include "core/autotune.hpp"
-#include "lockstep/lockstep_pointcorr.hpp"
+#include "simd/dispatch.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 
@@ -67,12 +67,13 @@ int main() {
     const auto tree = tb::spatial::KdTree::build(pts, 16);
     const tb::apps::PointCorrProgram prog{&pts, &tree, 0.02f};
     tb::rt::ForkJoinPool pool(4);
+    const tb::simd::KernelTable& kt = tb::simd::kernels();
     tb::core::HybridTuneOptions opts;
-    opts.q = tb::apps::PointCorrProgram::simd_width;
+    opts.q = kt.width;
     opts.max_reexp = 256;
     const auto rep = tb::core::autotune_hybrid(
         [&](const tb::rt::HybridOptions& o, tb::core::PerWorkerStats* pw) {
-          (void)tb::lockstep::hybrid_pointcorr(pool, prog, o, pw);
+          (void)kt.hybrid_pointcorr(pool, prog, o, pw);
         },
         opts);
     std::printf("=== hybrid pointcorr (8000 pts, 4 workers) ===\n%s",

@@ -13,8 +13,7 @@
 
 #include "apps/minmaxdist.hpp"
 #include "apps/pointcorr.hpp"
-#include "lockstep/lockstep_minmax.hpp"
-#include "lockstep/lockstep_pointcorr.hpp"
+#include "simd/dispatch.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 
@@ -27,18 +26,19 @@ int main(int argc, char** argv) {
   const auto pts = tb::spatial::Bodies::uniform_cube(n);
   const auto tree = tb::spatial::KdTree::build(pts, 16);
   tb::rt::ForkJoinPool pool(workers);
+  const tb::simd::KernelTable& kt = tb::simd::kernels();
   tb::rt::HybridOptions opt;
   opt.t_reexp = t_reexp;
   opt.donation = donation;
 
-  std::printf("hybrid traversal: %zu points, %d workers, t_reexp=%zu, donation=%s\n\n", n,
-              workers, t_reexp, donation ? "on" : "off");
+  std::printf("hybrid traversal: %zu points, %d workers, W=%d (%s), t_reexp=%zu, donation=%s\n\n",
+              n, workers, kt.width, kt.name, t_reexp, donation ? "on" : "off");
 
   {
     const tb::apps::PointCorrProgram prog{&pts, &tree, 0.02f};
     const std::uint64_t seq = tb::apps::pointcorr_sequential(prog);
     tb::core::PerWorkerStats pw;
-    const std::uint64_t hyb = tb::lockstep::hybrid_pointcorr(pool, prog, opt, &pw);
+    const std::uint64_t hyb = kt.hybrid_pointcorr(pool, prog, opt, &pw);
     std::printf("pointcorr   seq=%llu hybrid=%llu  %s\n",
                 static_cast<unsigned long long>(seq),
                 static_cast<unsigned long long>(hyb), seq == hyb ? "ok" : "MISMATCH");
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     tb::apps::MinmaxDistState state(pts.size());
     tb::apps::MinmaxDistProgram prog{&pts, &tree, &state};
     tb::core::PerWorkerStats pw;
-    tb::lockstep::hybrid_minmaxdist(pool, prog, opt, &pw);
+    kt.hybrid_minmaxdist(pool, prog, opt, &pw);
     const bool ok =
         tb::apps::minmaxdist_digest(state) == tb::apps::minmaxdist_digest(seq_state);
     std::printf("minmaxdist  merged utilization %5.1f%%  %s\n",

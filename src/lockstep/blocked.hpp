@@ -1,12 +1,11 @@
-// Blocked re-expansion traversal engine — the generalization of the classic
-// lockstep model (lockstep.hpp) that the hybrid vector×multicore executor
-// runs on the work-stealing pool (runtime/hybrid.hpp).
+// Blocked re-expansion traversal engine — the one engine every traversal
+// entry point runs on (lockstep/drivers.hpp): the classic lockstep model,
+// single-core blocked re-expansion, the hybrid vector×multicore executor
+// (runtime/hybrid.hpp), and the serving runners.
 //
-// The classic lockstep engine fixes W queries to W lanes for the whole
-// traversal: once lanes diverge, dead lanes idle until the shared walk
-// leaves the subtree.  This engine instead carries a *dense block* of query
-// ids per frame (an explicit frame stack of (node, payload, id-block)) and
-// applies the paper's two density-recovery moves at every node:
+// The engine carries a *dense block* of query ids per frame (an explicit
+// frame stack of (node, payload, id-block)) and applies the paper's two
+// density-recovery moves at every node:
 //
 //   * streaming compaction (§6, simd/compact.hpp): the per-step descend
 //     masks left-pack the surviving query ids into the child frame's block,
@@ -14,8 +13,27 @@
 //   * a re-expansion threshold: a frame whose block has fewer than t_reexp
 //     live queries stops re-blocking — below the threshold compaction can no
 //     longer amortize its cost — and finishes in classic masked-lockstep
-//     mode (the degenerate case: t_reexp larger than the query count IS the
-//     prior-work model, one fixed W-group at a time).
+//     mode.  A threshold above the query count IS the prior-work model
+//     (lockstep.hpp): fixed W-groups walk the whole tree with lane masks.
+//
+// What the engine walks is a *kernel* (one per workload, lockstep/kernels.hpp):
+//
+//   Payload                          per-level value threaded down the walk
+//   children(node, out) -> int       writes up to kMaxChildren child ids
+//   descend(payload) -> payload      payload for the children
+//   load(qids) -> State              per-lane values fixed for a lane's whole
+//                                    walk (query coordinates, accumulators)
+//   step(node, qids, State&, mask, payload) -> descend mask (subset of mask)
+//                                    the per-node test, plus the leaf work
+//   flush(qids, State&, mask)        writes back what State accumulated
+//
+// Lane l of `qids` is a query id, valid when bit l of `mask` is set (invalid
+// lanes replicate a valid id so gathers stay in bounds).  A blocked
+// superstep runs load → step → flush per W-chunk, since compaction regroups
+// the lanes at every node; masked mode loads once per W-group and flushes
+// at the group's end, so its state stays in registers for the whole walk.
+// All surviving lanes descend into every child; step runs again at each
+// child, so child-specific pruning happens there.
 //
 // Id blocks are recycled through an engine-local pool (one engine per pool
 // worker under the hybrid executor — the per-worker block_pool instances),
@@ -81,24 +99,9 @@ public:
 
   // Walks the shared tree from `root` with the dense query block
   // [first_query, first_query + num_queries).
-  //
-  //   children(node, out) -> int      writes up to kMaxChildren child ids
-  //   step(node, qids, mask, payload) -> descend mask (subset of `mask`);
-  //                                   lane l of `qids` is a query id, valid
-  //                                   when bit l of `mask` is set (invalid
-  //                                   lanes replicate a valid id so gathers
-  //                                   stay in bounds); leaf work happens
-  //                                   inside step, exactly as in the classic
-  //                                   kernels
-  //   descend(payload) -> payload     per-level payload for the children
-  //
-  // All surviving lanes descend into every child — the same contract as the
-  // classic engine, which pushes every child with one shared descend mask;
-  // step runs again at each child, so child-specific pruning happens there.
-  template <class ChildrenFn, class StepFn, class DescendFn>
+  template <class Kernel>
   void run(std::int32_t root, Payload root_payload, std::int32_t first_query,
-           std::int32_t num_queries, ChildrenFn&& children, StepFn&& step,
-           DescendFn&& descend, core::ExecStats* stats = nullptr) {
+           std::int32_t num_queries, Kernel& k, core::ExecStats* stats = nullptr) {
     if (num_queries <= 0) return;
     IdBlock* rootb = alloc(static_cast<std::size_t>(num_queries));
     for (std::int32_t i = 0; i < num_queries; ++i) {
@@ -107,24 +110,24 @@ public:
     rootb->n = static_cast<std::size_t>(num_queries);
     rootb->refs = 1;
     frames_.push_back(Frame{root, root_payload, rootb});
-    main_loop(children, step, descend, stats);
+    main_loop(k, stats);
   }
 
   // Walks the shared tree from an arbitrary (node, payload, explicit id
-  // list) triple — the receiving side of frame-level donation: the donated
-  // ids become a fresh dense root block on THIS engine (its block pool) and
-  // the subtree is traversed with the usual compaction + re-expansion.
-  template <class ChildrenFn, class StepFn, class DescendFn>
+  // list) triple — the receiving side of frame-level donation, and the
+  // serving runners' entry: the ids become a fresh dense root block on THIS
+  // engine (its block pool) and the subtree is traversed with the usual
+  // compaction + re-expansion.
+  template <class Kernel>
   void run_frame(std::int32_t node, Payload payload, const std::int32_t* qids,
-                 std::size_t num_queries, ChildrenFn&& children, StepFn&& step,
-                 DescendFn&& descend, core::ExecStats* stats = nullptr) {
+                 std::size_t num_queries, Kernel& k, core::ExecStats* stats = nullptr) {
     if (num_queries == 0) return;
     IdBlock* rootb = alloc(num_queries);
     std::copy_n(qids, num_queries, rootb->ids.data());
     rootb->n = num_queries;
     rootb->refs = 1;
     frames_.push_back(Frame{node, payload, rootb});
-    main_loop(children, step, descend, stats);
+    main_loop(k, stats);
   }
 
 private:
@@ -146,9 +149,8 @@ private:
     Payload payload;
   };
 
-  template <class ChildrenFn, class StepFn, class DescendFn>
-  void main_loop(ChildrenFn&& children, StepFn&& step, DescendFn&& descend,
-                 core::ExecStats* stats) {
+  template <class Kernel>
+  void main_loop(Kernel& k, core::ExecStats* stats) {
     core::ExecStats local;
     core::ExecStats& st = stats ? *stats : local;
     std::int32_t kids[kMaxChildren];
@@ -164,7 +166,7 @@ private:
         // Below the re-expansion threshold: finish this subtree in classic
         // masked-lockstep mode (no further compaction).
         st.on_action(core::Action::Restart);
-        masked_subtree(f, children, step, descend, st);
+        masked_subtree(f, k, st);
         release(f.blk);
         continue;
       }
@@ -187,7 +189,9 @@ private:
           }
         }
         const std::uint32_t valid = lanes == W ? kFullMask : ((1u << lanes) - 1u);
-        const std::uint32_t m = step(f.node, q, valid, f.payload) & valid;
+        auto state = k.load(q);
+        const std::uint32_t m = k.step(f.node, q, state, valid, f.payload) & valid;
+        k.flush(q, state, valid);
         if (m != 0) {
           surv->n += static_cast<std::size_t>(
               simd::compact_store(surv->ids.data() + surv->n, m, q));
@@ -198,12 +202,12 @@ private:
         release(surv);
         continue;
       }
-      const int nk = children(f.node, kids);
+      const int nk = k.children(f.node, kids);
       if (nk == 0) {
         release(surv);
         continue;
       }
-      const Payload cp = descend(f.payload);
+      const Payload cp = k.descend(f.payload);
       surv->refs = nk;  // siblings share the survivor block
       for (int s = nk; s-- > 0;) frames_.push_back(Frame{kids[s], cp, surv});
     }
@@ -239,10 +243,10 @@ private:
 
   // Classic masked-lockstep DFS over one small block: fixed W-groups of the
   // block's (dense) survivors, lane masks carried, no compaction — the
-  // prior-work execution model, reached only below t_reexp.
-  template <class ChildrenFn, class StepFn, class DescendFn>
-  void masked_subtree(const Frame& f, ChildrenFn&& children, StepFn&& step,
-                      DescendFn&& descend, core::ExecStats& st) {
+  // prior-work execution model, reached only below t_reexp.  Each group
+  // loads its State once and flushes it once, after its whole walk.
+  template <class Kernel>
+  void masked_subtree(const Frame& f, Kernel& k, core::ExecStats& st) {
     const std::int32_t* ids = f.blk->ids.data();
     std::int32_t kids[kMaxChildren];
     for (std::size_t g = 0; g < f.blk->n; g += static_cast<std::size_t>(W)) {
@@ -250,6 +254,7 @@ private:
       BI q;
       for (int l = 0; l < W; ++l) q.set(l, ids[g + static_cast<std::size_t>(l < lanes ? l : 0)]);
       const std::uint32_t init = lanes == W ? kFullMask : ((1u << lanes) - 1u);
+      auto state = k.load(q);
       st.supersteps += 1;
       st.partial_supersteps += 1;  // by construction below the threshold
       mstack_.push_back(MaskedFrame{f.node, init, f.payload});
@@ -260,13 +265,14 @@ private:
         st.steps_total += 1;
         st.steps_complete += (mf.mask == kFullMask) ? 1 : 0;
         st.tasks_executed += static_cast<std::uint64_t>(std::popcount(mf.mask));
-        const std::uint32_t m = step(mf.node, q, mf.mask, mf.payload) & mf.mask;
+        const std::uint32_t m = k.step(mf.node, q, state, mf.mask, mf.payload) & mf.mask;
         if (m == 0) continue;
-        const int nk = children(mf.node, kids);
+        const int nk = k.children(mf.node, kids);
         if (nk == 0) continue;
-        const Payload cp = descend(mf.payload);
+        const Payload cp = k.descend(mf.payload);
         for (int s = nk; s-- > 0;) mstack_.push_back(MaskedFrame{kids[s], m, cp});
       }
+      k.flush(q, state, init);
     }
   }
 

@@ -6,24 +6,23 @@
 // tree in a single shared order with masked execution.  Nested task
 // parallelism is not exploited, there is no re-blocking: once lanes
 // diverge — some prune a subtree, others descend — the divergent lanes
-// simply idle, and they never consider multicore execution.  This module
-// implements that execution model faithfully so the benchmarks can measure
-// what task blocks add over it:
+// simply idle, and they never consider multicore execution.  The benchmarks
+// measure what task blocks add over that model:
 //
 //   * taskblock vs lockstep = re-blocking/compaction benefit (dead lanes
 //     are squeezed out of blocks instead of idling), plus multicore.
 //
-// The engine is a masked DFS over any tree with indexed children; a
-// per-frame payload threads level-dependent values (Barnes-Hut's opening
-// threshold) down the traversal.  LockstepStats records lane occupancy —
-// the fraction of lane-visits that were active — which is exactly the
-// divergence waste the paper's re-expansion/restart policies eliminate.
+// The model is not a separate engine: it is the blocked engine's masked
+// mode (lockstep/blocked.hpp) with a re-expansion threshold above the query
+// count — fixed W-groups of consecutive queries, each walking the whole
+// tree as one masked DFS with its query state hoisted into registers.
+// lockstep::run_classic (lockstep/drivers.hpp) runs it and reports
+// LockstepStats: lane occupancy, the fraction of lane-visits that were
+// active — exactly the divergence waste the paper's re-expansion/restart
+// policies eliminate.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 namespace tb::lockstep {
 
@@ -38,60 +37,6 @@ struct LockstepStats {
                ? 1.0
                : static_cast<double>(active_lane_visits) / static_cast<double>(lane_visits);
   }
-
-  LockstepStats& merge(const LockstepStats& o) {
-    node_visits += o.node_visits;
-    lane_visits += o.lane_visits;
-    active_lane_visits += o.active_lane_visits;
-    return *this;
-  }
 };
-
-// Masked lockstep DFS.
-//
-//   children(node, out) -> int   writes up to 8 child ids, returns count
-//   visit(node, mask, payload)   -> {descend-mask, child-payload}
-//
-// The engine pushes every child with the returned mask/payload; a zero
-// descend mask prunes the subtree for all lanes.  W is the lane count
-// (statistics only — masking is the visitor's business).
-template <int W, class Payload, class ChildrenFn, class VisitFn>
-void traverse(std::int32_t root, std::uint32_t initial_mask, Payload root_payload,
-              ChildrenFn&& children, VisitFn&& visit, LockstepStats* stats = nullptr) {
-  struct Frame {
-    std::int32_t node;
-    std::uint32_t mask;
-    Payload payload;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({root, initial_mask, root_payload});
-  std::int32_t kids[8];
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    if (f.mask == 0) continue;
-    if (stats != nullptr) {
-      stats->node_visits += 1;
-      stats->lane_visits += static_cast<std::uint64_t>(W);
-      stats->active_lane_visits += static_cast<std::uint64_t>(std::popcount(f.mask));
-    }
-    const auto [descend, child_payload] = visit(f.node, f.mask, f.payload);
-    if (descend == 0) continue;
-    const int n = children(f.node, kids);
-    for (int i = n; i-- > 0;) stack.push_back({kids[i], descend, child_payload});
-  }
-}
-
-// Payload-free convenience overload: visit(node, mask) -> descend mask.
-template <int W, class ChildrenFn, class VisitFn>
-void traverse(std::int32_t root, std::uint32_t initial_mask, ChildrenFn&& children,
-              VisitFn&& visit, LockstepStats* stats = nullptr) {
-  traverse<W, char>(
-      root, initial_mask, 0, std::forward<ChildrenFn>(children),
-      [&](std::int32_t node, std::uint32_t mask, char) {
-        return std::pair<std::uint32_t, char>{visit(node, mask), 0};
-      },
-      stats);
-}
 
 }  // namespace tb::lockstep

@@ -41,7 +41,8 @@
 // per-slot stats remain schedule-dependent (they already were); the static
 // partition never donates and stays bit-deterministic.
 //
-// Per-slot ExecStats surface through core::PerWorkerStats (core/stats.hpp).
+// The traversal drivers over these scaffolds (lockstep/drivers.hpp) keep
+// per-slot ExecStats in core::PerWorkerStats (core/stats.hpp).
 #pragma once
 
 #include <algorithm>
@@ -49,7 +50,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/stats.hpp"
 #include "runtime/forkjoin.hpp"
 
 namespace tb::rt {
@@ -143,54 +143,31 @@ void hybrid_for(ForkJoinPool& pool, std::int32_t n, const HybridOptions& opt, Fn
   });
 }
 
-// Shared scaffold of the kernel-level hybrid wrappers (hybrid_pointcorr &
-// co.): one blocked engine per slot, per-slot ExecStats plumbing, range
-// distribution.  `range_fn(begin, end, slot, engine, stats)` runs the
-// kernel's blocked traversal for one range; per-slot accumulators in the
-// caller should index by the same `slot` (never by worker id — in static
-// mode the slot is the chunk index).
-template <class Engine, class RangeFn>
-void hybrid_run(ForkJoinPool& pool, std::int32_t n, const HybridOptions& opt,
-                core::PerWorkerStats* stats, RangeFn&& range_fn) {
-  const int slots = hybrid_slots(pool);
-  core::PerWorkerStats local;
-  core::PerWorkerStats& pw = stats ? *stats : local;
-  pw.reset(static_cast<std::size_t>(slots));
+// One blocked engine per slot of a hybrid run over `pool`: the per-worker
+// block pools.
+template <class Engine>
+std::vector<Engine> slot_engines(const ForkJoinPool& pool, const HybridOptions& opt) {
   std::vector<Engine> engines;
-  engines.reserve(static_cast<std::size_t>(slots));
-  for (int s = 0; s < slots; ++s) engines.emplace_back(opt.t_reexp);
-  hybrid_for(pool, n, opt, [&](std::int32_t b, std::int32_t e, int slot) {
-    const auto s = static_cast<std::size_t>(slot);
-    range_fn(b, e, s, engines[s], pw.workers[s]);
-  });
+  engines.reserve(static_cast<std::size_t>(hybrid_slots(pool)));
+  for (int s = 0; s < hybrid_slots(pool); ++s) engines.emplace_back(opt.t_reexp);
+  return engines;
 }
 
-// Donation-capable variant: `frame_fn(node, payload, ids, count, slot,
-// engine, stats)` runs the kernel's blocked traversal from a donated frame
-// (Engine::run_frame) — it is invoked on whichever worker picks the donated
-// job up, always with that worker's own engine and stats slot.  Donation
-// engages only in dynamic mode on a multi-worker pool with opt.donation
-// set; otherwise this is exactly the range-only overload.
+// hybrid_for over per-slot engines (`engines[slot]`, see slot_engines),
+// plus frame-level donation: `frame_fn(node, payload, ids, count, slot)`
+// runs a donated frame (Engine::run_frame) on whichever worker picks the
+// donated job up, always with that worker's own slot.  Donation engages
+// only in dynamic mode on a multi-worker pool with opt.donation set;
+// otherwise this is exactly hybrid_for(pool, n, opt, range_fn).
 template <class Engine, class RangeFn, class FrameFn>
 void hybrid_run(ForkJoinPool& pool, std::int32_t n, const HybridOptions& opt,
-                core::PerWorkerStats* stats, RangeFn&& range_fn, FrameFn&& frame_fn) {
+                std::vector<Engine>& engines, RangeFn&& range_fn, FrameFn&& frame_fn) {
   if (!opt.donation || opt.static_partition || hybrid_slots(pool) <= 1) {
     // A 1-worker pool has nobody to donate to — splitting frames would only
     // add copy and spawn overhead the same worker pays for later.
-    hybrid_run<Engine>(pool, n, opt, stats, std::forward<RangeFn>(range_fn));
+    hybrid_for(pool, n, opt, range_fn);
     return;
   }
-  const int slots = hybrid_slots(pool);
-  core::PerWorkerStats local;
-  core::PerWorkerStats& pw = stats ? *stats : local;
-  pw.reset(static_cast<std::size_t>(slots));
-  std::vector<Engine> engines;
-  engines.reserve(static_cast<std::size_t>(slots));
-  for (int s = 0; s < slots; ++s) engines.emplace_back(opt.t_reexp);
-  auto body = [&](std::int32_t b, std::int32_t e, int slot) {
-    const auto s = static_cast<std::size_t>(slot);
-    range_fn(b, e, s, engines[s], pw.workers[s]);
-  };
 
   // The engine-facing donor: a donated frame becomes a detached pool job so
   // hungry thieves steal it like any other work.  want() reuses the lazy
@@ -201,8 +178,6 @@ void hybrid_run(ForkJoinPool& pool, std::int32_t n, const HybridOptions& opt,
   struct Sink final : Engine::Donor {
     ForkJoinPool* pool = nullptr;
     WaitGroup* wg = nullptr;
-    std::vector<Engine>* engines = nullptr;
-    core::PerWorkerStats* pw = nullptr;
     FrameRunner* frame_fn = nullptr;
     bool want() override { return pool->local_queue_empty(); }
     void take(std::int32_t node, const Payload& payload, const std::int32_t* ids,
@@ -210,9 +185,7 @@ void hybrid_run(ForkJoinPool& pool, std::int32_t n, const HybridOptions& opt,
       std::vector<std::int32_t> copy(ids, ids + count);
       pool->spawn_detached(
           [this, node, payload, copy = std::move(copy)] {
-            const auto wid = static_cast<std::size_t>(ForkJoinPool::worker_id());
-            (*frame_fn)(node, payload, copy.data(), copy.size(), wid,
-                        (*engines)[wid], pw->workers[wid]);
+            (*frame_fn)(node, payload, copy.data(), copy.size(), ForkJoinPool::worker_id());
           },
           *wg);
     }
@@ -224,11 +197,9 @@ void hybrid_run(ForkJoinPool& pool, std::int32_t n, const HybridOptions& opt,
     Sink sink;
     sink.pool = &pool;
     sink.wg = &wg;
-    sink.engines = &engines;
-    sink.pw = &pw;
     sink.frame_fn = &frame_fn;
     for (Engine& eng : engines) eng.set_donor(&sink);
-    detail::hybrid_distribute(pool, n, opt, wg, body);
+    detail::hybrid_distribute(pool, n, opt, wg, range_fn);
     pool.wait(wg);
     for (Engine& eng : engines) eng.set_donor(nullptr);
   });

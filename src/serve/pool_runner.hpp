@@ -1,16 +1,14 @@
 // Bridges QueryServer batches onto the hybrid executor — through the
 // runtime ISA dispatch tables.
 //
-// A dispatched batch is an arbitrary dense id block, not a [0, n) range —
-// exactly the shape of the donated-frame entry point the blocked engines
-// already expose (Engine::run_frame / blocked_*_frame): re-expand an
-// explicit id list into a fresh root block and traverse.  Each factory
-// below returns a serve::RunnerFactory: the router invokes it with the
-// lane's *resolved* kernel table (forced width honored, TB_SIMD_ISA
-// honored when unforced), and the table's make_serve_* entry point builds
-// the actual runner — per-slot BlockedTraversal engines at THAT table's
-// width, subranges fanned over the pool with hybrid_for.  No caller
-// instantiates an engine at a compile-time width anymore.
+// Each factory below returns a serve::RunnerFactory: the router invokes it
+// with the lane's *resolved* kernel table (forced width honored,
+// TB_SIMD_ISA honored when unforced), and the table's make_serve_* entry
+// point builds the actual runner — lockstep::make_serve at THAT table's
+// width: the hybrid executor's per-slot driver (per-slot engines and
+// kernel copies, frame donation when HybridOptions::donation asks for it),
+// kept warm across batches, re-expanding each dense id batch from the root.
+// No caller instantiates an engine at a compile-time width.
 //
 // Engines persist across batches (per-slot block pools stay warm), which
 // is the point of a persistent serving pool: no per-request engine or
@@ -22,7 +20,8 @@
 //
 // Lifetimes: the pool, the program, and (for pointcorr) the per-slot
 // partials array — rt::hybrid_slots(pool) Padded<uint64_t> entries,
-// indexed by hybrid slot — must outlive the server that owns the runner.
+// indexed by hybrid slot, each added to after every batch — must outlive
+// the server that owns the runner.
 #pragma once
 
 #include "apps/knn.hpp"

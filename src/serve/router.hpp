@@ -4,8 +4,9 @@
 // minmaxdist, ...) over one request queue and one ForkJoinPool.  Each
 // registered kernel gets a *lane*: its own AdmissionBatcher (batch shape is
 // a per-kernel property — a cheap kernel wants bigger batches than an
-// expensive one), its own BatchRunner entering the hybrid executor through
-// the kernel's donated-frame entry point, an optional AdaptiveBatchPolicy
+// expensive one), its own BatchRunner (built from its kernel table, see
+// below — for the pool runners, the table's serving entry point over the
+// hybrid executor), an optional AdaptiveBatchPolicy
 // re-deriving the batcher's policy from that kernel's own arrival rate, and
 // its own telemetry.  Stage dependencies stay in the nested-dataflow style
 // of the single-kernel server: queue -> per-lane batcher -> dispatch; lanes
@@ -21,10 +22,11 @@
 // table, which already folds in the CPUID probe and TB_SIMD_ISA), possibly
 // overridden per kernel by KernelOptions::forced_width.  An invalid width
 // throws at add(); a valid width the host cannot run clamps down with a
-// stderr notice — the same rule TB_SIMD_ISA follows (simd/isa.hpp).  Lanes
-// built from a RunnerFactory execute their resolved table's dispatched
-// entry points; lanes built from a plain BatchRunner still carry the table
-// for telemetry, but what the runner executes is the caller's business.
+// stderr notice — the same rule TB_SIMD_ISA follows (simd/isa.hpp).  Every
+// lane is built from a RunnerFactory invoked with that table: the
+// pool_runner.hpp factories execute the table's serving entry points, and
+// a factory that ignores the table (a test's counting runner) still leaves
+// the lane reporting the table it resolved.
 //
 // Everything here is admission-thread-private after QueryServer::start();
 // registration happens before start, reads of telemetry after stop.
@@ -229,21 +231,11 @@ public:
   // at 0; set once by QueryServer from ServerOptions before registration.
   void set_default_forced_width(int width) { default_forced_width_ = width; }
 
-  // Registers a lane running a caller-built runner.  The table is still
-  // resolved (and the width validated) so telemetry reports what the lane
-  // *would* serve with — virtual-time tests register no-op runners and
-  // still exercise the resolution rule.
-  int add(std::string name, const KernelOptions& opt, BatchRunner runner) {
-    const simd::KernelTable& t = resolve_serve_table(effective_width(opt));
-    lanes_.push_back(
-        std::make_unique<KernelLane>(std::move(name), opt, std::move(runner), &t));
-    return static_cast<int>(lanes_.size()) - 1;
-  }
-
-  // Registers a lane whose runner is built FROM the resolved table — the
-  // dispatch-native path.  Resolution (and any invalid-width throw)
-  // happens before the lane exists, so a failed registration leaves the
-  // router unchanged.
+  // Registers a lane whose runner is built FROM the resolved table.
+  // Resolution (and any invalid-width throw) happens before the lane
+  // exists, so a failed registration leaves the router unchanged.  A
+  // caller with a fixed runner passes a factory that ignores its table;
+  // the lane still reports the table it resolved.
   int add(std::string name, const KernelOptions& opt, const RunnerFactory& factory) {
     const simd::KernelTable& t = resolve_serve_table(effective_width(opt));
     BatchRunner runner = factory(t);

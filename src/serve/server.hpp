@@ -65,7 +65,7 @@ namespace tb::serve {
 
 struct ServerOptions {
   std::size_t queue_capacity = 4096;
-  // Policy for the implicit kernel registered by the single-runner
+  // Policy for the implicit kernel registered by the single-kernel
   // constructor; multi-kernel callers set policy per kernel instead.
   BatchPolicy policy{};
   // Server-wide forced serving width (0 = the process-wide active table,
@@ -87,16 +87,10 @@ public:
     router_.set_default_forced_width(opt.forced_width);
   }
 
-  // Single-kernel convenience: the runner becomes kernel 0 ("default")
-  // under opt.policy, and the kernel-less submit overloads target it.
-  QueryServer(const ServerOptions& opt, BatchRunner runner) : QueryServer(opt) {
-    KernelOptions kopt;
-    kopt.policy = opt.policy;
-    register_kernel("default", kopt, std::move(runner));
-  }
-
-  // Single-kernel, dispatch-native convenience: the factory is invoked
-  // with the resolved kernel table (see ServerOptions::forced_width).
+  // Single-kernel convenience: the factory's runner becomes kernel 0
+  // ("default") under opt.policy, and the kernel-less submit overloads
+  // target it.  The factory is invoked with the resolved kernel table (see
+  // ServerOptions::forced_width).
   QueryServer(const ServerOptions& opt, const RunnerFactory& factory) : QueryServer(opt) {
     KernelOptions kopt;
     kopt.policy = opt.policy;
@@ -108,14 +102,9 @@ public:
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  // Registers a kernel lane; call before start().  Returns the kernel
-  // index used by submit().
-  int register_kernel(std::string name, const KernelOptions& kopt, BatchRunner runner) {
-    return router_.add(std::move(name), kopt, std::move(runner));
-  }
-
-  // Dispatch-native form: the factory builds the lane's runner from the
-  // kernel table resolved for this lane's forced width.  Throws
+  // Registers a kernel lane; call before start().  The factory builds the
+  // lane's runner from the kernel table resolved for this lane's forced
+  // width.  Returns the kernel index used by submit().  Throws
   // std::invalid_argument (leaving the server unchanged) when the width is
   // not one of 0/4/8/16.
   int register_kernel(std::string name, const KernelOptions& kopt,

@@ -1,19 +1,26 @@
 // Runtime multi-ISA kernel dispatch.
 //
-// One binary, many hosts: the width-templated traversal kernels
-// (lockstep_*.hpp) are compiled three times — W=4 under baseline SSE2
-// flags, W=8 under -mavx2, W=16 under -mavx512{f,bw,vl} — in separate
-// translation units (per-ISA OBJECT libraries in CMake), and bound here by
-// a table of plain function pointers.  Callers never instantiate a kernel
-// template at an explicit width; they ask for a `KernelTable` and call
-// through it, so baseline code paths contain no AVX instructions and the
-// AVX paths execute only after the CPUID probe (simd/isa.hpp) has cleared
-// them.
+// One binary, many hosts: each traversal workload is one width-templated
+// kernel (lockstep/kernels.hpp) and every entry point is a generic driver
+// over it (lockstep/drivers.hpp).  Those are compiled three times — W=4
+// under baseline SSE2 flags, W=8 under -mavx2, W=16 under
+// -mavx512{f,bw,vl} — in separate translation units (per-ISA OBJECT
+// libraries in CMake), and bound here by a table of plain function
+// pointers.  Library callers never instantiate a kernel at an explicit
+// width; they ask for a `KernelTable` and call through it, so baseline code
+// paths contain no AVX instructions and the AVX paths execute only after
+// the CPUID probe (simd/isa.hpp) has cleared them.
+//
+// Adding a traversal workload: write one Kernel<W> in lockstep/kernels.hpp
+// (the interface is in lockstep/blocked.hpp), add its fields below, and
+// bind each field to its driver in simd/dispatch_table.ipp — one line per
+// field, no per-workload body.
 //
 // ODR discipline (why this stays correct under one definition rule):
 //   * Width-disjoint instantiation — the sse2 TU instantiates only W=4
-//     kernels, avx2 only W=8, avx512 only W=16, so no two differently-
-//     flagged TUs emit the same kernel symbol.
+//     kernels and drivers, avx2 only W=8, avx512 only W=16, so no two
+//     differently-flagged TUs emit the same kernel symbol.  A helper the
+//     kernels share is either width-templated or plain scalar code.
 //   * Link order — binaries list their own objects before the dispatch
 //     archive, and the archive orders sse2 before avx2 before avx512, so
 //     any COMDAT shared across TUs (scalar inline helpers such as
@@ -54,10 +61,11 @@ namespace tb::simd {
 // call shape — the serving layer binds lanes to tables through these).
 using ServeRunner = std::function<void(const std::int32_t* ids, std::size_t count)>;
 
-// Entry points of one ISA level.  The three scheduler rows mirror the
-// kernel headers: classic masked lockstep, single-core blocked
-// re-expansion (t_reexp threshold), and the hybrid vector×multicore
-// executor.  `compact_store_u32` exposes the level's streaming-compaction
+// Entry points of one ISA level.  The three scheduler rows are the generic
+// drivers of lockstep/drivers.hpp: classic masked lockstep (run_classic),
+// single-core blocked re-expansion with a t_reexp threshold (run_blocked),
+// and the hybrid vector×multicore executor (run_hybrid).
+// `compact_store_u32` exposes the level's streaming-compaction
 // rung (VPCOMPRESS / VPERMD / scalar) for differential testing: it
 // left-packs the first `width` lanes of `src` by `mask` into `dst`
 // (which needs `width` slots of slack) and returns the count.
@@ -93,14 +101,15 @@ struct KernelTable {
   void (*hybrid_minmaxdist)(rt::ForkJoinPool&, const apps::MinmaxDistProgram&,
                             const rt::HybridOptions&, core::PerWorkerStats*);
 
-  // Serving factories: each returns a runner that fans a dense id batch out
-  // over `pool` with rt::hybrid_for and re-expands every subrange through
-  // THIS table's blocked frame entry point on a persistent per-slot engine
-  // of the table's width (engines stay warm across batches; ranges mapped
-  // to one slot never run concurrently, so the engines need no locking —
-  // the same contract as serve/pool_runner.hpp).  The program — and for
-  // pointcorr the per-slot partials array, rt::hybrid_slots(pool) entries,
-  // indexed by hybrid slot — must outlive the returned runner.
+  // Serving factories (lockstep::make_serve): each returns a runner that
+  // fans a dense id batch out over `pool` — the hybrid executor's per-slot
+  // driver, donation included when `opt` asks for it — and re-expands every
+  // subrange from the root on a persistent per-slot engine of the table's
+  // width (engines stay warm across batches; ranges mapped to one slot
+  // never run concurrently, so the engines need no locking).  The program —
+  // and for pointcorr the per-slot partials array, rt::hybrid_slots(pool)
+  // entries, indexed by hybrid slot and added to after every batch — must
+  // outlive the returned runner.
   ServeRunner (*make_serve_knn)(rt::ForkJoinPool&, const rt::HybridOptions&,
                                 const apps::KnnProgram&);
   ServeRunner (*make_serve_pointcorr)(rt::ForkJoinPool&, const rt::HybridOptions&,

@@ -16,7 +16,8 @@
 #include "apps/pointcorr.hpp"
 #include "core/autotune.hpp"
 #include "core/driver.hpp"
-#include "lockstep/lockstep_pointcorr.hpp"
+#include "lockstep/drivers.hpp"
+#include "lockstep/kernels.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 
@@ -234,7 +235,7 @@ TEST(AutotuneHybrid, UtilizationWinnerIsReproducibleOnRealExecutor) {
   const auto sweep = [&] {
     return core::autotune_hybrid(
         [&](const tb::rt::HybridOptions& o, core::PerWorkerStats* pw) {
-          (void)lockstep::hybrid_pointcorr<8>(pool, prog, o, pw);
+          (void)lockstep::run_hybrid(pool, lockstep::PointCorrKernel<8>(prog), o, pw);
         },
         opts);
   };
@@ -261,10 +262,10 @@ TEST(AutotuneHybrid, TunedOptionsPreserveResults) {
   opts.max_reexp = 64;
   const core::HybridTuneReport rep = core::autotune_hybrid(
       [&](const tb::rt::HybridOptions& o, core::PerWorkerStats* pw) {
-        (void)lockstep::hybrid_pointcorr<8>(pool, prog, o, pw);
+        (void)lockstep::run_hybrid(pool, lockstep::PointCorrKernel<8>(prog), o, pw);
       },
       opts);
-  EXPECT_EQ(lockstep::hybrid_pointcorr<8>(pool, prog, rep.best), expected);
+  EXPECT_EQ(lockstep::run_hybrid(pool, lockstep::PointCorrKernel<8>(prog), rep.best), expected);
   const std::string text = rep.to_string();
   EXPECT_NE(text.find("t_reexp"), std::string::npos);
   EXPECT_NE(text.find("<-- best"), std::string::npos);

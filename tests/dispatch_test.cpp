@@ -132,15 +132,7 @@ TEST(Dispatch, CompactStoreMatchesScalarReference) {
 // For each traversal workload: the sequential recursion is the reference;
 // every runnable ISA table runs the classic-lockstep, blocked (two t_reexp
 // settings), and hybrid (dynamic / static-partition / donation) schedulers,
-// and the resulting state digests must be bit-identical.
-//
-// knn's classic-lockstep kernel offers vectorized distances (an ulp apart
-// from the scalar path under FMA contraction in the native-compiled main
-// TU), so its lockstep digests are compared across tables only, never
-// against seq; its blocked/hybrid schedulers offer through the program's
-// scalar base case and must equal seq exactly.  The per-ISA TUs compile
-// with -mno-fma -ffp-contract=off precisely so the across-table comparison
-// is bit-exact at every width.
+// and the resulting state digests must be bit-identical to it.
 
 constexpr std::size_t kPoints = 2000;
 constexpr int kK = 4;
@@ -179,19 +171,13 @@ TEST(DispatchEquivalence, Knn) {
   const std::string seq = knn_digest(seq_state, pts.size());
 
   tb::rt::ForkJoinPool pool(kWorkers);
-  std::string lockstep_ref;
   for (const KernelTable* kt : runnable_tables()) {
     SCOPED_TRACE(kt->name);
     {
       tb::apps::KnnState st(pts.size(), kK);
       tb::apps::KnnProgram prog{&pts, &tree, &st};
       kt->lockstep_knn(prog, nullptr);
-      const std::string d = knn_digest(st, pts.size());
-      if (lockstep_ref.empty()) {
-        lockstep_ref = d;
-      } else {
-        EXPECT_EQ(d, lockstep_ref) << "classic lockstep digest differs across ISA tables";
-      }
+      EXPECT_EQ(knn_digest(st, pts.size()), seq) << "classic lockstep";
     }
     for (const std::size_t t_reexp : {std::size_t{0}, 2 * static_cast<std::size_t>(kt->width)}) {
       tb::apps::KnnState st(pts.size(), kK);

@@ -15,10 +15,8 @@
 #include "apps/minmaxdist.hpp"
 #include "apps/pointcorr.hpp"
 #include "core/driver.hpp"
-#include "lockstep/lockstep_barneshut.hpp"
-#include "lockstep/lockstep_knn.hpp"
-#include "lockstep/lockstep_minmax.hpp"
-#include "lockstep/lockstep_pointcorr.hpp"
+#include "lockstep/drivers.hpp"
+#include "lockstep/kernels.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/octree.hpp"
@@ -26,6 +24,11 @@
 namespace {
 
 using namespace tb;
+using lockstep::BarnesHutKernel;
+using lockstep::KnnKernel;
+using lockstep::MinmaxDistKernel;
+using lockstep::PointCorrKernel;
+using lockstep::run_hybrid;
 
 constexpr std::size_t kPoints = 4000;
 constexpr int kWorkers = 8;  // oversubscribes typical CI hosts: steals mid-run
@@ -58,7 +61,7 @@ TEST(HybridStress, PointCorrRepeatedDynamicRuns) {
   rt::ForkJoinPool pool(kWorkers);
   for (int r = 0; r < kRepeats; ++r) {
     for (const std::size_t t : {std::size_t{0}, std::size_t{32}}) {
-      EXPECT_EQ(lockstep::hybrid_pointcorr<8>(pool, prog, opts(t, 64)), expected);
+      EXPECT_EQ(run_hybrid(pool, PointCorrKernel<8>(prog), opts(t, 64)), expected);
     }
   }
 }
@@ -75,7 +78,7 @@ TEST(HybridStress, KnnSharedStateUnderStealing) {
   for (int r = 0; r < kRepeats; ++r) {
     apps::KnnState state(f.pts.size(), k);
     apps::KnnProgram prog{&f.pts, &f.kdtree, &state};
-    lockstep::hybrid_knn<8>(pool, prog, opts(16, 32));
+    run_hybrid(pool, KnnKernel<8>(prog), opts(16, 32));
     for (const std::int32_t q : {0, 999, 2500, 3999}) {
       EXPECT_EQ(state.distances(q), oracle.distances(q)) << "query " << q;
     }
@@ -94,7 +97,7 @@ TEST(HybridStress, MinmaxDistCasLoopsUnderStealing) {
   for (int r = 0; r < kRepeats; ++r) {
     apps::MinmaxDistState state(f.pts.size());
     apps::MinmaxDistProgram prog{&f.pts, &f.kdtree, &state};
-    lockstep::hybrid_minmaxdist<8>(pool, prog, opts(16, 32));
+    run_hybrid(pool, MinmaxDistKernel<8>(prog), opts(16, 32));
     EXPECT_EQ(apps::minmaxdist_digest(state), expected);
   }
 }
@@ -110,7 +113,7 @@ TEST(HybridStress, BarnesHutAtomicForceScatter) {
   for (int r = 0; r < kRepeats; ++r) {
     std::vector<float> hx(n, 0), hy(n, 0), hz(n, 0);
     apps::BarnesHutProgram prog{&f.bodies, &f.octree, hx.data(), hy.data(), hz.data()};
-    EXPECT_EQ(lockstep::hybrid_barneshut<8>(pool, prog, theta, opts(32, 64)), expected);
+    EXPECT_EQ(run_hybrid(pool, BarnesHutKernel<8>(prog, theta), opts(32, 64)), expected);
   }
 }
 
@@ -137,17 +140,17 @@ TEST(HybridStress, DonationStormKeepsSharedStateCorrect) {
   }
   const std::string mmd_expected = apps::minmaxdist_digest(mmd_oracle);
   for (int r = 0; r < kRepeats; ++r) {
-    EXPECT_EQ(lockstep::hybrid_pointcorr<8>(pool, pc_prog, opts(16, big_grain, true)),
+    EXPECT_EQ(run_hybrid(pool, PointCorrKernel<8>(pc_prog), opts(16, big_grain, true)),
               pc_expected);
     apps::KnnState knn_state(f.pts.size(), 4);
     apps::KnnProgram knn_prog{&f.pts, &f.kdtree, &knn_state};
-    lockstep::hybrid_knn<8>(pool, knn_prog, opts(16, big_grain, true));
+    run_hybrid(pool, KnnKernel<8>(knn_prog), opts(16, big_grain, true));
     for (const std::int32_t q : {0, 999, 2500, 3999}) {
       EXPECT_EQ(knn_state.distances(q), knn_oracle.distances(q)) << "query " << q;
     }
     apps::MinmaxDistState mmd_state(f.pts.size());
     apps::MinmaxDistProgram mmd_prog{&f.pts, &f.kdtree, &mmd_state};
-    lockstep::hybrid_minmaxdist<8>(pool, mmd_prog, opts(16, big_grain, true));
+    run_hybrid(pool, MinmaxDistKernel<8>(mmd_prog), opts(16, big_grain, true));
     EXPECT_EQ(apps::minmaxdist_digest(mmd_state), mmd_expected);
   }
 }
@@ -160,8 +163,8 @@ TEST(HybridStress, AlternatingLaneWidths) {
   const std::uint64_t expected = apps::pointcorr_sequential(prog);
   rt::ForkJoinPool pool(kWorkers);
   for (int r = 0; r < kRepeats; ++r) {
-    EXPECT_EQ(lockstep::hybrid_pointcorr<4>(pool, prog, opts(8, 48)), expected);
-    EXPECT_EQ(lockstep::hybrid_pointcorr<8>(pool, prog, opts(8, 48)), expected);
+    EXPECT_EQ(run_hybrid(pool, PointCorrKernel<4>(prog), opts(8, 48)), expected);
+    EXPECT_EQ(run_hybrid(pool, PointCorrKernel<8>(prog), opts(8, 48)), expected);
   }
 }
 

@@ -21,10 +21,8 @@
 #include "apps/pointcorr.hpp"
 #include "core/driver.hpp"
 #include "lockstep/blocked.hpp"
-#include "lockstep/lockstep_barneshut.hpp"
-#include "lockstep/lockstep_knn.hpp"
-#include "lockstep/lockstep_minmax.hpp"
-#include "lockstep/lockstep_pointcorr.hpp"
+#include "lockstep/drivers.hpp"
+#include "lockstep/kernels.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/octree.hpp"
@@ -45,29 +43,34 @@ int perfect_children(std::int32_t node, std::int32_t* out) {
   return 2;
 }
 
-// Collects, per (node, query), how often the step callback saw the pair.
+using VisitMatrix = std::map<std::pair<std::int32_t, std::int32_t>, int>;
+
+// Stateless kernel over the perfect tree: counts how often each (node,
+// query) pair was stepped and descends where `prune` says so.
 template <int W>
-std::map<std::pair<std::int32_t, std::int32_t>, int> visit_matrix(
-    std::int32_t n_queries, std::size_t t_reexp,
-    std::uint32_t (*prune)(std::int32_t node, std::int32_t query),
-    core::ExecStats* st = nullptr) {
-  std::map<std::pair<std::int32_t, std::int32_t>, int> seen;
-  BlockedTraversal<W> eng(t_reexp);
-  eng.run(
-      0, char{0}, 0, n_queries, perfect_children,
-      [&](std::int32_t node, const simd::batch<std::int32_t, W>& qid, std::uint32_t mask,
-          char) -> std::uint32_t {
-        std::uint32_t live = 0;
-        for (int l = 0; l < W; ++l) {
-          if (((mask >> l) & 1u) == 0) continue;
-          seen[{node, qid[l]}] += 1;
-          live |= prune(node, qid[l]) << l;
-        }
-        return live & mask;
-      },
-      [](char p) { return p; }, st);
-  return seen;
-}
+struct MatrixKernel {
+  using BI = simd::batch<std::int32_t, W>;
+  struct State {};
+
+  VisitMatrix* seen;
+  std::uint32_t (*prune)(std::int32_t node, std::int32_t query);
+
+  static int children(std::int32_t node, std::int32_t* out) {
+    return perfect_children(node, out);
+  }
+  static char descend(char p) { return p; }
+  static State load(const BI&) { return {}; }
+  static void flush(const BI&, State&, std::uint32_t) {}
+  std::uint32_t step(std::int32_t node, const BI& qid, State&, std::uint32_t mask, char) {
+    std::uint32_t live = 0;
+    for (int l = 0; l < W; ++l) {
+      if (((mask >> l) & 1u) == 0) continue;
+      (*seen)[{node, qid[l]}] += 1;
+      live |= prune(node, qid[l]) << l;
+    }
+    return live & mask;
+  }
+};
 
 std::uint32_t keep_all(std::int32_t, std::int32_t) { return 1u; }
 
@@ -75,6 +78,37 @@ std::uint32_t keep_all(std::int32_t, std::int32_t) { return 1u; }
 std::uint32_t staggered(std::int32_t node, std::int32_t query) {
   return node < query ? 1u : 0u;
 }
+
+// Collects, per (node, query), how often the step saw the pair.
+template <int W>
+VisitMatrix visit_matrix(std::int32_t n_queries, std::size_t t_reexp,
+                         std::uint32_t (*prune)(std::int32_t node, std::int32_t query),
+                         core::ExecStats* st = nullptr) {
+  VisitMatrix seen;
+  MatrixKernel<W> k{&seen, prune};
+  BlockedTraversal<W> eng(t_reexp);
+  eng.run(0, char{0}, 0, n_queries, k, st);
+  return seen;
+}
+
+// Stateless kernel over the perfect tree that counts active lane-steps.
+struct CountingKernel {
+  using BI = simd::batch<std::int32_t, 4>;
+  struct State {};
+
+  int visits = 0;
+
+  static int children(std::int32_t node, std::int32_t* out) {
+    return perfect_children(node, out);
+  }
+  static char descend(char p) { return p; }
+  static State load(const BI&) { return {}; }
+  static void flush(const BI&, State&, std::uint32_t) {}
+  std::uint32_t step(std::int32_t, const BI&, State&, std::uint32_t mask, char) {
+    visits += std::popcount(mask);
+    return mask;
+  }
+};
 
 TEST(BlockedEngine, VisitsEveryNodeQueryPairOnce) {
   // 10 queries, W=4: tail chunk exercises the partial-lane mask.
@@ -144,36 +178,37 @@ TEST(BlockedEngine, PartialTailLowersUtilization) {
 
 TEST(BlockedEngine, PayloadThreadsDownLevels) {
   // Chain 0 -> 1 -> 2; payload doubles per level.
-  std::vector<int> payloads;
+  struct ChainKernel {
+    using BI = simd::batch<std::int32_t, 4>;
+    struct State {};
+
+    std::vector<int> payloads;
+
+    static int children(std::int32_t node, std::int32_t* out) {
+      if (node >= 2) return 0;
+      out[0] = node + 1;
+      return 1;
+    }
+    static int descend(int p) { return p * 2; }
+    static State load(const BI&) { return {}; }
+    static void flush(const BI&, State&, std::uint32_t) {}
+    std::uint32_t step(std::int32_t, const BI&, State&, std::uint32_t mask, int payload) {
+      payloads.push_back(payload);
+      return mask;
+    }
+  };
+  ChainKernel k;
   BlockedTraversal<4, int> eng(0);
-  eng.run(
-      0, 1, 0, 4,
-      [](std::int32_t node, std::int32_t* out) {
-        if (node >= 2) return 0;
-        out[0] = node + 1;
-        return 1;
-      },
-      [&](std::int32_t, const simd::batch<std::int32_t, 4>&, std::uint32_t mask,
-          int payload) {
-        payloads.push_back(payload);
-        return mask;
-      },
-      [](int p) { return p * 2; });
-  EXPECT_EQ(payloads, (std::vector<int>{1, 2, 4}));
+  eng.run(0, 1, 0, 4, k);
+  EXPECT_EQ(k.payloads, (std::vector<int>{1, 2, 4}));
 }
 
 TEST(BlockedEngine, EngineReuseAcrossRunsIsClean) {
   BlockedTraversal<4> eng(0);
   for (int rep = 0; rep < 3; ++rep) {
-    int visits = 0;
-    eng.run(
-        0, char{0}, 0, 10, perfect_children,
-        [&](std::int32_t, const simd::batch<std::int32_t, 4>&, std::uint32_t mask, char) {
-          visits += std::popcount(mask);
-          return mask;
-        },
-        [](char p) { return p; });
-    EXPECT_EQ(visits, 7 * 10);
+    CountingKernel k;
+    eng.run(0, char{0}, 0, 10, k);
+    EXPECT_EQ(k.visits, 7 * 10);
   }
 }
 
@@ -196,27 +231,20 @@ TEST(BlockedEngineDonation, SplitsBottomFrameAndPreservesCoverage) {
   // frame is donatable, so one donation fires (tail half, ids 5..9) and the
   // victim keeps 0..4.  Replaying the donated frame on a second engine must
   // restore exact once-per-(node, query) coverage.
-  std::map<std::pair<std::int32_t, std::int32_t>, int> seen;
-  const auto step = [&](std::int32_t node, const simd::batch<std::int32_t, 4>& qid,
-                        std::uint32_t mask, char) -> std::uint32_t {
-    for (int l = 0; l < 4; ++l) {
-      if ((mask >> l) & 1u) seen[{node, qid[l]}] += 1;
-    }
-    return mask;
-  };
-  const auto keep = [](char p) { return p; };
+  VisitMatrix seen;
+  MatrixKernel<4> k{&seen, keep_all};
   BlockedTraversal<4> victim(0);
   CollectingDonor<4> donor;
   victim.set_donor(&donor);
   core::ExecStats st;
-  victim.run(0, char{0}, 0, 10, perfect_children, step, keep, &st);
+  victim.run(0, char{0}, 0, 10, k, &st);
   ASSERT_EQ(donor.frames.size(), 1u);
   EXPECT_EQ(st.donated_frames, 1u);
   EXPECT_EQ(donor.frames[0].first, 0);  // bottom frame: the root
   EXPECT_EQ(donor.frames[0].second, (std::vector<std::int32_t>{5, 6, 7, 8, 9}));
   BlockedTraversal<4> thief(0);
   for (const auto& [node, ids] : donor.frames) {
-    thief.run_frame(node, char{0}, ids.data(), ids.size(), perfect_children, step, keep);
+    thief.run_frame(node, char{0}, ids.data(), ids.size(), k);
   }
   EXPECT_EQ(seen.size(), 7u * 10u);
   for (const auto& [key, count] : seen) {
@@ -227,19 +255,13 @@ TEST(BlockedEngineDonation, SplitsBottomFrameAndPreservesCoverage) {
 TEST(BlockedEngineDonation, RespectsMinimumBlock) {
   // 4 queries < 2·W: nothing is donatable even with a permanently hungry
   // donor, and the run completes alone.
-  int visits = 0;
+  CountingKernel k;
   BlockedTraversal<4> eng(0);
   CollectingDonor<4> donor;
   eng.set_donor(&donor);
-  eng.run(
-      0, char{0}, 0, 4, perfect_children,
-      [&](std::int32_t, const simd::batch<std::int32_t, 4>&, std::uint32_t mask, char) {
-        visits += std::popcount(mask);
-        return mask;
-      },
-      [](char p) { return p; });
+  eng.run(0, char{0}, 0, 4, k);
   EXPECT_TRUE(donor.frames.empty());
-  EXPECT_EQ(visits, 7 * 4);
+  EXPECT_EQ(k.visits, 7 * 4);
 }
 
 TEST(BlockedEngineDonation, DegenerateClassicModeNeverDonates) {
@@ -248,16 +270,10 @@ TEST(BlockedEngineDonation, DegenerateClassicModeNeverDonates) {
   BlockedTraversal<4> eng(std::size_t{1} << 20);
   CollectingDonor<4> donor;
   eng.set_donor(&donor);
-  int visits = 0;
-  eng.run(
-      0, char{0}, 0, 32, perfect_children,
-      [&](std::int32_t, const simd::batch<std::int32_t, 4>&, std::uint32_t mask, char) {
-        visits += std::popcount(mask);
-        return mask;
-      },
-      [](char p) { return p; });
+  CountingKernel k;
+  eng.run(0, char{0}, 0, 32, k);
   EXPECT_TRUE(donor.frames.empty());
-  EXPECT_EQ(visits, 7 * 32);
+  EXPECT_EQ(k.visits, 7 * 32);
 }
 
 // ---- app equivalence matrix ---------------------------------------------------------
@@ -283,7 +299,8 @@ void expect_pointcorr_matches_seq() {
   const std::uint64_t expected = core::run_seq<core::SimdExec<apps::PointCorrProgram>>(
       prog, roots, core::SeqPolicy::Restart, th);
   tbtest::for_each_hybrid_case([&](rt::ForkJoinPool& pool, const tbtest::HybridCase& c) {
-    EXPECT_EQ(lockstep::hybrid_pointcorr<W>(pool, prog, c.options()), expected);
+    EXPECT_EQ(lockstep::run_hybrid(pool, lockstep::PointCorrKernel<W>(prog), c.options()),
+              expected);
   });
 }
 
@@ -312,7 +329,7 @@ void expect_knn_matches_seq() {
   tbtest::for_each_hybrid_case([&](rt::ForkJoinPool& pool, const tbtest::HybridCase& c) {
     apps::KnnState state(f.pts.size(), k);
     apps::KnnProgram prog{&f.pts, &f.kdtree, &state};
-    lockstep::hybrid_knn<W>(pool, prog, c.options());
+    lockstep::run_hybrid(pool, lockstep::KnnKernel<W>(prog), c.options());
     EXPECT_EQ(digest(state), expected);
   });
 }
@@ -333,7 +350,7 @@ void expect_minmaxdist_matches_seq() {
   tbtest::for_each_hybrid_case([&](rt::ForkJoinPool& pool, const tbtest::HybridCase& c) {
     apps::MinmaxDistState state(f.pts.size());
     apps::MinmaxDistProgram prog{&f.pts, &f.kdtree, &state};
-    lockstep::hybrid_minmaxdist<W>(pool, prog, c.options());
+    lockstep::run_hybrid(pool, lockstep::MinmaxDistKernel<W>(prog), c.options());
     EXPECT_EQ(apps::minmaxdist_digest(state), expected);
   });
 }
@@ -355,7 +372,9 @@ void expect_barneshut_matches_seq() {
   tbtest::for_each_hybrid_case([&](rt::ForkJoinPool& pool, const tbtest::HybridCase& c) {
     std::vector<float> hx(n, 0), hy(n, 0), hz(n, 0);
     apps::BarnesHutProgram prog{&f.bodies, &f.octree, hx.data(), hy.data(), hz.data()};
-    EXPECT_EQ(lockstep::hybrid_barneshut<W>(pool, prog, theta, c.options()), expected);
+    EXPECT_EQ(
+        lockstep::run_hybrid(pool, lockstep::BarnesHutKernel<W>(prog, theta), c.options()),
+        expected);
     // Forces agree with the oracle to float-reassociation tolerance.
     double max_rel = 0;
     for (std::size_t b = 0; b < n; ++b) {
@@ -391,7 +410,7 @@ TEST(HybridDonation, ForcedDonationKeepsResultsExact) {
   opt.donation = true;
   opt.grain = static_cast<std::int32_t>(f.pts.size());
   core::PerWorkerStats pw;
-  EXPECT_EQ(lockstep::hybrid_pointcorr<8>(pool, prog, opt, &pw), expected);
+  EXPECT_EQ(lockstep::run_hybrid(pool, lockstep::PointCorrKernel<8>(prog), opt, &pw), expected);
   EXPECT_GE(pw.merged().donated_frames, 1u);
 }
 
@@ -402,7 +421,7 @@ TEST(HybridDonation, DisabledDonationReportsNoDonatedFrames) {
   rt::HybridOptions opt;
   opt.t_reexp = 16;  // donation defaults to off
   core::PerWorkerStats pw;
-  (void)lockstep::hybrid_pointcorr<8>(pool, prog, opt, &pw);
+  (void)lockstep::run_hybrid(pool, lockstep::PointCorrKernel<8>(prog), opt, &pw);
   EXPECT_EQ(pw.merged().donated_frames, 0u);
 }
 
@@ -413,7 +432,8 @@ TEST(HybridStats, SlotsMergeAndStayInRange) {
   rt::HybridOptions opt;
   opt.t_reexp = 16;
   core::PerWorkerStats pw;
-  const std::uint64_t count = lockstep::hybrid_pointcorr<8>(pool, prog, opt, &pw);
+  const std::uint64_t count =
+      lockstep::run_hybrid(pool, lockstep::PointCorrKernel<8>(prog), opt, &pw);
   EXPECT_GT(count, 0u);
   EXPECT_EQ(pw.slots(), 4u);
   const core::ExecStats merged = pw.merged();
@@ -437,8 +457,8 @@ TEST(HybridStats, StaticPartitionIsDeterministic) {
   opt.t_reexp = 32;
   opt.static_partition = true;
   core::PerWorkerStats a, b;
-  (void)lockstep::hybrid_pointcorr<8>(pool, prog, opt, &a);
-  (void)lockstep::hybrid_pointcorr<8>(pool, prog, opt, &b);
+  (void)lockstep::run_hybrid(pool, lockstep::PointCorrKernel<8>(prog), opt, &a);
+  (void)lockstep::run_hybrid(pool, lockstep::PointCorrKernel<8>(prog), opt, &b);
   ASSERT_EQ(a.slots(), b.slots());
   for (std::size_t s = 0; s < a.slots(); ++s) {
     EXPECT_EQ(a.workers[s].steps_total, b.workers[s].steps_total) << "slot " << s;
@@ -453,8 +473,9 @@ TEST(HybridStats, CompactionBeatsClassicLockstepUtilization) {
   auto& f = fixtures();
   const apps::PointCorrProgram prog{&f.pts, &f.kdtree, 0.01f};
   core::ExecStats blocked, classic;
-  (void)lockstep::blocked_pointcorr<8>(prog, 0, &blocked);
-  (void)lockstep::blocked_pointcorr<8>(prog, std::size_t{1} << 30, &classic);
+  (void)lockstep::run_blocked(lockstep::PointCorrKernel<8>(prog), 0, &blocked);
+  (void)lockstep::run_blocked(lockstep::PointCorrKernel<8>(prog), std::size_t{1} << 30,
+                               &classic);
   EXPECT_GT(blocked.simd_utilization(), classic.simd_utilization());
 }
 

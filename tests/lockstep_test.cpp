@@ -12,10 +12,8 @@
 #include "apps/barneshut.hpp"
 #include "apps/knn.hpp"
 #include "apps/pointcorr.hpp"
-#include "lockstep/lockstep.hpp"
-#include "lockstep/lockstep_barneshut.hpp"
-#include "lockstep/lockstep_knn.hpp"
-#include "lockstep/lockstep_pointcorr.hpp"
+#include "lockstep/drivers.hpp"
+#include "simd/dispatch.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/octree.hpp"
@@ -26,76 +24,94 @@ using namespace tb;
 using lockstep::LockstepStats;
 
 // ---- engine -------------------------------------------------------------------------
+//
+// The classic model is the blocked engine's masked mode (run_classic); these
+// pin its walk on synthetic trees with a stateless kernel.
+
+// What a synthetic walk saw, one entry per step.
+struct WalkLog {
+  std::vector<std::int32_t> nodes;
+  std::vector<std::uint32_t> masks;
+  std::vector<int> payloads;
+};
+
+// W=4 kernel over an inline tree: the 3-level perfect binary tree (nodes
+// 0..6, children of v are 2v+1, 2v+2) or the chain 0 -> 1 -> 2.  The
+// payload starts at 1 and doubles per level; the visit of `prune_at`
+// returns a zero mask.
+struct SyntheticKernel {
+  using BI = simd::batch<std::int32_t, 4>;
+  using Payload = int;
+  static constexpr int width = 4;
+  struct State {};
+
+  WalkLog* log;
+  std::int32_t n = 4;
+  bool chain = false;
+  std::int32_t prune_at = -1;
+
+  std::int32_t root() const { return 0; }
+  std::int32_t queries() const { return n; }
+  static int root_payload() { return 1; }
+  static int descend(int p) { return p * 2; }
+  int children(std::int32_t node, std::int32_t* out) const {
+    if (chain) {
+      if (node >= 2) return 0;
+      out[0] = node + 1;
+      return 1;
+    }
+    if (node >= 3) return 0;
+    out[0] = 2 * node + 1;
+    out[1] = 2 * node + 2;
+    return 2;
+  }
+  static State load(const BI&) { return {}; }
+  static void flush(const BI&, State&, std::uint32_t) {}
+  std::uint32_t step(std::int32_t node, const BI&, State&, std::uint32_t mask, int payload) {
+    log->nodes.push_back(node);
+    log->masks.push_back(mask);
+    log->payloads.push_back(payload);
+    return node == prune_at ? 0u : mask;
+  }
+};
 
 TEST(LockstepEngine, VisitsEveryNodeOnceWithFullMask) {
-  // A 3-level perfect binary tree, encoded inline; visitor never prunes.
-  // Nodes 0..6; children of v are 2v+1, 2v+2 for v < 3.
-  std::vector<std::int32_t> visited;
-  lockstep::traverse<4>(
-      0, 0xF,
-      [](std::int32_t node, std::int32_t* out) {
-        if (node >= 3) return 0;
-        out[0] = 2 * node + 1;
-        out[1] = 2 * node + 2;
-        return 2;
-      },
-      [&](std::int32_t node, std::uint32_t mask) -> std::uint32_t {
-        visited.push_back(node);
-        EXPECT_EQ(mask, 0xFu);
-        return mask;
-      });
-  EXPECT_EQ(visited.size(), 7u);
+  WalkLog log;
+  lockstep::run_classic(SyntheticKernel{&log});
+  EXPECT_EQ(log.nodes.size(), 7u);
+  for (const std::uint32_t mask : log.masks) EXPECT_EQ(mask, 0xFu);
   // Depth-first, left child first.
-  EXPECT_EQ(visited[0], 0);
-  EXPECT_EQ(visited[1], 1);
-  EXPECT_EQ(visited[2], 3);
+  EXPECT_EQ(log.nodes, (std::vector<std::int32_t>{0, 1, 3, 4, 2, 5, 6}));
 }
 
 TEST(LockstepEngine, ZeroMaskPrunesSubtree) {
-  std::vector<std::int32_t> visited;
-  lockstep::traverse<4>(
-      0, 0xF,
-      [](std::int32_t node, std::int32_t* out) {
-        if (node >= 3) return 0;
-        out[0] = 2 * node + 1;
-        out[1] = 2 * node + 2;
-        return 2;
-      },
-      [&](std::int32_t node, std::uint32_t mask) -> std::uint32_t {
-        visited.push_back(node);
-        return node == 1 ? 0u : mask;  // kill the left subtree below node 1
-      });
-  // Node 1's children (3, 4) are never visited: 0,1,2,5,6.
-  EXPECT_EQ(visited.size(), 5u);
+  WalkLog log;
+  SyntheticKernel k{&log};
+  k.prune_at = 1;  // kill the left subtree below node 1
+  lockstep::run_classic(k);
+  // Node 1's children (3, 4) are never visited.
+  EXPECT_EQ(log.nodes, (std::vector<std::int32_t>{0, 1, 2, 5, 6}));
 }
 
 TEST(LockstepEngine, StatsCountLaneOccupancy) {
+  WalkLog log;
+  SyntheticKernel k{&log};
+  k.n = 2;  // only 2 of 4 lanes live
   LockstepStats st;
-  lockstep::traverse<4>(
-      0, 0x3,  // only 2 of 4 lanes live
-      [](std::int32_t, std::int32_t*) { return 0; },
-      [&](std::int32_t, std::uint32_t mask) -> std::uint32_t { return mask; }, &st);
-  EXPECT_EQ(st.node_visits, 1u);
-  EXPECT_EQ(st.lane_visits, 4u);
-  EXPECT_EQ(st.active_lane_visits, 2u);
+  lockstep::run_classic(k, &st);
+  for (const std::uint32_t mask : log.masks) EXPECT_EQ(mask, 0x3u);
+  EXPECT_EQ(st.node_visits, 7u);
+  EXPECT_EQ(st.lane_visits, 7u * 4u);
+  EXPECT_EQ(st.active_lane_visits, 7u * 2u);
   EXPECT_DOUBLE_EQ(st.occupancy(), 0.5);
 }
 
 TEST(LockstepEngine, PayloadThreadsDownTheTraversal) {
-  // Chain 0 -> 1 -> 2; payload doubles per level.
-  std::vector<int> payloads;
-  lockstep::traverse<4, int>(
-      0, 0xF, 1,
-      [](std::int32_t node, std::int32_t* out) {
-        if (node >= 2) return 0;
-        out[0] = node + 1;
-        return 1;
-      },
-      [&](std::int32_t, std::uint32_t mask, int payload) {
-        payloads.push_back(payload);
-        return std::pair{mask, payload * 2};
-      });
-  EXPECT_EQ(payloads, (std::vector<int>{1, 2, 4}));
+  WalkLog log;
+  SyntheticKernel k{&log};
+  k.chain = true;
+  lockstep::run_classic(k);
+  EXPECT_EQ(log.payloads, (std::vector<int>{1, 2, 4}));
 }
 
 // ---- point correlation ----------------------------------------------------------------
@@ -108,7 +124,7 @@ TEST_P(LockstepPointCorr, CountMatchesRecursiveTraversal) {
   const auto tree = spatial::KdTree::build(pts, 16);
   const apps::PointCorrProgram prog{&pts, &tree, 0.03f};
   LockstepStats st;
-  EXPECT_EQ(lockstep::lockstep_pointcorr(prog, &st), apps::pointcorr_sequential(prog));
+  EXPECT_EQ(simd::kernels().lockstep_pointcorr(prog, &st), apps::pointcorr_sequential(prog));
   EXPECT_GT(st.node_visits, 0u);
 }
 
@@ -125,7 +141,7 @@ TEST(LockstepPointCorrDetail, DivergenceShowsUpInOccupancy) {
   const auto tree = spatial::KdTree::build(pts, 16);
   const apps::PointCorrProgram prog{&pts, &tree, 0.01f};
   LockstepStats st;
-  (void)lockstep::lockstep_pointcorr(prog, &st);
+  (void)simd::kernels().lockstep_pointcorr(prog, &st);
   EXPECT_GT(st.occupancy(), 0.05);
   EXPECT_LT(st.occupancy(), 0.95);
 }
@@ -145,17 +161,14 @@ TEST_P(LockstepKnn, NeighborListsMatchRecursiveTraversal) {
 
   apps::KnnState ls_state(pts.size(), k);
   apps::KnnProgram ls_prog{&pts, &tree, &ls_state};
-  lockstep::lockstep_knn(ls_prog);
+  simd::kernels().lockstep_knn(ls_prog, nullptr);
 
   for (std::int32_t q = 0; q < static_cast<std::int32_t>(pts.size()); ++q) {
     const auto ls = ls_state.distances(q);
     const auto seq = seq_state.distances(q);
     ASSERT_EQ(ls.size(), seq.size()) << "query " << q;
     for (std::size_t i = 0; i < ls.size(); ++i) {
-      // The lockstep kernel accumulates the same distances through a
-      // different float evaluation order (and FMA contraction under
-      // -march=native), so the lists match to ULPs, not bit-exactly.
-      EXPECT_FLOAT_EQ(ls[i], seq[i]) << "query " << q << " slot " << i;
+      EXPECT_EQ(ls[i], seq[i]) << "query " << q << " slot " << i;
     }
   }
 }
@@ -168,7 +181,7 @@ TEST(LockstepKnnDetail, MatchesBruteForce) {
   const auto tree = spatial::KdTree::build(pts, 8);
   apps::KnnState state(pts.size(), 4);
   apps::KnnProgram prog{&pts, &tree, &state};
-  lockstep::lockstep_knn(prog);
+  simd::kernels().lockstep_knn(prog, nullptr);
   for (const std::int32_t q : {0, 57, 233, 399}) {
     const auto expect = apps::knn_bruteforce(pts, q, 4);
     const auto got = state.distances(q);
@@ -193,7 +206,7 @@ TEST(LockstepBarnesHut, InteractionFingerprintMatchesRecursive) {
   std::vector<float> lx(bodies.size(), 0), ly(bodies.size(), 0), lz(bodies.size(), 0);
   apps::BarnesHutProgram ls_prog{&bodies, &tree, lx.data(), ly.data(), lz.data()};
   LockstepStats st;
-  const std::uint64_t ls_interactions = lockstep::lockstep_barneshut(ls_prog, theta, &st);
+  const std::uint64_t ls_interactions = simd::kernels().lockstep_barneshut(ls_prog, theta, &st);
 
   EXPECT_EQ(ls_interactions, seq_interactions);
   EXPECT_GT(st.node_visits, 0u);
@@ -218,8 +231,8 @@ TEST(LockstepBarnesHut, TighterThetaMeansMoreInteractions) {
   const auto tree = spatial::Octree::build(bodies, 8);
   std::vector<float> ax(bodies.size(), 0), ay(bodies.size(), 0), az(bodies.size(), 0);
   apps::BarnesHutProgram prog{&bodies, &tree, ax.data(), ay.data(), az.data()};
-  const auto loose = lockstep::lockstep_barneshut(prog, 0.8f);
-  const auto tight = lockstep::lockstep_barneshut(prog, 0.3f);
+  const auto loose = simd::kernels().lockstep_barneshut(prog, 0.8f, nullptr);
+  const auto tight = simd::kernels().lockstep_barneshut(prog, 0.3f, nullptr);
   EXPECT_GT(tight, loose);
 }
 
@@ -233,7 +246,7 @@ TEST(LockstepBarnesHut, SingleStrapOfBodies) {
   std::fill(ax.begin(), ax.end(), 0.0f);
   std::fill(ay.begin(), ay.end(), 0.0f);
   std::fill(az.begin(), az.end(), 0.0f);
-  EXPECT_EQ(lockstep::lockstep_barneshut(prog, 0.5f), seq);
+  EXPECT_EQ(simd::kernels().lockstep_barneshut(prog, 0.5f, nullptr), seq);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 
 #include "apps/minmaxdist.hpp"
 #include "core/driver.hpp"
-#include "lockstep/lockstep_minmax.hpp"
+#include "simd/dispatch.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 #include "tests/support/harness.hpp"
@@ -113,7 +113,7 @@ TEST(MinmaxDist, LockstepAndBlockedMatchOracle) {
     apps::MinmaxDistState state(inst.pts.size());
     apps::MinmaxDistProgram prog{&inst.pts, &inst.tree, &state};
     lockstep::LockstepStats ls;
-    lockstep::lockstep_minmaxdist(prog, &ls);
+    simd::kernels().lockstep_minmaxdist(prog, &ls);
     EXPECT_EQ(apps::minmaxdist_digest(state), expected);
     EXPECT_GT(ls.node_visits, 0u);
   }
@@ -122,7 +122,7 @@ TEST(MinmaxDist, LockstepAndBlockedMatchOracle) {
     apps::MinmaxDistState state(inst.pts.size());
     apps::MinmaxDistProgram prog{&inst.pts, &inst.tree, &state};
     core::ExecStats st;
-    lockstep::blocked_minmaxdist(prog, t_reexp, &st);
+    simd::kernels().blocked_minmaxdist(prog, t_reexp, &st);
     EXPECT_EQ(apps::minmaxdist_digest(state), expected);
     EXPECT_GT(st.tasks_executed, 0u);
   }
@@ -140,7 +140,7 @@ TEST(MinmaxDist, DegenerateInstances) {
     // Blocked engine agrees on the degenerate digest.
     apps::MinmaxDistState state2(1);
     apps::MinmaxDistProgram prog2{&inst.pts, &inst.tree, &state2};
-    lockstep::blocked_minmaxdist(prog2);
+    simd::kernels().blocked_minmaxdist(prog2, 0, nullptr);
     EXPECT_EQ(apps::minmaxdist_digest(state2), apps::minmaxdist_digest(state));
   }
   {
@@ -148,7 +148,7 @@ TEST(MinmaxDist, DegenerateInstances) {
     const Instance inst(3, 9, 4);
     apps::MinmaxDistState state(3);
     apps::MinmaxDistProgram prog{&inst.pts, &inst.tree, &state};
-    lockstep::blocked_minmaxdist(prog);
+    simd::kernels().blocked_minmaxdist(prog, 0, nullptr);
     const std::string blocked = apps::minmaxdist_digest(state);
     EXPECT_EQ(seq_digest(inst), blocked);
   }

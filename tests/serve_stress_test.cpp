@@ -30,6 +30,11 @@ using tb::serve::MpmcQueue;
 using tb::serve::QueryServer;
 using tb::serve::ServerOptions;
 
+// A lane factory that ignores its table and always builds `runner`.
+tb::serve::RunnerFactory fixed(tb::serve::BatchRunner runner) {
+  return [runner](const tb::simd::KernelTable&) { return runner; };
+}
+
 // Conservation: with 4 producers and 4 consumers hammering a small ring,
 // every pushed item is popped exactly once — no losses, no duplicates.
 TEST(ServeStress, MpmcConservation) {
@@ -92,22 +97,23 @@ TEST(ServeStress, MultiProducerServerConservation) {
   ServerOptions opt;
   opt.queue_capacity = 512;  // small queue: exercises producer backpressure
   opt.policy = {/*max_batch=*/128, /*max_wait_ns=*/100'000};
-  QueryServer server(opt, [&](const std::int32_t* ids, std::size_t count) {
-    // Touch every id as a parallel pool job, like a real batch traversal.
-    pool.run([&] {
-      tb::rt::WaitGroup wg;
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::int32_t id = ids[i];
-        pool.spawn_detached(
-            [&, id] {
-              seen[static_cast<std::size_t>(id)].fetch_add(1);
-              sum.fetch_add(id, std::memory_order_relaxed);
-            },
-            wg);
-      }
-      pool.wait(wg);
-    });
-  });
+  QueryServer server(opt, fixed([&](const std::int32_t* ids, std::size_t count) {
+                       // Touch every id as a parallel pool job, like a real
+                       // batch traversal.
+                       pool.run([&] {
+                         tb::rt::WaitGroup wg;
+                         for (std::size_t i = 0; i < count; ++i) {
+                           const std::int32_t id = ids[i];
+                           pool.spawn_detached(
+                               [&, id] {
+                                 seen[static_cast<std::size_t>(id)].fetch_add(1);
+                                 sum.fetch_add(id, std::memory_order_relaxed);
+                               },
+                               wg);
+                         }
+                         pool.wait(wg);
+                       });
+                     }));
   server.start();
 
   std::vector<std::thread> producers;
@@ -152,7 +158,7 @@ TEST(ServeStress, MultiKernelPipelineConservation) {
     KernelOptions kopt;
     kopt.policy = {batch_caps[k], /*max_wait_ns=*/100'000};
     server.register_kernel("lane" + std::to_string(k), kopt,
-                           [&, k](const std::int32_t* ids, std::size_t count) {
+                           fixed([&, k](const std::int32_t* ids, std::size_t count) {
                              pool.run([&] {
                                tb::rt::WaitGroup wg;
                                for (std::size_t i = 0; i < count; ++i) {
@@ -167,7 +173,7 @@ TEST(ServeStress, MultiKernelPipelineConservation) {
                                }
                                pool.wait(wg);
                              });
-                           });
+                           }));
   }
   server.start();
 
@@ -210,7 +216,7 @@ TEST(ServeStress, ConcurrentStopAccountsEveryAcceptedSubmit) {
     ServerOptions opt;
     opt.queue_capacity = 256;
     opt.policy = {/*max_batch=*/64, /*max_wait_ns=*/0};
-    QueryServer server(opt, [](const std::int32_t*, std::size_t) {});
+    QueryServer server(opt, fixed([](const std::int32_t*, std::size_t) {}));
     server.start();
 
     std::atomic<std::size_t> accepted{0};

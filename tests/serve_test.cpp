@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/knn.hpp"
@@ -228,9 +229,16 @@ TEST(DeadlineAdmission, UrgencyIsTightestEffectiveDeadlineInWindow) {
   EXPECT_EQ(b.urgency_ns(), 900);  // explicit deadline tightens the key
 }
 
+// A lane factory whose runner does nothing, whatever the table.
+tb::serve::RunnerFactory noop_lane() {
+  return [](const tb::simd::KernelTable&) -> tb::serve::BatchRunner {
+    return [](const std::int32_t*, std::size_t) {};
+  };
+}
+
 TEST(DeadlineAdmission, RouterPicksEarliestDeadlineAmongReadyLanes) {
   KernelRouter router;
-  const auto noop = [](const std::int32_t*, std::size_t) {};
+  const tb::serve::RunnerFactory noop = noop_lane();
   KernelOptions kopt;
   kopt.policy = {/*max_batch=*/4, /*max_wait_ns=*/1000};
   const int bulk = router.add("bulk", kopt, noop);
@@ -344,16 +352,19 @@ TEST(Latency, EmptyAndSingleton) {
 
 // A runner that records every id it sees (admission thread only — the
 // mutex guards against nothing yet documents the contract for readers).
+// Registered through a factory that ignores the lane's table.
 struct CountingRunner {
   std::mutex mu;
   std::vector<std::int32_t> seen;
   std::vector<std::size_t> batch_sizes;
 
-  QueryServer::BatchRunner runner() {
-    return [this](const std::int32_t* ids, std::size_t count) {
-      const std::lock_guard<std::mutex> lock(mu);
-      seen.insert(seen.end(), ids, ids + count);
-      batch_sizes.push_back(count);
+  tb::serve::RunnerFactory runner() {
+    return [this](const tb::simd::KernelTable&) -> QueryServer::BatchRunner {
+      return [this](const std::int32_t* ids, std::size_t count) {
+        const std::lock_guard<std::mutex> lock(mu);
+        seen.insert(seen.end(), ids, ids + count);
+        batch_sizes.push_back(count);
+      };
     };
   }
 };
@@ -704,7 +715,10 @@ TEST(ServeDispatch, ActiveTableMatchesActiveIsa) {
 
 // Satellite: every runnable table serves knn/pointcorr/minmaxdist with
 // bit-identical results (vs the sequential oracles and hence vs each
-// other) and exact completed+shed+unserved accounting.
+// other) and exact completed+shed+unserved accounting — with and without
+// frame donation.  The donating variant never splits a batch's range
+// (grain = the batch size) and lowers t_reexp to W, so a full batch's root
+// frame is donatable and the idle worker can only get work by donation.
 TEST(ServeDispatch, CrossIsaServeEquivalenceMatrix) {
   constexpr std::size_t kPoints = 300;
   constexpr int kK = 4;
@@ -731,12 +745,19 @@ TEST(ServeDispatch, CrossIsaServeEquivalenceMatrix) {
   int count = 0;
   const tb::simd::KernelTable* const* tables = tb::simd::available_tables(count);
   ASSERT_GT(count, 0);
-  for (int ti = 0; ti < count; ++ti) {
-    const tb::simd::KernelTable* tab = tables[ti];
-    SCOPED_TRACE(tab->name);
+  constexpr std::size_t kMaxBatch = 32;
+  for (int ti = 0; ti < count * 2; ++ti) {
+    const tb::simd::KernelTable* tab = tables[ti / 2];
+    const bool donation = ti % 2 == 1;
+    SCOPED_TRACE(std::string(tab->name) + (donation ? " donation" : ""));
     tb::rt::ForkJoinPool pool(2);
     tb::rt::HybridOptions hopt;
     hopt.t_reexp = 4 * static_cast<std::size_t>(tab->width);
+    if (donation) {
+      hopt.donation = true;
+      hopt.t_reexp = static_cast<std::size_t>(tab->width);
+      hopt.grain = static_cast<std::int32_t>(kMaxBatch);
+    }
 
     tb::apps::KnnState knn_served(kPoints, kK);
     tb::apps::KnnProgram knn_prog{&points, &tree, &knn_served};
@@ -749,7 +770,7 @@ TEST(ServeDispatch, CrossIsaServeEquivalenceMatrix) {
     opt.forced_width = tab->width;
     QueryServer server(opt);
     KernelOptions kopt;
-    kopt.policy = {/*max_batch=*/32, /*max_wait_ns=*/200'000};
+    kopt.policy = {kMaxBatch, /*max_wait_ns=*/200'000};
     const int k_knn = server.register_kernel(
         "knn", kopt, tb::serve::knn_pool_runner(pool, hopt, knn_prog));
     const int k_pc = server.register_kernel(
@@ -866,7 +887,7 @@ TEST(ServeDispatch, TableChoiceDoesNotAffectAdmissionPolicies) {
     std::size_t adaptive_batch = 0;
   };
   const auto replay = [](int forced_width) {
-    const auto noop = [](const std::int32_t*, std::size_t) {};
+    const tb::serve::RunnerFactory noop = noop_lane();
     KernelRouter router;
     KernelOptions kopt;
     kopt.policy = {/*max_batch=*/4, /*max_wait_ns=*/1000};

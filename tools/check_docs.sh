@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Docs health gate (the ci.yml "docs" job):
+# Docs health gate (the ci.yml "docs" job, and the CTest tools.check_docs):
 #   1. every relative markdown link in README.md and docs/*.md resolves;
 #   2. every src/ subdirectory is mentioned in docs/ARCHITECTURE.md.
 # Keeping this mechanical is what stops the architecture docs from rotting
