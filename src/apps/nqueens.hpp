@@ -149,7 +149,7 @@ inline std::uint64_t nqueens_hybrid(rt::ForkJoinPool& pool, const NQueensProgram
                                     const rt::HybridOptions& opt = {},
                                     core::PerWorkerStats* stats = nullptr) {
   const NQueensProgram::Task root[] = {NQueensProgram::root()};
-  return core::hybrid_taskblock_amplified<core::SimdExec<NQueensProgram>>(
+  return core::hybrid_taskblock<core::SimdExec<NQueensProgram>>(
       pool, prog, root, core::SeqPolicy::Restart, th, opt, stats);
 }
 

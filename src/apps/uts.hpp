@@ -160,7 +160,7 @@ inline std::uint64_t uts_hybrid(rt::ForkJoinPool& pool, const UtsProgram& prog,
                                 const rt::HybridOptions& opt = {},
                                 core::PerWorkerStats* stats = nullptr) {
   const auto roots = prog.roots();
-  return core::hybrid_taskblock_amplified<core::SimdExec<UtsProgram>>(
+  return core::hybrid_taskblock<core::SimdExec<UtsProgram>>(
       pool, prog, roots, core::SeqPolicy::Restart, th, opt, stats);
 }
 

@@ -1,8 +1,10 @@
 // Convenience entry points: build root blocks, census a computation tree,
-// and run any scheduler/policy over a set of root tasks with §5.3
-// strip-mining (a data-parallel outer loop contributes its iterations as
-// root tasks; oversized root sets are sliced into t_dfe-sized initial
-// blocks handed to the scheduler one after another).
+// and run any scheduler/policy over a set of root tasks.  run_seq and the
+// two run_par_* drivers share one §5.3 strip-miner (a data-parallel outer
+// loop contributes its iterations as root tasks; oversized root sets are
+// sliced into t_dfe-sized initial blocks handed to the scheduler one after
+// another); run_ideal_restart hands the §3.4 scheduler one root block.
+// Every driver adds its statistics into *stats, which may be null.
 #pragma once
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/ideal_restart.hpp"
 #include "core/par_reexp.hpp"
 #include "core/par_restart.hpp"
 #include "core/program.hpp"
@@ -56,34 +59,32 @@ typename Exec::Block make_block(std::span<const typename Exec::Program::Task> ta
 }
 
 namespace detail {
-template <class Exec, class RunChunk>
-typename Exec::Program::Result strip_mine(std::span<const typename Exec::Program::Task> roots,
-                                          std::size_t strip, RunChunk&& run_chunk) {
+// Runs `sched` over one initial block per `strip` root tasks (0: t_dfe) and
+// combines the results.
+template <class Exec, class Sched>
+typename Exec::Program::Result strip_mine(Sched& sched,
+                                          std::span<const typename Exec::Program::Task> roots,
+                                          const Thresholds& th, ExecStats* stats,
+                                          std::size_t strip) {
   using P = typename Exec::Program;
   typename P::Result total = P::identity();
-  if (strip == 0) strip = roots.size();
+  if (strip == 0) strip = th.clamped().t_dfe;
   for (std::size_t off = 0; off < roots.size(); off += strip) {
     const std::size_t n = std::min(strip, roots.size() - off);
-    auto block = make_block<Exec>(roots.subspan(off, n));
-    typename P::Result r = run_chunk(std::move(block));
-    P::combine(total, r);
+    P::combine(total, sched.run(make_block<Exec>(roots.subspan(off, n)), stats));
   }
   return total;
 }
 }  // namespace detail
 
-// Sequential execution under a policy.  `strip` = 0 means "one initial
-// block per t_dfe root tasks" (§5.3 default).
+// Sequential execution under a policy.
 template <class Exec>
 typename Exec::Program::Result run_seq(const typename Exec::Program& p,
                                        std::span<const typename Exec::Program::Task> roots,
                                        SeqPolicy policy, const Thresholds& th,
                                        ExecStats* stats = nullptr, std::size_t strip = 0) {
   SeqScheduler<Exec> sched(p, th, policy);
-  if (strip == 0) strip = sched.thresholds().t_dfe;
-  return detail::strip_mine<Exec>(roots, strip, [&](typename Exec::Block block) {
-    return sched.run(std::move(block), stats);
-  });
+  return detail::strip_mine<Exec>(sched, roots, th, stats, strip);
 }
 
 template <class Exec>
@@ -92,13 +93,7 @@ typename Exec::Program::Result run_par_reexp(
     std::span<const typename Exec::Program::Task> roots, const Thresholds& th,
     ExecStats* stats = nullptr, std::size_t strip = 0) {
   ParReexp<Exec> sched(pool, p, th);
-  if (strip == 0) strip = th.clamped().t_dfe;
-  return detail::strip_mine<Exec>(roots, strip, [&](typename Exec::Block block) {
-    ExecStats chunk;
-    auto r = sched.run(std::move(block), stats ? &chunk : nullptr);
-    if (stats) stats->merge(chunk);
-    return r;
-  });
+  return detail::strip_mine<Exec>(sched, roots, th, stats, strip);
 }
 
 template <class Exec>
@@ -107,13 +102,15 @@ typename Exec::Program::Result run_par_restart(
     std::span<const typename Exec::Program::Task> roots, const Thresholds& th,
     ExecStats* stats = nullptr, std::size_t strip = 0, bool elide_merges = true) {
   ParRestart<Exec> sched(pool, p, th, elide_merges);
-  if (strip == 0) strip = th.clamped().t_dfe;
-  return detail::strip_mine<Exec>(roots, strip, [&](typename Exec::Block block) {
-    ExecStats chunk;
-    auto r = sched.run(std::move(block), stats ? &chunk : nullptr);
-    if (stats) stats->merge(chunk);
-    return r;
-  });
+  return detail::strip_mine<Exec>(sched, roots, th, stats, strip);
+}
+
+template <class Exec>
+typename Exec::Program::Result run_ideal_restart(
+    const typename Exec::Program& p, std::span<const typename Exec::Program::Task> roots,
+    const Thresholds& th, int workers, ExecStats* stats = nullptr) {
+  IdealRestart<Exec> sched(p, th, workers);
+  return sched.run(make_block<Exec>(roots), stats);
 }
 
 }  // namespace tb::core

@@ -4,9 +4,9 @@
 // The traversal workloads get their hybrid executor from a natural
 // data-parallel query range (runtime/hybrid.hpp).  The task-parallel apps
 // have no such range — their data-parallelism lives in the root task set —
-// so this header manufactures one: the roots (optionally amplified by a
-// breadth-first frontier expansion, so even a single-root program like
-// nqueens yields enough independent slices) are strip-mined into ranges
+// so this header manufactures one: the roots (amplified by a breadth-first
+// frontier expansion to 8 tasks per slot, so even a single-root program
+// like nqueens yields enough independent slices) are strip-mined into ranges
 // distributed by rt::hybrid_for, and each range runs through the sequential
 // task-block scheduler (core/driver.hpp run_seq) on the worker it lands on.
 // The SIMD dimension is the app's vectorized expand kernel (the SimdExec
@@ -64,12 +64,14 @@ std::vector<typename P::Task> expand_frontier(const P& p,
 }
 
 // Runs the task-block program over `roots` as a hybrid cores×lanes
-// execution: rt::hybrid_for distributes root-task ranges (lazy splitting or
-// the deterministic static partition, per `opt`), and each range runs the
-// sequential scheduler `Exec` under `policy`/`th` on its worker.  Per-slot
-// ExecStats surface through `stats` exactly as in the traversal hybrid.
-// HybridOptions::t_reexp/donation are traversal-engine concepts and are
-// ignored here; grain/static_partition apply as usual.
+// execution: the roots are amplified to at least 8 tasks per slot (so a
+// single-root program still yields one range per worker several times
+// over), rt::hybrid_for distributes ranges of that frontier (lazy splitting
+// or the deterministic static partition, per `opt`), and each range runs
+// the sequential scheduler `Exec` under `policy`/`th` on its worker.
+// Per-slot ExecStats surface through `stats` exactly as in the traversal
+// hybrid.  HybridOptions::t_reexp/donation are traversal-engine concepts
+// and are ignored here; grain/static_partition apply as usual.
 template <class Exec>
 typename Exec::Program::Result hybrid_taskblock(
     rt::ForkJoinPool& pool, const typename Exec::Program& p,
@@ -78,45 +80,24 @@ typename Exec::Program::Result hybrid_taskblock(
     PerWorkerStats* stats = nullptr) {
   using P = typename Exec::Program;
   const int slots = rt::hybrid_slots(pool);
+  typename P::Result total = P::identity();
+  const auto frontier = expand_frontier(p, roots, static_cast<std::size_t>(slots) * 8, total);
   PerWorkerStats local;
   PerWorkerStats& pw = stats ? *stats : local;
   pw.reset(static_cast<std::size_t>(slots));
   std::vector<rt::Padded<typename P::Result>> parts(static_cast<std::size_t>(slots));
   for (auto& part : parts) part.value = P::identity();
-  rt::hybrid_for(pool, static_cast<std::int32_t>(roots.size()), opt,
+  rt::hybrid_for(pool, static_cast<std::int32_t>(frontier.size()), opt,
                  [&](std::int32_t b, std::int32_t e, int slot) {
                    const auto s = static_cast<std::size_t>(slot);
                    const auto r = run_seq<Exec>(
-                       p, roots.subspan(static_cast<std::size_t>(b),
-                                        static_cast<std::size_t>(e - b)),
+                       p, std::span(frontier).subspan(static_cast<std::size_t>(b),
+                                                      static_cast<std::size_t>(e - b)),
                        policy, th, &pw.workers[s]);
                    P::combine(parts[s].value, r);
                  });
-  typename P::Result total = P::identity();
   for (const auto& part : parts) P::combine(total, part.value);
   return total;
-}
-
-// Convenience wrapper: amplify the roots to ≥ min_roots tasks first (so a
-// single-root program still yields one range per worker several times
-// over), then run the hybrid.  min_roots = 0 picks ~8 ranges per worker at
-// the executor's default grain.
-template <class Exec>
-typename Exec::Program::Result hybrid_taskblock_amplified(
-    rt::ForkJoinPool& pool, const typename Exec::Program& p,
-    std::span<const typename Exec::Program::Task> roots, SeqPolicy policy,
-    const Thresholds& th, const rt::HybridOptions& opt = {},
-    PerWorkerStats* stats = nullptr, std::size_t min_roots = 0) {
-  using P = typename Exec::Program;
-  if (min_roots == 0) {
-    min_roots = static_cast<std::size_t>(rt::hybrid_slots(pool)) * 8;
-  }
-  typename P::Result partial = P::identity();
-  const auto frontier = expand_frontier(p, roots, min_roots, partial);
-  typename P::Result rest =
-      hybrid_taskblock<Exec>(pool, p, frontier, policy, th, opt, stats);
-  P::combine(partial, rest);
-  return partial;
 }
 
 }  // namespace tb::core

@@ -15,15 +15,15 @@
 //   - a stolen block with >= t_restart tasks is executed depth-first;
 //   - a sparse stolen block is regrown with a bounded number of BFE actions,
 //     then re-scanned, else the worker steals again.
-// Termination uses a global outstanding-task count.
+// Blocks execute through the shared step (step.hpp); this scheduler routes
+// the right children into the worker's locked deque and retires executed
+// tasks from a global outstanding-task count, which is how it terminates.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -31,6 +31,7 @@
 #include "core/leveled_deque.hpp"
 #include "core/program.hpp"
 #include "core/stats.hpp"
+#include "core/step.hpp"
 #include "core/thresholds.hpp"
 #include "runtime/xoshiro.hpp"
 
@@ -44,11 +45,15 @@ public:
   using Result = typename Program::Result;
   static constexpr std::size_t C = static_cast<std::size_t>(Exec::out_degree);
 
-  IdealRestart(const Program& p, Thresholds th, int workers, int bfe_after_steal = 2)
-      : prog_(p), th_(th.clamped()), workers_(static_cast<std::size_t>(std::max(1, workers))),
-        bfe_after_steal_(bfe_after_steal) {}
+  // §3.4: a sparse stolen block gets "a constant number of BFE actions".
+  static constexpr int kBfeAfterSteal = 2;
 
+  IdealRestart(const Program& p, Thresholds th, int workers)
+      : prog_(p), th_(th.clamped()), workers_(static_cast<std::size_t>(std::max(1, workers))) {}
+
+  // Adds the run's statistics into *stats, which may be null.
   Result run(Block roots, ExecStats* stats = nullptr) {
+    if (roots.empty()) return Program::identity();  // the deques hold no empty blocks
     const std::size_t p = workers_;
     states_.clear();
     states_.reserve(p);
@@ -68,12 +73,10 @@ public:
     for (auto& t : threads) t.join();
 
     Result total = Program::identity();
-    ExecStats merged;
     for (auto& s : states_) {
       Program::combine(total, s->result);
-      merged.merge(s->stats);
+      if (stats) stats->merge(s->stats);
     }
-    if (stats) *stats = merged;
     return total;
   }
 
@@ -93,6 +96,7 @@ private:
     bool has_cur = false;
     int bfe_budget = 0;
     BlockPool<Block> pool;
+    const Step<Exec> step{prog_, th_, self.result, self.stats, pool};
 
     while (outstanding_.load(std::memory_order_acquire) > 0) {
       if (!has_cur) {
@@ -117,13 +121,15 @@ private:
             continue;
           }
           has_cur = true;
-          bfe_budget = (cur.size() < th_.t_restart) ? bfe_after_steal_ : 0;
+          bfe_budget = (cur.size() < th_.t_restart) ? kBfeAfterSteal : 0;
         }
       }
 
       if (bfe_budget > 0 && cur.size() < th_.t_restart) {
         // Regrow a sparse stolen block with a bounded number of BFEs.
-        bfe_step(self, cur, pool);
+        const std::size_t executed = cur.size();
+        cur = step.bfe(std::move(cur));
+        retire(executed, cur.size());
         --bfe_budget;
         if (cur.empty()) has_cur = false;
         continue;
@@ -136,57 +142,28 @@ private:
         has_cur = false;
         continue;
       }
-      dfe_step(self, cur, pool);
+      const std::size_t executed = cur.size();
+      Kids<Exec> kids = step.dfe(std::move(cur));
+      std::size_t spawned = kids[0].size();
+      {
+        std::lock_guard lock(self.mu);
+        for (std::size_t s = C; s-- > 1;) {
+          spawned += kids[s].size();
+          if (kids[s].empty()) {
+            pool.put(std::move(kids[s]));
+          } else {
+            self.deque.push_merge(std::move(kids[s]));
+          }
+        }
+      }
+      retire(executed, spawned);
+      cur = std::move(kids[0]);
       if (cur.empty()) has_cur = false;
     }
   }
 
-  void bfe_step(WorkerState& self, Block& cur, BlockPool<Block>& pool) {
-    Block next = pool.get(cur.level() + 1);
-    std::array<Block*, C> outs;
-    outs.fill(&next);
-    const std::size_t executed = cur.size();
-    std::uint64_t leaves_before = self.stats.leaves;
-    Exec::expand_into(prog_, cur, 0, cur.size(), outs, self.result, self.stats.leaves);
-    self.stats.on_block_executed(executed, th_.q, th_.t_restart);
-    self.stats.on_action(Action::BFE);
-    retire(executed, self.stats.leaves - leaves_before, next.size());
-    pool.put(std::move(cur));
-    cur = std::move(next);
-  }
-
-  void dfe_step(WorkerState& self, Block& cur, BlockPool<Block>& pool) {
-    std::array<Block, C> kids;
-    std::array<Block*, C> outs;
-    for (std::size_t s = 0; s < C; ++s) {
-      kids[s] = pool.get(cur.level() + 1);
-      outs[s] = &kids[s];
-    }
-    const std::size_t executed = cur.size();
-    std::uint64_t leaves_before = self.stats.leaves;
-    Exec::expand_into(prog_, cur, 0, cur.size(), outs, self.result, self.stats.leaves);
-    self.stats.on_block_executed(executed, th_.q, th_.t_restart);
-    self.stats.on_action(Action::DFE);
-    std::size_t spawned = 0;
-    {
-      std::lock_guard lock(self.mu);
-      for (std::size_t s = C; s-- > 1;) {
-        spawned += kids[s].size();
-        if (kids[s].empty()) {
-          pool.put(std::move(kids[s]));
-        } else {
-          self.deque.push_merge(std::move(kids[s]));
-        }
-      }
-    }
-    spawned += kids[0].size();
-    retire(executed, self.stats.leaves - leaves_before, spawned);
-    pool.put(std::move(cur));
-    cur = std::move(kids[0]);
-  }
-
   // Account for `executed` finished tasks producing `spawned` new ones.
-  void retire(std::size_t executed, std::uint64_t /*leaves*/, std::size_t spawned) {
+  void retire(std::size_t executed, std::size_t spawned) {
     const auto delta =
         static_cast<std::int64_t>(spawned) - static_cast<std::int64_t>(executed);
     outstanding_.fetch_add(delta, std::memory_order_acq_rel);
@@ -204,22 +181,8 @@ private:
   const Program& prog_;
   Thresholds th_;
   std::size_t workers_;
-  int bfe_after_steal_;
   std::vector<std::unique_ptr<WorkerState>> states_;
   std::atomic<std::int64_t> outstanding_{0};
 };
-
-// Convenience wrapper mirroring run_seq / run_par_* in driver.hpp.
-template <class Exec>
-typename Exec::Program::Result run_ideal_restart(
-    const typename Exec::Program& p, std::span<const typename Exec::Program::Task> roots,
-    const Thresholds& th, int workers, ExecStats* stats = nullptr) {
-  typename Exec::Block block;
-  block.set_level(0);
-  block.reserve(roots.size());
-  for (const auto& t : roots) Exec::append_task(block, t);
-  IdealRestart<Exec> sched(p, th, workers);
-  return sched.run(std::move(block), stats);
-}
 
 }  // namespace tb::core

@@ -17,13 +17,16 @@
 // of the order the scheduler executes blocks in.  Frames live in a
 // free-list arena; peak live frames track peak live tasks, not tree size.
 //
-// The scheduler below drives the same three policies (basic / reexp /
-// restart) over the same leveled deque as SeqScheduler; blocks are AoS
-// (task + frame id per row).  The fold itself is scalar — the SIMD win for
-// join programs is the same blocked child generation as everywhere else,
-// while the per-child fold is pointer-chasing by nature.
+// The scheduling itself is SeqScheduler's: JoinScheduler is an execution
+// layer (JoinExec) over AoS blocks of (task, frame id) rows, so the same
+// three policies (basic / reexp / restart) run unchanged and the schedule —
+// every step, superstep and action — equals the leaf-only scheduler's on
+// the same tree.  The fold itself is scalar — the SIMD win for join
+// programs is the same blocked child generation as everywhere else, while
+// the per-child fold is pointer-chasing by nature.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <concepts>
 #include <cstdint>
@@ -32,7 +35,6 @@
 #include <vector>
 
 #include "core/block.hpp"
-#include "core/leveled_deque.hpp"
 #include "core/program.hpp"
 #include "core/seq_scheduler.hpp"
 #include "core/stats.hpp"
@@ -71,13 +73,12 @@ public:
   using Block = AosBlock<Node>;
 
   JoinScheduler(const P& p, Thresholds th, SeqPolicy policy)
-      : prog_(p), th_(th.clamped()), policy_(policy) {}
+      : prog_(p), th_(th), policy_(policy) {}
 
   // Executes every task reachable from `roots` and returns one joined value
   // per root (the §5.2 outer loop keeps per-iteration results separate).
+  // Adds the run's statistics into *stats, which may be null.
   std::vector<Value> run(std::span<const Task> roots, ExecStats* stats = nullptr) {
-    ExecStats local;
-    ExecStats& st = stats ? *stats : local;
     results_.assign(roots.size(), Value{});
     frames_.clear();
     free_.clear();
@@ -89,46 +90,32 @@ public:
     for (std::size_t i = 0; i < roots.size(); ++i) {
       cur.push_back({roots[i], static_cast<std::int32_t>(-1 - static_cast<std::int64_t>(i))});
     }
-
-    bool bfe_mode = true;
-    bool growing = true;
-    while (true) {
-      if (cur.empty()) {
-        if (!pick_next(cur, bfe_mode, growing)) break;
-      }
-      st.note_space(cur.size() + deque_.total_tasks());
-
-      if (bfe_mode) {
-        bfe_step(cur, st);
-        if (cur.size() >= th_.t_dfe) {
-          bfe_mode = false;
-          growing = false;
-        } else if (!growing && policy_ == SeqPolicy::Restart) {
-          bfe_mode = false;  // §3.3 single-shot BFE after a failed scan
-        }
-        continue;
-      }
-      if (policy_ == SeqPolicy::Reexp && cur.size() < th_.t_bfe) {
-        bfe_mode = true;
-        growing = true;
-        continue;
-      }
-      if (policy_ == SeqPolicy::Restart && cur.size() < th_.t_restart) {
-        st.on_action(Action::Restart);
-        deque_.push_merge(std::move(cur));
-        cur = Block{};
-        if (!pick_next(cur, bfe_mode, growing)) break;
-        continue;
-      }
-      dfe_step(cur, st);
-    }
-    st.peak_frames = std::max(st.peak_frames, peak_frames_);
+    const typename JoinExec::Program layer{this};
+    SeqScheduler<JoinExec>(layer, th_, policy_).run(std::move(cur), stats);
+    if (stats) stats->peak_frames = std::max(stats->peak_frames, peak_frames_);
     return std::move(results_);
   }
 
-  const Thresholds& thresholds() const { return th_; }
-
 private:
+  // The execution layer SeqScheduler drives: executing a row folds a leaf
+  // into its frame or expands the task under a fresh frame.  Values flow
+  // through the frame arena, so the layer's own Result is empty.
+  struct JoinExec {
+    struct Program {
+      struct Result {};
+      static Result identity() { return {}; }
+      JoinScheduler* arena;
+    };
+    using Block = JoinScheduler::Block;
+    static constexpr int out_degree = P::max_children;
+
+    static void expand_into(const Program& layer, const Block& in, std::size_t begin,
+                            std::size_t end, const std::array<Block*, C>& outs,
+                            typename Program::Result&, std::uint64_t& leaves) {
+      for (std::size_t i = begin; i < end; ++i) layer.arena->process(in[i], outs, leaves);
+    }
+  };
+
   struct Frame {
     Task task;
     Value acc;
@@ -173,18 +160,17 @@ private:
     }
   }
 
-  // Expand one row into the sink blocks, wiring join frames.
-  template <class Sink>
-  void process(const Node& nd, Sink&& sink, ExecStats& st) {
+  // Expand one row into the per-slot output blocks, wiring join frames.
+  void process(const Node& nd, const std::array<Block*, C>& outs, std::uint64_t& leaves) {
     if (prog_.is_base(nd.task)) {
-      ++st.leaves;
+      ++leaves;
       propagate(nd.frame, prog_.leaf_value(nd.task));
       return;
     }
     const std::int32_t fid = alloc_frame(nd.task, nd.frame);
     int emitted = 0;
     prog_.expand(nd.task, [&](int slot, const Task& c) {
-      sink(slot, Node{c, fid});
+      outs[static_cast<std::size_t>(slot)]->push_back(Node{c, fid});
       ++emitted;
     });
     if (emitted == 0) {
@@ -200,64 +186,9 @@ private:
     frames_[static_cast<std::size_t>(fid)].pending = emitted;
   }
 
-  void bfe_step(Block& cur, ExecStats& st) {
-    Block next;
-    next.set_level(cur.level() + 1);
-    for (std::size_t i = 0; i < cur.size(); ++i) {
-      process(cur[i], [&](int, const Node& n) { next.push_back(n); }, st);
-    }
-    st.on_block_executed(cur.size(), th_.q, th_.t_restart);
-    st.on_action(Action::BFE);
-    cur = std::move(next);
-    if (policy_ == SeqPolicy::Restart && !cur.empty()) {
-      deque_.absorb_level(cur.level(), cur);
-    }
-  }
-
-  void dfe_step(Block& cur, ExecStats& st) {
-    std::array<Block, C> kids;
-    for (auto& k : kids) k.set_level(cur.level() + 1);
-    for (std::size_t i = 0; i < cur.size(); ++i) {
-      process(cur[i],
-              [&](int slot, const Node& n) { kids[static_cast<std::size_t>(slot)].push_back(n); },
-              st);
-    }
-    st.on_block_executed(cur.size(), th_.q, th_.t_restart);
-    st.on_action(Action::DFE);
-    for (std::size_t s = C; s-- > 1;) {
-      if (kids[s].empty()) continue;
-      if (policy_ == SeqPolicy::Restart) {
-        deque_.push_merge(std::move(kids[s]));
-      } else {
-        deque_.push(std::move(kids[s]));
-      }
-    }
-    cur = std::move(kids[0]);
-  }
-
-  bool pick_next(Block& cur, bool& bfe_mode, bool& growing) {
-    if (policy_ == SeqPolicy::Restart) {
-      switch (deque_.restart_scan(th_.t_restart, cur, 2 * th_.t_dfe)) {
-        case LeveledDeque<Block>::Scan::Empty: return false;
-        case LeveledDeque<Block>::Scan::Dense:
-          bfe_mode = false;
-          return true;
-        case LeveledDeque<Block>::Scan::Top:
-          bfe_mode = true;
-          return true;
-      }
-      return false;
-    }
-    if (!deque_.pop_deepest(cur)) return false;
-    bfe_mode = false;
-    (void)growing;
-    return true;
-  }
-
   const P& prog_;
   Thresholds th_;
   SeqPolicy policy_;
-  LeveledDeque<Block> deque_;
   std::vector<Frame> frames_;
   std::vector<std::int32_t> free_;
   std::uint64_t live_frames_ = 0;

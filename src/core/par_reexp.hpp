@@ -3,22 +3,20 @@
 // The blocked re-expansion recursion maps directly onto spawn/sync: a DFE
 // step spawns the right child blocks as stealable tasks and continues with
 // the leftmost; a re-expansion step merges all children into a single block
-// (our BFE expansion emits every child slot into one block, which is the
+// (the shared BFE step emits every child slot into one block, which is the
 // same thing) and loops.  Spawned block-tasks are fire-and-forget: nothing
-// flows back through returns, reductions land in worker-local slots, and
-// the root waits on a completion count.
+// flows back through returns, reductions land in the run's worker-local
+// slots (PoolRun, step.hpp), and the root waits on a completion count.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <utility>
 
-#include "core/block_pool.hpp"
 #include "core/program.hpp"
 #include "core/stats.hpp"
+#include "core/step.hpp"
 #include "core/thresholds.hpp"
 #include "runtime/forkjoin.hpp"
-#include "runtime/reducer.hpp"
 
 namespace tb::core {
 
@@ -33,54 +31,28 @@ public:
   ParReexp(rt::ForkJoinPool& pool, const Program& p, Thresholds th)
       : pool_(pool), prog_(p), th_(th.clamped()) {}
 
+  // Adds the run's statistics into *stats, which may be null.
   Result run(Block roots, ExecStats* stats = nullptr) {
-    rt::WorkerLocal<Result> partials(pool_, Program::identity());
-    rt::WorkerLocal<ExecStats> wstats(pool_);
-    rt::WorkerLocal<BlockPool<Block>> pools(pool_);
-    rt::WaitGroup wg;
-
-    Ctx ctx{*this, partials, wstats, pools, wg};
+    Ctx ctx{*this, PoolRun<Exec>(pool_, prog_, th_), {}};
     pool_.run([&ctx, &roots] {
       ctx.self.block_task(ctx, std::move(roots), /*bfe_mode=*/true);
       ctx.self.pool_.wait(ctx.wg);
     });
-
-    if (stats) {
-      *stats = wstats.combine([](ExecStats acc, const ExecStats& s) {
-        acc.merge(s);
-        return acc;
-      });
-    }
-    return partials.combine([](Result acc, const Result& x) {
-      Program::combine(acc, x);
-      return acc;
-    });
+    return ctx.run.reduce(stats);
   }
 
 private:
   struct Ctx {
     ParReexp& self;
-    rt::WorkerLocal<Result>& partials;
-    rt::WorkerLocal<ExecStats>& wstats;
-    rt::WorkerLocal<BlockPool<Block>>& pools;
-    rt::WaitGroup& wg;
+    PoolRun<Exec> run;
+    rt::WaitGroup wg;
   };
 
   void block_task(Ctx& ctx, Block b, bool bfe_mode) {
-    Result& r = ctx.partials.local();
-    ExecStats& st = ctx.wstats.local();
-    BlockPool<Block>& bp = ctx.pools.local();
-
+    const Step<Exec> step = ctx.run.step();
     while (!b.empty()) {
       if (bfe_mode) {
-        Block next = bp.get(b.level() + 1);
-        std::array<Block*, C> outs;
-        outs.fill(&next);
-        Exec::expand_into(prog_, b, 0, b.size(), outs, r, st.leaves);
-        st.on_block_executed(b.size(), th_.q, th_.t_restart);
-        st.on_action(Action::BFE);
-        bp.put(std::move(b));
-        b = std::move(next);
+        b = step.bfe(std::move(b));
         if (b.size() >= th_.t_dfe) bfe_mode = false;
         continue;
       }
@@ -89,19 +61,10 @@ private:
         continue;
       }
       // DFE: spawn right children, continue with the leftmost.
-      std::array<Block, C> kids;
-      std::array<Block*, C> outs;
-      for (std::size_t s = 0; s < C; ++s) {
-        kids[s] = bp.get(b.level() + 1);
-        outs[s] = &kids[s];
-      }
-      Exec::expand_into(prog_, b, 0, b.size(), outs, r, st.leaves);
-      st.on_block_executed(b.size(), th_.q, th_.t_restart);
-      st.on_action(Action::DFE);
-      bp.put(std::move(b));
+      Kids<Exec> kids = step.dfe(std::move(b));
       for (std::size_t s = C; s-- > 1;) {
         if (kids[s].empty()) {
-          bp.put(std::move(kids[s]));
+          step.pool.put(std::move(kids[s]));
         } else {
           pool_.spawn_detached(
               [&ctx, blk = std::move(kids[s])]() mutable {

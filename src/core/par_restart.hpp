@@ -16,20 +16,21 @@
 // (no merge); only children that a thief actually ran (with a NIL stack)
 // are merged afterwards.  This is exactly "test whether a steal immediately
 // preceded the given spawn" expressed in child-stealing terms.
+//
+// Blocks execute through the shared step (step.hpp); per-worker results,
+// statistics and block pools live in the run's PoolRun.
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstddef>
 #include <memory>
 #include <utility>
 
-#include "core/block_pool.hpp"
 #include "core/program.hpp"
 #include "core/stats.hpp"
+#include "core/step.hpp"
 #include "core/thresholds.hpp"
 #include "runtime/forkjoin.hpp"
-#include "runtime/reducer.hpp"
 
 namespace tb::core {
 
@@ -42,13 +43,6 @@ struct RestartNode {
 
 template <class Block>
 using RestartStack = std::unique_ptr<RestartNode<Block>>;
-
-template <class Block>
-inline std::size_t restart_stack_tasks(const RestartNode<Block>* n) {
-  std::size_t total = 0;
-  for (; n != nullptr; n = n->next.get()) total += n->block.size();
-  return total;
-}
 
 template <class Exec>
 class ParRestart {
@@ -64,35 +58,20 @@ public:
              bool elide_merges = true)
       : pool_(pool), prog_(p), th_(th.clamped()), elide_merges_(elide_merges) {}
 
+  // Adds the run's statistics into *stats, which may be null.
   Result run(Block roots, ExecStats* stats = nullptr) {
-    rt::WorkerLocal<Result> partials(pool_, Program::identity());
-    rt::WorkerLocal<ExecStats> wstats(pool_);
-    rt::WorkerLocal<BlockPool<Block>> pools(pool_);
-
-    Ctx ctx{*this, partials, wstats, pools};
+    Ctx ctx{*this, PoolRun<Exec>(pool_, prog_, th_)};
     pool_.run([&ctx, &roots] {
       Stack leftovers = ctx.self.recurse(ctx, std::move(roots), nullptr);
       ctx.self.drain(ctx, std::move(leftovers));
     });
-
-    if (stats) {
-      *stats = wstats.combine([](ExecStats acc, const ExecStats& s) {
-        acc.merge(s);
-        return acc;
-      });
-    }
-    return partials.combine([](Result acc, const Result& x) {
-      Program::combine(acc, x);
-      return acc;
-    });
+    return ctx.run.reduce(stats);
   }
 
 private:
   struct Ctx {
     ParRestart& self;
-    rt::WorkerLocal<Result>& partials;
-    rt::WorkerLocal<ExecStats>& wstats;
-    rt::WorkerLocal<BlockPool<Block>>& pools;
+    PoolRun<Exec> run;
   };
 
   // Stealable right-child task: carries its block; `input` stays NIL unless
@@ -121,14 +100,11 @@ private:
 
   // Fig. 3c `blocked_foo_restart`.
   Stack recurse(Ctx& ctx, Block tb, Stack rb) {
-    Result& r = ctx.partials.local();
-    ExecStats& st = ctx.wstats.local();
-    BlockPool<Block>& bp = ctx.pools.local();
-
+    const Step<Exec> step = ctx.run.step();
     const std::size_t head_tasks = rb ? rb->block.size() : 0;
     if (tb.size() + head_tasks < th_.t_restart) {
       // Park: move tasks from tb into the restart block for this level.
-      st.on_action(Action::Restart);
+      step.st.on_action(Action::Restart);
       if (tb.empty()) return rb;
       if (!rb) rb = make_node(tb.level());
       rb->block.append(std::move(tb));
@@ -140,24 +116,15 @@ private:
     }
 
     // Depth-first expansion into per-spawn-index child blocks.
-    std::array<Block, C> kids;
-    std::array<Block*, C> outs;
-    for (std::size_t s = 0; s < C; ++s) {
-      kids[s] = bp.get(tb.level() + 1);
-      outs[s] = &kids[s];
-    }
-    Exec::expand_into(prog_, tb, 0, tb.size(), outs, r, st.leaves);
-    st.on_block_executed(tb.size(), th_.q, th_.t_restart);
-    st.on_action(Action::DFE);
     const int level = tb.level();
-    bp.put(std::move(tb));
+    Kids<Exec> kids = step.dfe(std::move(tb));
 
     // Spawn right children as stealable jobs.
     std::array<ChildJob, C> jobs;
     std::size_t outstanding = 0;
     for (std::size_t s = 1; s < C; ++s) {
       if (kids[s].empty()) {
-        bp.put(std::move(kids[s]));
+        step.pool.put(std::move(kids[s]));
         continue;
       }
       jobs[s].ctx = &ctx;
@@ -196,7 +163,7 @@ private:
     for (std::size_t s = 1; s < C; ++s) {
       if (!jobs[s].pushed || jobs[s].ran_inline) continue;
       pool_.sync(jobs[s]);  // a thief ran it with a NIL input stack
-      st.on_action(Action::Steal);
+      step.st.on_action(Action::Steal);
       chain = merge(ctx, std::move(chain), std::move(jobs[s].result));
     }
 
@@ -210,11 +177,12 @@ private:
   Stack merge(Ctx& ctx, Stack a, Stack b) {
     if (!a) return b;
     if (!b) return a;
-    ctx.wstats.local().merges += 1;
+    const Step<Exec> step = ctx.run.step();
+    step.st.merges += 1;
     a->block.append(std::move(b->block));
     a->next = merge(ctx, std::move(a->next), std::move(b->next));
     if (a->block.size() >= th_.t_restart) {
-      Block t = ctx.pools.local().get(a->block.level());
+      Block t = step.pool.get(a->block.level());
       t.take_from(a->block, th_.t_dfe);
       return recurse(ctx, std::move(t), std::move(a));
     }
@@ -225,32 +193,23 @@ private:
   // breadth-first from the shallowest level, re-entering the scheduler
   // whenever a level grows past t_restart (the parallel analogue of the
   // sequential policy's BFE-at-top).
-  void drain(Ctx& ctx, Stack st) {
-    Result& r = ctx.partials.local();
-    ExecStats& es = ctx.wstats.local();
-    BlockPool<Block>& bp = ctx.pools.local();
-
-    while (st) {
-      if (st->block.empty()) {
-        st = std::move(st->next);
+  void drain(Ctx& ctx, Stack stack) {
+    const Step<Exec> step = ctx.run.step();
+    while (stack) {
+      if (stack->block.empty()) {
+        stack = std::move(stack->next);
         continue;
       }
-      Block b = std::move(st->block);
-      st->block = bp.get(b.level());
-      Block next = bp.get(b.level() + 1);
-      std::array<Block*, C> outs;
-      outs.fill(&next);
-      Exec::expand_into(prog_, b, 0, b.size(), outs, r, es.leaves);
-      es.on_block_executed(b.size(), th_.q, th_.t_restart);
-      es.on_action(Action::BFE);
-      bp.put(std::move(b));
-      if (!st->next) st->next = make_node(next.level());
-      st->next->block.append(std::move(next));
-      st = std::move(st->next);
-      if (st->block.size() >= th_.t_restart) {
-        Block t = bp.get(st->block.level());
-        t.take_from(st->block, th_.t_dfe);
-        st = recurse(ctx, std::move(t), std::move(st));
+      Block b = std::move(stack->block);
+      stack->block = step.pool.get(b.level());
+      Block next = step.bfe(std::move(b));
+      if (!stack->next) stack->next = make_node(next.level());
+      stack->next->block.append(std::move(next));
+      stack = std::move(stack->next);
+      if (stack->block.size() >= th_.t_restart) {
+        Block t = step.pool.get(stack->block.level());
+        t.take_from(stack->block, th_.t_dfe);
+        stack = recurse(ctx, std::move(t), std::move(stack));
       }
     }
   }

@@ -4,7 +4,8 @@
 // language (§2.1/§5.2): a task either executes a base case (reducing into a
 // monoid result) or expands into up to `max_children` child tasks.  The
 // scheduler is written against task blocks only; the three execution layers
-// below turn "execute this block" into actual loops:
+// below turn "execute this block" into actual loops, which every scheduler
+// runs through the shared block step (step.hpp):
 //
 //   AosExec  — scalar loop over an array-of-structs block (Table 2 "Block")
 //   SoaExec  — scalar loop over a structure-of-arrays block ("SOA";
@@ -142,14 +143,5 @@ struct SimdExec {
     SoaExec<P>::expand_into(p, in, n_vec, end, outs, r, leaves);
   }
 };
-
-// Convenience: whole-block expansion.
-template <class Exec, class P>
-inline void expand_block(const P& p, const typename Exec::Block& in,
-                         const std::array<typename Exec::Block*,
-                                          static_cast<std::size_t>(Exec::out_degree)>& outs,
-                         typename P::Result& r, std::uint64_t& leaves) {
-  Exec::expand_into(p, in, 0, in.size(), outs, r, leaves);
-}
 
 }  // namespace tb::core

@@ -8,10 +8,11 @@
 //             bottom-up for denser same-level work (Theorems 3)
 //
 // The scheduler is layout-agnostic: `Exec` supplies the block type and the
-// block-expansion loops (AosExec / SoaExec / SimdExec from program.hpp).
+// block-expansion loops (AosExec / SoaExec / SimdExec from program.hpp, or
+// the join-frame layer of join_scheduler.hpp); blocks execute through the
+// shared step of step.hpp, and the policy only routes the right children.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <utility>
 
@@ -19,6 +20,7 @@
 #include "core/leveled_deque.hpp"
 #include "core/program.hpp"
 #include "core/stats.hpp"
+#include "core/step.hpp"
 #include "core/thresholds.hpp"
 
 namespace tb::core {
@@ -47,24 +49,27 @@ public:
 
   // Executes every task reachable from `roots` (tasks at level 0, or at
   // roots.level() for strip-mined outer loops) and returns the reduced
-  // result.  `stats` may be null.
+  // result.  Adds the run's statistics into *stats, which may be null.
   Result run(Block roots, ExecStats* stats = nullptr) {
     ExecStats local;
     ExecStats& st = stats ? *stats : local;
     Result r = Program::identity();
+    const Step<Exec> step{prog_, th_, r, st, pool_};
 
     Block cur = std::move(roots);
     bool bfe_mode = true;   // start in breadth-first expansion
     bool growing = true;    // keep BFE until t_dfe is first reached
 
     while (true) {
-      if (cur.empty()) {
-        if (!pick_next(cur, bfe_mode, growing, st)) break;
-      }
+      if (cur.empty() && !pick_next(cur, bfe_mode)) break;
       st.note_space(cur.size() + deque_.total_tasks());
 
       if (bfe_mode) {
-        bfe_step(cur, r, st);
+        cur = step.bfe(std::move(cur));
+        if (policy_ == SeqPolicy::Restart && !cur.empty()) {
+          // Merge with any block parked at the level BFE just reached.
+          deque_.absorb_level(cur.level(), cur);
+        }
         if (cur.size() >= th_.t_dfe) {
           bfe_mode = false;
           growing = false;
@@ -85,58 +90,28 @@ public:
       if (policy_ == SeqPolicy::Restart && cur.size() < th_.t_restart) {
         st.on_action(Action::Restart);
         deque_.push_merge(std::move(cur));
-        if (!pick_next(cur, bfe_mode, growing, st)) break;
+        if (!pick_next(cur, bfe_mode)) break;
         continue;
       }
-      dfe_step(cur, r, st);
+      Kids<Exec> kids = step.dfe(std::move(cur));
+      // Point blocking: park the right siblings (deepest-executed-first
+      // order), continue with the leftmost child.
+      for (std::size_t s = C; s-- > 1;) {
+        if (kids[s].empty()) {
+          pool_.put(std::move(kids[s]));
+        } else if (policy_ == SeqPolicy::Restart) {
+          deque_.push_merge(std::move(kids[s]));
+        } else {
+          deque_.push(std::move(kids[s]));
+        }
+      }
+      cur = std::move(kids[0]);
     }
     return r;
   }
 
-  const Thresholds& thresholds() const { return th_; }
-
 private:
-  void bfe_step(Block& cur, Result& r, ExecStats& st) {
-    Block next = pool_.get(cur.level() + 1);
-    std::array<Block*, C> outs;
-    outs.fill(&next);
-    Exec::expand_into(prog_, cur, 0, cur.size(), outs, r, st.leaves);
-    st.on_block_executed(cur.size(), th_.q, th_.t_restart);
-    st.on_action(Action::BFE);
-    pool_.put(std::move(cur));
-    cur = std::move(next);
-    if (policy_ == SeqPolicy::Restart && !cur.empty()) {
-      // Merge with any block parked at the level BFE just reached.
-      deque_.absorb_level(cur.level(), cur);
-    }
-  }
-
-  void dfe_step(Block& cur, Result& r, ExecStats& st) {
-    std::array<Block, C> kids;
-    std::array<Block*, C> outs;
-    for (std::size_t s = 0; s < C; ++s) {
-      kids[s] = pool_.get(cur.level() + 1);
-      outs[s] = &kids[s];
-    }
-    Exec::expand_into(prog_, cur, 0, cur.size(), outs, r, st.leaves);
-    st.on_block_executed(cur.size(), th_.q, th_.t_restart);
-    st.on_action(Action::DFE);
-    pool_.put(std::move(cur));
-    // Point blocking: push right siblings (deepest-executed-first order),
-    // continue with the leftmost child.
-    for (std::size_t s = C; s-- > 1;) {
-      if (kids[s].empty()) {
-        pool_.put(std::move(kids[s]));
-      } else if (policy_ == SeqPolicy::Restart) {
-        deque_.push_merge(std::move(kids[s]));
-      } else {
-        deque_.push(std::move(kids[s]));
-      }
-    }
-    cur = std::move(kids[0]);
-  }
-
-  bool pick_next(Block& cur, bool& bfe_mode, bool& growing, ExecStats& st) {
+  bool pick_next(Block& cur, bool& bfe_mode) {
     if (policy_ == SeqPolicy::Restart) {
       switch (deque_.restart_scan(th_.t_restart, cur, 2 * th_.t_dfe)) {
         case LeveledDeque<Block>::Scan::Empty: return false;
@@ -151,8 +126,6 @@ private:
     }
     if (!deque_.pop_deepest(cur)) return false;
     bfe_mode = false;
-    (void)growing;
-    (void)st;
     return true;
   }
 

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/binomial.hpp"
@@ -154,6 +157,35 @@ TEST(StripMining, OuterDataParallelRoots) {
   tbtest::for_each_policy([&](SeqPolicy pol) {
     EXPECT_EQ(core::run_seq<core::SimdExec<apps::FibProgram>>(prog, roots, pol, th), expected);
   });
+}
+
+// Every driver adds its statistics into the caller's ExecStats: two runs
+// into one ExecStats count both runs' tasks.
+TEST(Drivers, StatsAddIntoTheCallersExecStats) {
+  using Exec = core::SimdExec<apps::FibProgram>;
+  const apps::FibProgram prog;
+  const auto roots = std::vector{apps::FibProgram::root(18)};
+  const std::span<const apps::FibProgram::Task> r(roots);
+  const std::uint64_t tasks = core::count_tree(prog, r).tasks;
+  const Thresholds th{8, 64, 64, 16};
+  rt::ForkJoinPool pool(2);
+  const std::pair<const char*, std::function<void(ExecStats*)>> drivers[] = {
+      {"run_seq",
+       [&](ExecStats* st) { (void)core::run_seq<Exec>(prog, r, SeqPolicy::Restart, th, st); }},
+      {"run_par_reexp",
+       [&](ExecStats* st) { (void)core::run_par_reexp<Exec>(pool, prog, r, th, st); }},
+      {"run_par_restart",
+       [&](ExecStats* st) { (void)core::run_par_restart<Exec>(pool, prog, r, th, st); }},
+      {"run_ideal_restart",
+       [&](ExecStats* st) { (void)core::run_ideal_restart<Exec>(prog, r, th, 2, st); }},
+  };
+  for (const auto& [name, run] : drivers) {
+    SCOPED_TRACE(name);
+    ExecStats st;
+    run(&st);
+    run(&st);
+    EXPECT_EQ(st.tasks_executed, 2 * tasks);
+  }
 }
 
 // ---- parallel schedulers --------------------------------------------------------

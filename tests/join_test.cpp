@@ -152,19 +152,32 @@ TEST(Join, FrameArenaIsRecycled) {
 }
 
 TEST(Join, StatsMatchLeafOnlySchedulerSchedule) {
-  // The join machinery must not change the *schedule*: block sizes, steps,
-  // and utilization equal the leaf-only scheduler's on the same tree.
+  // The join machinery must not change the *schedule*: under every policy,
+  // every ExecStats field but the join-only peak_frames equals the leaf-only
+  // scheduler's on the same tree.
   const FibJoin jprog;
   const apps::FibProgram prog;
   const auto th = Thresholds::for_block_size(8, 128, 16);
-  core::ExecStats js, ls;
-  (void)core::run_join(jprog, FibJoin::Task{22}, SeqPolicy::Restart, th, &js);
   const std::vector roots{apps::FibProgram::root(22)};
-  (void)core::run_seq<core::AosExec<apps::FibProgram>>(prog, roots, SeqPolicy::Restart, th,
-                                                       &ls);
-  EXPECT_EQ(js.steps_total, ls.steps_total);
-  EXPECT_EQ(js.supersteps, ls.supersteps);
-  EXPECT_EQ(js.tasks_executed, ls.tasks_executed);
+  for_each_policy([&](SeqPolicy pol) {
+    core::ExecStats js, ls;
+    (void)core::run_join(jprog, FibJoin::Task{22}, pol, th, &js);
+    (void)core::run_seq<core::AosExec<apps::FibProgram>>(prog, roots, pol, th, &ls);
+    EXPECT_EQ(js.steps_total, ls.steps_total);
+    EXPECT_EQ(js.steps_complete, ls.steps_complete);
+    EXPECT_EQ(js.supersteps, ls.supersteps);
+    EXPECT_EQ(js.partial_supersteps, ls.partial_supersteps);
+    EXPECT_EQ(js.tasks_executed, ls.tasks_executed);
+    EXPECT_EQ(js.leaves, ls.leaves);
+    EXPECT_EQ(js.bfe_actions, ls.bfe_actions);
+    EXPECT_EQ(js.dfe_actions, ls.dfe_actions);
+    EXPECT_EQ(js.restart_actions, ls.restart_actions);
+    EXPECT_EQ(js.steal_actions, ls.steal_actions);
+    EXPECT_EQ(js.merges, ls.merges);
+    EXPECT_EQ(js.max_block_size, ls.max_block_size);
+    EXPECT_EQ(js.peak_space_tasks, ls.peak_space_tasks);
+    EXPECT_EQ(js.donated_frames, ls.donated_frames);
+  });
 }
 
 // ---- true minimax ---------------------------------------------------------------------
