@@ -4,13 +4,14 @@
 // shared tree" — the shape of an online serving system.  This driver stands
 // up the src/serve/ front end (bounded MPMC queue → admission batcher →
 // persistent ForkJoinPool) for knn and pointcorr and sweeps offered load ×
-// batch policy:
+// batch size:
 //
 //   load=low   open-loop Poisson arrivals at a fixed per-scale rate.
 //              Latency stamps use *scheduled* arrival times, so queueing
 //              delay from server stalls is charged to every affected query
-//              (no coordinated omission).  Here batching trades a bounded
-//              wait (--max-wait-us) for denser blocks.
+//              (no coordinated omission).  Admission is work-conserving: a
+//              batch holds what arrived while the previous one ran, so at
+//              low load batches stay small and no timer adds latency.
 //   load=sat   closed-loop: submit as fast as the queue accepts.  Latency
 //              means time-in-system; throughput (completed/busy_seconds) is
 //              the capacity measurement where batch=1 — the classic
@@ -18,18 +19,18 @@
 //              because dense blocks amortize re-expansion exactly as the
 //              offline path does.
 //
-// Multi-kernel/adaptive/deadline rungs over the same front end:
+// Group-commit, multi-kernel and deadline rungs over the same front end:
 //
+//   load=low/rate=4x  open-loop knn at 4x the low rate with 256-query
+//                  batches (selected with knn); besides latency/qps it
+//                  records the largest batch that formed while a dispatch
+//                  ran ("batch_max", unit "tasks" — informational, ungated).
 //   load=multi     one QueryServer multiplexing knn + pointcorr +
 //                  minmaxdist lanes over one pool (closed loop, one
 //                  producer thread per kernel); per-kernel records, all
 //                  three digests checked against the sequential oracles.
-//   load=adaptive  open-loop knn with the rate-derived batch policy
-//                  (serve/policy.hpp) at 1x and 4x the base rate; records
-//                  the converged max batch ("batch_max", unit "tasks" —
-//                  informational, ungated).
-//   load=deadline  open-loop knn with per-query deadlines (tight = 2x
-//                  max-wait, loose = 100x); JSON carries only the shed
+//   load=deadline  open-loop knn with per-query deadlines (tight = 2 ms,
+//                  loose = 100 ms after arrival); JSON carries only the shed
 //                  fraction ("shed_rate", unit "shed" — lower-is-better,
 //                  deliberately ungated: shed queries depend on host
 //                  stalls, so gating them would flake).  No digest — a
@@ -61,8 +62,7 @@
 //
 // Output: CSV `benchmark,load,batch,p50_us,p99_us,p999_us,qps`.
 // Flags: --scale=test|default|paper, --workers=4,
-//        --benchmarks=knn,pointcorr,multi,adaptive,deadline,isa,
-//        --max-wait-us=1000, --format=json, --out=
+//        --benchmarks=knn,pointcorr,multi,deadline,isa, --format=json, --out=
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -80,7 +80,6 @@
 #include "runtime/hybrid.hpp"
 #include "serve/latency.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/policy.hpp"
 #include "serve/pool_runner.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
@@ -106,17 +105,17 @@ ScaleConfig scale_config(const std::string& scale) {
 struct RunResult {
   tb::serve::LatencySummary lat;
   double qps = 0.0;
+  std::size_t max_batch_seen = 0;
   std::string digest;
 };
 
 // Serves every query id in [0, id_space) exactly once through a runner
 // built from the resolved kernel table (forced_width 0 = active table),
-// under the given load and batch policy, and summarizes what came back.
+// under the given load and batch cap, and summarizes what came back.
 RunResult run_serve(const tb::serve::RunnerFactory& factory, std::int32_t id_space,
-                    double rate_qps, const tb::serve::BatchPolicy& policy,
-                    int forced_width = 0) {
+                    double rate_qps, std::size_t max_batch, int forced_width = 0) {
   tb::serve::ServerOptions sopt;
-  sopt.policy = policy;
+  sopt.policy.max_batch = max_batch;
   sopt.forced_width = forced_width;
   tb::serve::QueryServer server(sopt, factory);
   server.start();
@@ -131,6 +130,7 @@ RunResult run_serve(const tb::serve::RunnerFactory& factory, std::int32_t id_spa
   r.lat = tb::serve::summarize_latencies(server.latencies_s());
   const double busy = server.busy_seconds();
   r.qps = busy > 0 ? static_cast<double>(server.completed()) / busy : 0.0;
+  r.max_batch_seen = server.max_batch_seen();
   return r;
 }
 
@@ -206,8 +206,8 @@ MultiOracles multi_oracles(const tb::spatial::Bodies& points,
 bool run_multi_rung(tbench::Reporter& rep, tb::rt::ForkJoinPool& pool,
                     const tb::spatial::Bodies& points, const tb::spatial::KdTree& tree,
                     const ScaleConfig& cfg, const MultiOracles& oracle, std::size_t batch,
-                    std::int64_t max_wait_ns, int forced_width, const std::string& variant,
-                    const char* load_label, int workers) {
+                    int forced_width, const std::string& variant, const char* load_label,
+                    int workers) {
   const auto n = static_cast<std::int32_t>(points.size());
   tb::apps::KnnState knn_state(points.size(), cfg.k);
   tb::apps::KnnProgram knn_prog{&points, &tree, &knn_state};
@@ -221,7 +221,7 @@ bool run_multi_rung(tbench::Reporter& rep, tb::rt::ForkJoinPool& pool,
   sopt.forced_width = forced_width;
   tb::serve::QueryServer server(sopt);
   tb::serve::KernelOptions kopt;
-  kopt.policy = {batch, batch == 1 ? 0 : max_wait_ns};
+  kopt.policy.max_batch = batch;
   tb::rt::HybridOptions hopt;
   const int width = forced_width != 0 ? forced_width : tb::simd::kernels().width;
   hopt.t_reexp = 4 * static_cast<std::size_t>(width);
@@ -288,9 +288,7 @@ int main(int argc, char** argv) {
   tbench::Reporter rep("serve_latency", flags);
   const ScaleConfig cfg = scale_config(rep.scale());
   const int workers = static_cast<int>(flags.get_int("workers", 4));
-  const std::string filter =
-      flags.get("benchmarks", "knn,pointcorr,multi,adaptive,deadline,isa");
-  const std::int64_t max_wait_ns = flags.get_int("max-wait-us", 1000) * 1000;
+  const std::string filter = flags.get("benchmarks", "knn,pointcorr,multi,deadline,isa");
 
   tb::rt::ForkJoinPool pool(workers);
   tb::rt::HybridOptions opt;
@@ -323,9 +321,7 @@ int main(int argc, char** argv) {
         // offline result, so the digest must match the sequential oracle.
         tb::apps::KnnState state(points.size(), cfg.k);
         tb::apps::KnnProgram prog{&points, &tree, &state};
-        const tb::serve::BatchPolicy policy{batch, batch == 1 ? 0 : max_wait_ns};
-        RunResult r =
-            run_serve(tb::serve::knn_pool_runner(pool, opt, prog), n, rate, policy);
+        RunResult r = run_serve(tb::serve::knn_pool_runner(pool, opt, prog), n, rate, batch);
         r.digest = knn_digest(state, points.size());
         if (r.digest != oracle) {
           std::fprintf(stderr, "error: knn serve digest mismatch (%s)\n",
@@ -344,6 +340,29 @@ int main(int argc, char** argv) {
       std::printf("# knn saturation: best batched %.0f qps vs batch=1 %.0f qps (%.2fx)\n",
                   sat_qps_batched, sat_qps_b1, sat_qps_batched / sat_qps_b1);
     }
+
+    // Group commit under load: at 4x the low rate, queries pile up while a
+    // batch runs and go out together in the next one.
+    {
+      constexpr std::size_t kBatch = 256;
+      tb::apps::KnnState state(points.size(), cfg.k);
+      tb::apps::KnnProgram prog{&points, &tree, &state};
+      RunResult r = run_serve(tb::serve::knn_pool_runner(pool, opt, prog), n,
+                              4 * cfg.low_rate_qps, kBatch);
+      r.digest = knn_digest(state, points.size());
+      const std::string variant = "load=low/rate=4x/batch=" + std::to_string(kBatch);
+      if (r.digest != oracle) {
+        std::fprintf(stderr, "error: knn serve digest mismatch (%s)\n", variant.c_str());
+        return 1;
+      }
+      record(rep, "knn", variant, workers, r);
+      auto proto = rep.make("knn", variant, "batch_max", "serve", workers);
+      proto.digest = r.digest;
+      rep.add_metric(std::move(proto), "tasks", static_cast<double>(r.max_batch_seen));
+      print_row("knn", "low/rate=4x", kBatch, r);
+      std::printf("# knn group commit at 4x the low rate: largest batch %zu of %zu\n",
+                  r.max_batch_seen, kBatch);
+    }
   }
 
   if (tbench::selected(filter, "pointcorr")) {
@@ -359,10 +378,8 @@ int main(int argc, char** argv) {
         // against false sharing (same idiom as hybrid_pointcorr).
         std::vector<tb::rt::Padded<std::uint64_t>> parts(
             static_cast<std::size_t>(tb::rt::hybrid_slots(pool)));
-        const tb::serve::BatchPolicy policy{batch, batch == 1 ? 0 : max_wait_ns};
         RunResult r = run_serve(
-            tb::serve::pointcorr_pool_runner(pool, opt, prog, parts.data()), n, rate,
-            policy);
+            tb::serve::pointcorr_pool_runner(pool, opt, prog, parts.data()), n, rate, batch);
         std::uint64_t total = 0;
         for (const auto& p : parts) total += p.value;
         r.digest = std::to_string(total);
@@ -383,9 +400,8 @@ int main(int argc, char** argv) {
     const auto tree = tb::spatial::KdTree::build(points, 16);
     const MultiOracles oracle = multi_oracles(points, tree, cfg);
     for (const std::size_t batch : cfg.batches) {
-      if (!run_multi_rung(rep, pool, points, tree, cfg, oracle, batch, max_wait_ns,
-                          /*forced_width=*/0, variant_name("multi", batch), "multi",
-                          workers)) {
+      if (!run_multi_rung(rep, pool, points, tree, cfg, oracle, batch, /*forced_width=*/0,
+                          variant_name("multi", batch), "multi", workers)) {
         return 1;
       }
     }
@@ -411,9 +427,8 @@ int main(int argc, char** argv) {
       // Closed-loop single-kernel knn at this table's width.
       tb::apps::KnnState state(points.size(), cfg.k);
       tb::apps::KnnProgram prog{&points, &tree, &state};
-      const tb::serve::BatchPolicy policy{batch, batch == 1 ? 0 : max_wait_ns};
       RunResult r = run_serve(tb::serve::knn_pool_runner(pool, fopt, prog), n,
-                              /*rate_qps=*/0.0, policy, kt->width);
+                              /*rate_qps=*/0.0, batch, kt->width);
       r.digest = knn_digest(state, points.size());
       if (r.digest != oracle.knn) {
         std::fprintf(stderr, "error: knn serve digest mismatch (load=sat/%s)\n",
@@ -426,65 +441,11 @@ int main(int argc, char** argv) {
       print_row("knn", ("sat/" + iv).c_str(), batch, r);
 
       // Mixed three-lane traffic with every lane pinned to this table.
-      if (!run_multi_rung(rep, pool, points, tree, cfg, oracle, batch, max_wait_ns,
-                          kt->width, "load=multi/" + iv + "/batch=" + std::to_string(batch),
+      if (!run_multi_rung(rep, pool, points, tree, cfg, oracle, batch, kt->width,
+                          "load=multi/" + iv + "/batch=" + std::to_string(batch),
                           ("multi/" + iv).c_str(), workers)) {
         return 1;
       }
-    }
-  }
-
-  // ---- load=adaptive: rate-derived batch policy -----------------------------
-  if (tbench::selected(filter, "adaptive")) {
-    const auto points = tb::spatial::Bodies::uniform_cube(cfg.points);
-    const auto tree = tb::spatial::KdTree::build(points, 16);
-    const auto n = static_cast<std::int32_t>(points.size());
-    opt.t_reexp = 4 * static_cast<std::size_t>(active_width);
-    std::string oracle;
-    {
-      tb::apps::KnnState state(points.size(), cfg.k);
-      tb::apps::KnnProgram prog{&points, &tree, &state};
-      tb::apps::knn_sequential(prog);
-      oracle = knn_digest(state, points.size());
-    }
-    const std::pair<const char*, double> rates[] = {{"rate=1x", cfg.low_rate_qps},
-                                                    {"rate=4x", 4 * cfg.low_rate_qps}};
-    for (const auto& [tag, rate] : rates) {
-      tb::apps::KnnState state(points.size(), cfg.k);
-      tb::apps::KnnProgram prog{&points, &tree, &state};
-      tb::serve::QueryServer server(tb::serve::ServerOptions{});
-      tb::serve::KernelOptions kopt;
-      kopt.adaptive.enabled = true;
-      kopt.adaptive.target_window_ns = max_wait_ns;
-      server.register_kernel("knn", kopt, tb::serve::knn_pool_runner(pool, opt, prog));
-      server.start();
-      tb::serve::LoadGenOptions lg;
-      lg.rate_qps = rate;
-      lg.total = static_cast<std::size_t>(n);
-      lg.id_space = n;
-      lg.round_robin = true;
-      tb::serve::generate_load(server, lg);
-      server.stop();
-
-      RunResult r;
-      r.lat = tb::serve::summarize_latencies(server.latencies_s());
-      const double busy = server.busy_seconds();
-      r.qps = busy > 0 ? static_cast<double>(server.completed()) / busy : 0.0;
-      r.digest = knn_digest(state, points.size());
-      if (r.digest != oracle) {
-        std::fprintf(stderr, "error: knn adaptive serve digest mismatch (%s)\n", tag);
-        return 1;
-      }
-      const std::string variant = std::string("load=adaptive/") + tag;
-      record(rep, "knn", variant, workers, r);
-      {
-        // Converged batch ceiling — what the EWMA controller settled on.
-        auto proto = rep.make("knn", variant, "batch_max", "serve", workers);
-        proto.digest = r.digest;
-        rep.add_metric(std::move(proto), "tasks",
-                       static_cast<double>(server.max_batch_seen()));
-      }
-      print_row("knn", "adaptive", server.max_batch_seen(), r);
     }
   }
 
@@ -496,18 +457,19 @@ int main(int argc, char** argv) {
     opt.t_reexp = 4 * static_cast<std::size_t>(active_width);
     tb::apps::KnnState state(points.size(), cfg.k);  // no digest: sheds are legal
     tb::apps::KnnProgram prog{&points, &tree, &state};
-    const std::pair<const char*, std::int64_t> budgets[] = {
-        {"rel=tight", 2 * max_wait_ns}, {"rel=loose", 100 * max_wait_ns}};
-    for (const auto& [tag, budget_ns] : budgets) {
+    constexpr std::size_t kBatch = 64;
+    const std::pair<const char*, std::int64_t> deadlines[] = {{"rel=tight", 2'000'000},
+                                                              {"rel=loose", 100'000'000}};
+    for (const auto& [tag, rel_ns] : deadlines) {
       tb::serve::ServerOptions sopt;
-      sopt.policy = {/*max_batch=*/64, max_wait_ns};
+      sopt.policy.max_batch = kBatch;
       tb::serve::QueryServer server(sopt, tb::serve::knn_pool_runner(pool, opt, prog));
       server.start();
       tb::serve::LoadGenOptions lg;
       lg.rate_qps = cfg.low_rate_qps;
       lg.total = static_cast<std::size_t>(n);
       lg.id_space = n;
-      lg.deadline_rel_ns = budget_ns;
+      lg.deadline_rel_ns = rel_ns;
       const std::size_t offered = tb::serve::generate_load(server, lg);
       server.stop();
 
@@ -527,7 +489,7 @@ int main(int argc, char** argv) {
       rep.add_metric(std::move(proto), "shed", shed_rate);
       std::printf("# knn deadline %s: offered %zu shed %zu (%.1f%%), served_late %zu\n",
                   tag, offered, server.shed(), shed_rate * 100.0, server.served_late());
-      print_row("knn", "deadline", static_cast<std::size_t>(budget_ns / max_wait_ns), r);
+      print_row("knn", (std::string("deadline/") + tag).c_str(), kBatch, r);
     }
   }
 

@@ -1,28 +1,31 @@
-// Admission batching: max-batch / max-wait / deadline policy over arrival
-// timestamps.
+// Admission batching: work-conserving batches over arrival timestamps.
 //
 // The batcher is a pure state machine over std::int64_t nanoseconds — it
 // never reads a clock.  The admission thread feeds it (id, arrival_ns,
-// deadline_ns) tuples drained from the MPMC queue and asks two questions:
-// is a batch ready *now*, and if not, when is the next deadline?  Because
-// all time flows in through parameters, the unit tests drive the policy in
+// deadline_ns) tuples drained from the MPMC queue and pops batches from it;
+// because all time flows in through parameters, the unit tests drive it in
 // exact virtual time and assert batch boundaries deterministically.
 //
-// Policy: a batch dispatches when it reaches `max_batch` queries (dense
-// blocks amortize re-expansion exactly as the offline path does), when the
-// OLDEST pending query has waited `max_wait_ns` (bounding the latency cost
-// of waiting for batch-mates), or when a pending query's completion
-// deadline is close enough that only an immediate dispatch can still meet
-// it.  max_wait_ns = 0 degenerates to serve-immediately: every drain
-// dispatches whatever has arrived.
+// Rule: any pending query is dispatchable at once.  The server dispatches
+// synchronously on its admission thread, so the pool is idle whenever that
+// thread asks for a batch; waiting for batch-mates would only idle it.
+// Batches form by group commit instead: queries that arrive while a batch
+// runs make up the next one, capped at `max_batch` (dense blocks amortize
+// re-expansion exactly as the offline path does).
 //
 // Deadlines: a query may carry an absolute `deadline_ns` (kNoDeadline =
-// none).  Admission sheds — rejects without buffering — any query whose
-// deadline cannot be met even by an immediate dispatch, using the current
-// per-batch service estimate (`set_service_estimate`, fed by the server's
-// measured dispatch times): serving a query that is already doomed only
-// steals capacity from queries that can still make it.  Admitted deadlines
-// pull `ready`/`next_deadline_ns` forward so the dispatcher wakes in time.
+// none).  Admission sheds — rejects without buffering — a query whose
+// deadline has already passed, and a query that joins a non-empty window
+// whose deadline cannot be met even by an immediate dispatch, using the
+// current per-batch service estimate (`set_service_estimate`, fed by the
+// server's measured dispatch times).  A query arriving at an empty batcher
+// is never shed on the estimate: it dispatches at once, and that dispatch
+// refreshes the estimate, so one slow batch cannot make the estimate shed
+// every later query forever.
+//
+// Ranking: `urgency_ns` is the earliest-deadline-first key the router
+// compares across lanes.  A query without a deadline ranks as if it were
+// due at arrival + `budget_ns`.
 #pragma once
 
 #include <algorithm>
@@ -36,7 +39,9 @@ namespace tb::serve {
 
 struct BatchPolicy {
   std::size_t max_batch = 64;
-  std::int64_t max_wait_ns = 1'000'000;  // 1 ms
+  // EDF rank of a query without a deadline: it ranks as if due at
+  // arrival + budget_ns.  Never delays a dispatch.
+  std::int64_t budget_ns = 1'000'000;  // 1 ms
 };
 
 // One dispatchable batch: dense id block plus per-query arrival and
@@ -58,24 +63,17 @@ struct Batch {
 class AdmissionBatcher {
 public:
   // Consumed-prefix length at which the pending window is compacted to the
-  // front of the arrays (see take()).  Public so the memory-bound tests can
+  // front of the arrays (see pop()).  Public so the memory-bound tests can
   // assert buffered() against it.
   static constexpr std::size_t kCompactThreshold = 1024;
 
-  explicit AdmissionBatcher(BatchPolicy policy) { set_policy(policy); }
-
-  const BatchPolicy& policy() const { return policy_; }
-
-  // Policy is mutable between pushes so an adaptive controller
-  // (AdaptiveBatchPolicy) can re-derive it per arrival.
-  void set_policy(BatchPolicy policy) {
-    policy_ = policy;
+  explicit AdmissionBatcher(BatchPolicy policy) : policy_(policy) {
     if (policy_.max_batch == 0) policy_.max_batch = 1;
   }
 
-  // Expected time to serve one batch, used for the shed horizon and the
-  // deadline-driven early dispatch.  0 (the default) means "dispatch is
-  // instantaneous": only already-expired deadlines shed.
+  // Expected time to serve one batch, used for the shed horizon.  0 (the
+  // default) means "dispatch is instantaneous": only already-expired
+  // deadlines shed.
   void set_service_estimate(std::int64_t ns) {
     service_est_ns_ = std::max<std::int64_t>(ns, 0);
   }
@@ -89,12 +87,14 @@ public:
   }
 
   // Deadline-aware admission at virtual time `now_ns`.  Returns false —
-  // and counts a shed — when the query cannot meet `deadline_ns` even if a
-  // batch dispatched immediately (now + service estimate past the
-  // deadline); the caller reports the rejection instead of burying it.
+  // and counts a shed — when `deadline_ns` has passed, or when the window
+  // is non-empty and even an immediate dispatch would finish late (now +
+  // service estimate past the deadline); the caller reports the rejection
+  // instead of burying it.
   bool push(std::int32_t id, std::int64_t arrival_ns, std::int64_t deadline_ns,
             std::int64_t now_ns) {
-    if (deadline_ns != kNoDeadline && now_ns + service_est_ns_ > deadline_ns) {
+    const std::int64_t horizon = pending() == 0 ? 0 : service_est_ns_;
+    if (deadline_ns != kNoDeadline && now_ns + horizon > deadline_ns) {
       ++shed_;
       return false;
     }
@@ -112,79 +112,11 @@ public:
   // Queries rejected at admission because their deadline was unmeetable.
   std::size_t shed() const { return shed_; }
 
-  // True when a batch should dispatch at virtual time `now_ns`: the size
-  // trigger fired, the oldest pending query has waited max_wait_ns, or the
-  // tightest deadline in the dispatch window leaves exactly one service
-  // time of slack.
-  bool ready(std::int64_t now_ns) const {
-    const std::size_t n = pending();
-    if (n == 0) return false;
-    if (n >= policy_.max_batch) return true;
-    if (now_ns - arrival_[next_] >= policy_.max_wait_ns) return true;
-    const std::int64_t d = window_deadline_ns();
-    return d != kNoDeadline && now_ns >= d - service_est_ns_;
-  }
-
   // Moves up to max_batch oldest pending queries into `out` (appending).
-  // Returns false (and appends nothing) when no batch is ready at `now_ns`.
-  bool pop_ready(std::int64_t now_ns, Batch& out) {
-    if (!ready(now_ns)) return false;
-    take(std::min(pending(), policy_.max_batch), out);
-    return true;
-  }
-
-  // Unconditionally drains up to max_batch pending queries (shutdown path:
-  // dispatch what's left without waiting out the deadline).  Returns false
-  // when nothing is pending.
-  bool flush(Batch& out) {
+  // Returns false (and appends nothing) when nothing is pending.
+  bool pop(Batch& out) {
     const std::size_t n = std::min(pending(), policy_.max_batch);
     if (n == 0) return false;
-    take(n, out);
-    return true;
-  }
-
-  // Virtual time at which ready() will flip true with no further arrivals:
-  // kNoDeadline when empty, "now" (the oldest arrival itself — already
-  // ready) when the size trigger has fired, otherwise the earlier of
-  // oldest + max_wait and the tightest window deadline minus one service
-  // time.  The dispatcher parks until exactly this instant.
-  std::int64_t next_deadline_ns() const {
-    if (pending() == 0) return kNoDeadline;
-    if (pending() >= policy_.max_batch) return arrival_[next_];
-    std::int64_t t = arrival_[next_] + policy_.max_wait_ns;
-    const std::int64_t d = window_deadline_ns();
-    if (d != kNoDeadline) t = std::min(t, d - service_est_ns_);
-    return t;
-  }
-
-  // Earliest-deadline-first key for arbitration *across* kernels: the
-  // tightest effective deadline in this batcher's dispatch window, where a
-  // no-deadline query's effective deadline is its max-wait expiry.  Among
-  // several ready batchers the dispatcher serves the smallest urgency
-  // first, so an SLO-carrying batch is never stuck behind a best-effort
-  // one.  kNoDeadline when empty.
-  std::int64_t urgency_ns() const {
-    const std::size_t n = std::min(pending(), policy_.max_batch);
-    std::int64_t u = kNoDeadline;
-    for (std::size_t i = next_; i < next_ + n; ++i) {
-      const std::int64_t eff =
-          deadline_[i] != kNoDeadline ? deadline_[i] : arrival_[i] + policy_.max_wait_ns;
-      u = std::min(u, eff);
-    }
-    return u;
-  }
-
-private:
-  // Tightest explicit deadline among the queries the next dispatch would
-  // take (the first max_batch pending); kNoDeadline when none carry one.
-  std::int64_t window_deadline_ns() const {
-    const std::size_t n = std::min(pending(), policy_.max_batch);
-    std::int64_t d = kNoDeadline;
-    for (std::size_t i = next_; i < next_ + n; ++i) d = std::min(d, deadline_[i]);
-    return d;
-  }
-
-  void take(std::size_t n, Batch& out) {
     const auto b = static_cast<std::ptrdiff_t>(next_);
     const auto e = static_cast<std::ptrdiff_t>(next_ + n);
     out.ids.insert(out.ids.end(), ids_.begin() + b, ids_.begin() + e);
@@ -209,8 +141,25 @@ private:
       deadline_.erase(deadline_.begin(), deadline_.begin() + cut);
       next_ = 0;
     }
+    return true;
   }
 
+  // Earliest-deadline-first key for arbitration *across* kernels: the
+  // tightest effective deadline among the queries the next pop() would
+  // take, where a no-deadline query is due at arrival + budget_ns.
+  // kNoDeadline when empty.
+  std::int64_t urgency_ns() const {
+    const std::size_t n = std::min(pending(), policy_.max_batch);
+    std::int64_t u = kNoDeadline;
+    for (std::size_t i = next_; i < next_ + n; ++i) {
+      const std::int64_t eff =
+          deadline_[i] != kNoDeadline ? deadline_[i] : arrival_[i] + policy_.budget_ns;
+      u = std::min(u, eff);
+    }
+    return u;
+  }
+
+private:
   BatchPolicy policy_;
   std::int64_t service_est_ns_ = 0;
   std::size_t shed_ = 0;

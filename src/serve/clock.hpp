@@ -13,7 +13,8 @@
 
 namespace tb::serve {
 
-// Sentinel for "no deadline pending" (AdmissionBatcher::next_deadline_ns).
+// Sentinel for "no deadline": a query without one, and
+// AdmissionBatcher::urgency_ns of an empty batcher.
 inline constexpr std::int64_t kNoDeadline = INT64_MAX;
 
 inline std::int64_t now_ns() {

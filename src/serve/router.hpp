@@ -6,15 +6,14 @@
 // a per-kernel property — a cheap kernel wants bigger batches than an
 // expensive one), its own BatchRunner (built from its kernel table, see
 // below — for the pool runners, the table's serving entry point over the
-// hybrid executor), an optional AdaptiveBatchPolicy
-// re-deriving the batcher's policy from that kernel's own arrival rate, and
-// its own telemetry.  Stage dependencies stay in the nested-dataflow style
-// of the single-kernel server: queue -> per-lane batcher -> dispatch; lanes
-// share only the admission thread and the pool.
+// hybrid executor), and its own telemetry.  Stage dependencies stay in the
+// nested-dataflow style of the single-kernel server: queue -> per-lane
+// batcher -> dispatch; lanes share only the admission thread and the pool.
 //
-// Dispatch arbitration is earliest-deadline-first: among lanes with a ready
-// batch, the router picks the one whose dispatch window holds the tightest
-// effective deadline (explicit query deadline, else max-wait expiry), so a
+// Dispatch arbitration is earliest-deadline-first: among lanes with any
+// pending query, the router picks the one whose next batch holds the
+// tightest effective deadline (explicit query deadline, else arrival +
+// the lane's budget_ns), ties going to the lower lane index, so a
 // latency-SLO kernel is never starved behind a bulk kernel's full batches.
 //
 // Each lane is bound to one simd::KernelTable, resolved at registration:
@@ -46,7 +45,6 @@
 
 #include "serve/batcher.hpp"
 #include "serve/clock.hpp"
-#include "serve/policy.hpp"
 #include "simd/dispatch.hpp"
 
 namespace tb::serve {
@@ -62,16 +60,7 @@ using BatchRunner = std::function<void(const std::int32_t* ids, std::size_t coun
 using RunnerFactory = std::function<BatchRunner(const simd::KernelTable&)>;
 
 struct KernelOptions {
-  // Fixed admission policy; ignored (re-derived per arrival) when
-  // adaptive.enabled is set.
   BatchPolicy policy{};
-  AdaptiveOptions adaptive{};
-  // Seed for the per-batch service-time estimate that drives the deadline
-  // shed horizon; refined by an EWMA of measured dispatch times once
-  // batches start completing.  0 = assume instantaneous until measured.
-  std::int64_t initial_service_estimate_ns = 0;
-  // EWMA weight 1/2^shift for the measured service estimate.
-  int service_ewma_shift = 2;
   // Forced serving lane width (4 / 8 / 16) for this kernel; 0 inherits the
   // server-wide ServerOptions::forced_width.  Validated when the kernel is
   // registered (see header comment for the clamp rule).
@@ -117,27 +106,20 @@ inline const simd::KernelTable& resolve_serve_table(int forced_width) {
   return *t;
 }
 
-// Per-kernel serving lane: batcher + runner + adaptive controller +
-// telemetry.  Owned by the router; admission-thread-private after start().
+// Per-kernel serving lane: batcher + runner + telemetry.  Owned by the
+// router; admission-thread-private after start().
 class KernelLane {
 public:
-  KernelLane(std::string name, const KernelOptions& opt, BatchRunner runner,
+  // EWMA weight 1/2^shift of the measured per-batch service time.
+  static constexpr int kServiceEwmaShift = 2;
+
+  KernelLane(std::string name, const BatchPolicy& policy, BatchRunner runner,
              const simd::KernelTable* table)
-      : name_(std::move(name)),
-        opt_(opt),
-        batcher_(opt.policy),
-        adaptive_(opt.adaptive),
-        runner_(std::move(runner)),
-        table_(table) {
-    batcher_.set_service_estimate(opt_.initial_service_estimate_ns);
-    service_est_ns_ = std::max<std::int64_t>(opt_.initial_service_estimate_ns, 0);
-    if (opt_.adaptive.enabled) batcher_.set_policy(adaptive_.current());
-  }
+      : name_(std::move(name)), batcher_(policy), runner_(std::move(runner)), table_(table) {}
 
   const std::string& name() const { return name_; }
   AdmissionBatcher& batcher() { return batcher_; }
   const AdmissionBatcher& batcher() const { return batcher_; }
-  const AdaptiveBatchPolicy& adaptive() const { return adaptive_; }
   const BatchRunner& runner() const { return runner_; }
 
   // The kernel table this lane was bound to at registration; identity-
@@ -146,20 +128,9 @@ public:
   int width() const { return table_->width; }
   const char* isa_name() const { return table_->name; }
 
-  // Routes one drained request into this lane: refreshes the adaptive
-  // policy from the arrival stamp, then admits or sheds against the
-  // deadline.  Returns false when the query was shed.
-  bool admit(std::int32_t id, std::int64_t arrival_ns, std::int64_t deadline_ns,
-             std::int64_t now_ns) {
-    if (opt_.adaptive.enabled) {
-      adaptive_.observe_arrival(arrival_ns);
-      batcher_.set_policy(adaptive_.current());
-    }
-    return batcher_.push(id, arrival_ns, deadline_ns, now_ns);
-  }
-
   // Books one dispatched batch: latency stamps, deadline misses, and the
-  // measured per-batch service time feeding the shed horizon's EWMA.
+  // measured per-batch service time feeding the shed horizon's EWMA (the
+  // first batch seeds it).
   void record_dispatch(const Batch& batch, std::int64_t start_ns, std::int64_t done_ns) {
     if (batches_ == 0) first_dispatch_ns_ = start_ns;
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -168,18 +139,14 @@ public:
         ++served_late_;
       }
     }
+    const std::int64_t measured = std::max<std::int64_t>(done_ns - start_ns, 0);
+    const std::int64_t est = batcher_.service_estimate_ns();
+    batcher_.set_service_estimate(
+        batches_ == 0 ? measured : est + ((measured - est) >> kServiceEwmaShift));
     completed_ += batch.size();
     ++batches_;
     max_batch_seen_ = std::max(max_batch_seen_, batch.size());
     last_complete_ns_ = done_ns;
-    const std::int64_t measured = std::max<std::int64_t>(done_ns - start_ns, 0);
-    if (!have_service_est_) {
-      service_est_ns_ = measured;
-      have_service_est_ = true;
-    } else {
-      service_est_ns_ += (measured - service_est_ns_) >> opt_.service_ewma_shift;
-    }
-    batcher_.set_service_estimate(service_est_ns_);
   }
 
   // Books one request that was accepted but never served because the
@@ -204,14 +171,9 @@ public:
 
 private:
   std::string name_;
-  KernelOptions opt_;
   AdmissionBatcher batcher_;
-  AdaptiveBatchPolicy adaptive_;
   BatchRunner runner_;
   const simd::KernelTable* table_;
-
-  std::int64_t service_est_ns_ = 0;
-  bool have_service_est_ = false;
 
   std::vector<double> latencies_s_;
   std::size_t completed_ = 0;
@@ -240,7 +202,7 @@ public:
     const simd::KernelTable& t = resolve_serve_table(effective_width(opt));
     BatchRunner runner = factory(t);
     lanes_.push_back(
-        std::make_unique<KernelLane>(std::move(name), opt, std::move(runner), &t));
+        std::make_unique<KernelLane>(std::move(name), opt.policy, std::move(runner), &t));
     return static_cast<int>(lanes_.size()) - 1;
   }
 
@@ -257,15 +219,16 @@ public:
     return -1;
   }
 
-  // Earliest-deadline-first arbitration: the ready lane with the smallest
-  // urgency key, or -1 when no lane has a ready batch.  Ties go to the
-  // lower index, keeping the choice deterministic in virtual-time tests.
-  int pick_ready(std::int64_t now_ns) const {
+  // Earliest-deadline-first arbitration: the lane with any pending query
+  // whose urgency key is smallest, or -1 when every lane is empty.  Ties go
+  // to the lower index, keeping the choice deterministic in virtual-time
+  // tests.
+  int pick() const {
     int best = -1;
     std::int64_t best_urgency = kNoDeadline;
     for (std::size_t k = 0; k < lanes_.size(); ++k) {
       const AdmissionBatcher& b = lanes_[k]->batcher();
-      if (!b.ready(now_ns)) continue;
+      if (b.pending() == 0) continue;
       const std::int64_t u = b.urgency_ns();
       if (best == -1 || u < best_urgency) {
         best = static_cast<int>(k);
@@ -273,19 +236,6 @@ public:
       }
     }
     return best;
-  }
-
-  // Park horizon: the earliest instant any lane's batch becomes ready.
-  std::int64_t next_deadline_ns() const {
-    std::int64_t t = kNoDeadline;
-    for (const auto& lane : lanes_) t = std::min(t, lane->batcher().next_deadline_ns());
-    return t;
-  }
-
-  std::size_t total_pending() const {
-    std::size_t n = 0;
-    for (const auto& lane : lanes_) n += lane->batcher().pending();
-    return n;
   }
 
 private:

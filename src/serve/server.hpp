@@ -4,29 +4,33 @@
 //
 //   producers ──try_submit──▶ MpmcQueue ──route──▶ KernelRouter
 //                                │                    │ per-kernel lanes:
-//                             doorbell                │ AdmissionBatcher (+
-//                                ▼                    │ adaptive policy)
+//                             doorbell                │ AdmissionBatcher
+//                                ▼                    │
 //                        admission thread ──EDF──▶ lane BatchRunner
 //                                                  (hybrid_for over a
 //                                                   ForkJoinPool)
 //
 // A single admission thread owns the router and the dispatch loop: it
 // drains the MPMC queue, routes each request to its kernel's lane (where
-// adaptive policy refresh and deadline-shed admission happen), picks the
-// ready batch with the earliest deadline across lanes, runs it
-// synchronously through that lane's BatchRunner, and stamps per-query
-// latency (completion − arrival) when the batch returns.  Batches
-// serialize on the admission thread — intra-batch parallelism comes from
-// the runner fanning each dense id block out over the pool, which is
-// exactly the paper's traversal shape (many queries, one shared tree).
+// deadline-shed admission happens), picks the lane whose next batch has
+// the earliest deadline, runs that batch synchronously through the lane's
+// BatchRunner, and stamps per-query latency (completion − arrival) when
+// the batch returns.  Batches serialize on the admission thread —
+// intra-batch parallelism comes from the runner fanning each dense id
+// block out over the pool, which is exactly the paper's traversal shape
+// (many queries, one shared tree).
 //
-// Parking mirrors the ForkJoinPool fix this layer depends on: when no lane
-// has a deadline the admission thread sleeps on a condition variable;
-// producers ring a doorbell only when the thread advertised it was napping
-// (napping_ is a seq_cst flag mirroring the pool's sleepers_ counter), so
-// the steady-state fast path costs producers one atomic load per submit.
-// When a deadline is pending, the thread sleeps only until the earliest
-// one across all lanes.
+// Admission is work-conserving: the pool is idle whenever the loop picks a
+// lane, so any pending query dispatches at once, and the queries that
+// arrive while a batch runs form the next batch (group commit, capped by
+// max_batch).  No timer ever holds a query back.
+//
+// Parking mirrors the ForkJoinPool fix this layer depends on: with nothing
+// pending the admission thread sleeps on a condition variable until a
+// submit or stop; producers ring a doorbell only when the thread
+// advertised it was napping (napping_ is a seq_cst flag mirroring the
+// pool's sleepers_ counter), so the steady-state fast path costs producers
+// one atomic load per submit.
 //
 // Lifecycle contract (hardened):
 //   * stop() is idempotent, safe without start(), and safe to call from
@@ -46,7 +50,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -175,11 +178,10 @@ public:
   }
   bool submit(std::int32_t id, std::int64_t arrival_ns) { return submit(0, id, arrival_ns); }
 
-  // Drains everything already admitted (flushing partial batches), joins
-  // the admission thread, and accounts any stragglers that raced the stop
-  // flag.  Idempotent; safe without start(); safe concurrently (callers
-  // serialize on an internal mutex).  Telemetry accessors are valid after
-  // the first stop() returns.
+  // Serves everything already admitted, joins the admission thread, and
+  // accounts any stragglers that raced the stop flag.  Idempotent; safe
+  // without start(); safe concurrently (callers serialize on an internal
+  // mutex).  Telemetry accessors are valid after the first stop() returns.
   void stop() {
     stopping_.store(true, std::memory_order_seq_cst);
     {
@@ -271,8 +273,8 @@ private:
 
   void drain_queue() {
     while (auto req = queue_.try_pop()) {
-      router_.lane(req->kernel).admit(req->id, req->arrival_ns, req->deadline_ns,
-                                      now_ns());
+      router_.lane(req->kernel).batcher().push(req->id, req->arrival_ns, req->deadline_ns,
+                                               now_ns());
     }
   }
 
@@ -295,48 +297,35 @@ private:
     Batch batch;
     for (;;) {
       drain_queue();
-      const int k = router_.pick_ready(now_ns());
+      const int k = router_.pick();
       if (k >= 0) {
         KernelLane& lane = router_.lane(k);
-        lane.batcher().pop_ready(now_ns(), batch);
+        lane.batcher().pop(batch);
         dispatch(lane, batch);
         continue;
       }
+      // Every lane is empty.  On stop, exit once the queue is too;
+      // otherwise loop to drain producers that raced the stop flag.
       if (stopping_.load(std::memory_order_acquire)) {
-        // Shutdown: dispatch the partial tails without waiting out
-        // max_wait, re-draining in case producers raced the stop flag.
-        drain_queue();
-        for (std::size_t i = 0; i < router_.size(); ++i) {
-          KernelLane& lane = router_.lane(static_cast<int>(i));
-          while (lane.batcher().flush(batch)) dispatch(lane, batch);
-        }
-        if (queue_.size_approx() == 0 && router_.total_pending() == 0) break;
+        if (queue_.size_approx() == 0) break;
         continue;
       }
       park();
     }
   }
 
-  // Sleeps until the earliest lane deadline, a doorbell, or stop.  The
-  // napping_ flag is the Dekker handshake with doorbell(): we publish
-  // napping_ (seq_cst) before the final queue emptiness check, producers
-  // publish their push before loading napping_ — one side always sees the
-  // other, so a submit racing with park either gets drained by the loop or
-  // rings a bell we cannot miss.
+  // Sleeps until a doorbell or stop.  The napping_ flag is the Dekker
+  // handshake with doorbell(): we publish napping_ (seq_cst) before the
+  // final queue emptiness check, producers publish their push before
+  // loading napping_ — one side always sees the other, so a submit racing
+  // with park either gets drained by the loop or rings a bell we cannot
+  // miss.
   void park() {
     std::unique_lock<std::mutex> lock(mu_);
     napping_.store(true, std::memory_order_seq_cst);
-    const auto wake = [this] {
-      if (bell_ || stopping_.load(std::memory_order_acquire)) return true;
-      return queue_.size_approx() != 0;
-    };
-    const std::int64_t deadline = router_.next_deadline_ns();
-    if (deadline == kNoDeadline) {
-      cv_.wait(lock, wake);
-    } else {
-      const std::int64_t left = deadline - now_ns();
-      if (left > 0) cv_.wait_for(lock, std::chrono::nanoseconds(left), wake);
-    }
+    cv_.wait(lock, [this] {
+      return bell_ || stopping_.load(std::memory_order_acquire) || queue_.size_approx() != 0;
+    });
     napping_.store(false, std::memory_order_relaxed);
     bell_ = false;
   }

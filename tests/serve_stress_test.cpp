@@ -96,7 +96,7 @@ TEST(ServeStress, MultiProducerServerConservation) {
 
   ServerOptions opt;
   opt.queue_capacity = 512;  // small queue: exercises producer backpressure
-  opt.policy = {/*max_batch=*/128, /*max_wait_ns=*/100'000};
+  opt.policy = {/*max_batch=*/128, /*budget_ns=*/100'000};
   QueryServer server(opt, fixed([&](const std::int32_t* ids, std::size_t count) {
                        // Touch every id as a parallel pool job, like a real
                        // batch traversal.
@@ -156,7 +156,7 @@ TEST(ServeStress, MultiKernelPipelineConservation) {
   const std::size_t batch_caps[kKernels] = {128, 32, 1};
   for (int k = 0; k < kKernels; ++k) {
     KernelOptions kopt;
-    kopt.policy = {batch_caps[k], /*max_wait_ns=*/100'000};
+    kopt.policy = {batch_caps[k], /*budget_ns=*/100'000};
     server.register_kernel("lane" + std::to_string(k), kopt,
                            fixed([&, k](const std::int32_t* ids, std::size_t count) {
                              pool.run([&] {
@@ -215,7 +215,7 @@ TEST(ServeStress, ConcurrentStopAccountsEveryAcceptedSubmit) {
   for (int round = 0; round < kRounds; ++round) {
     ServerOptions opt;
     opt.queue_capacity = 256;
-    opt.policy = {/*max_batch=*/64, /*max_wait_ns=*/0};
+    opt.policy = {/*max_batch=*/64, /*budget_ns=*/0};
     QueryServer server(opt, fixed([](const std::int32_t*, std::size_t) {}));
     server.start();
 
@@ -283,7 +283,7 @@ TEST(ServeStress, MixedWidthLanesConservation) {
     tb::rt::HybridOptions hopt;
     hopt.t_reexp = 4 * static_cast<std::size_t>(tables[ti]->width);
     KernelOptions kopt;
-    kopt.policy = {/*max_batch=*/64, /*max_wait_ns=*/50'000};
+    kopt.policy = {/*max_batch=*/64, /*budget_ns=*/50'000};
     kopt.forced_width = tables[ti]->width;
     const int k = server.register_kernel(std::string("knn_") + tables[ti]->name, kopt,
                                          tb::serve::knn_pool_runner(pool, hopt, progs.back()));

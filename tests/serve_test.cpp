@@ -1,18 +1,26 @@
-// Tests for the query-serving layer: MPMC queue semantics, the admission
-// batcher's max-batch/max-wait/deadline policy in exact virtual time, the
-// adaptive (rate-derived) batch policy, latency percentile math, server
-// lifecycle regressions (double-stop, stop-without-start, post-stop
-// submit, backlog memory bound), the QueryServer end to end — single- and
+// Tests for the query-serving layer: MPMC queue semantics, the
+// work-conserving admission batcher and deadline shedding in exact virtual
+// time (plus a randomized check of batcher + router against a reference
+// model), latency percentile math, server lifecycle regressions
+// (double-stop, stop-without-start, post-stop submit, backlog memory
+// bound), the admission contract on a live server (no timer holds an idle
+// query, group commit), the QueryServer end to end — single- and
 // multi-kernel — against the sequential oracles, and the ISA-dispatch
 // binding of serving lanes (active-table regression, forced-width
 // validation/clamping, cross-ISA digest equivalence).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/knn.hpp"
@@ -20,10 +28,10 @@
 #include "apps/pointcorr.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/forkjoin.hpp"
+#include "runtime/xoshiro.hpp"
 #include "serve/batcher.hpp"
 #include "serve/latency.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/policy.hpp"
 #include "serve/pool_runner.hpp"
 #include "serve/queue.hpp"
 #include "serve/router.hpp"
@@ -34,8 +42,6 @@
 
 namespace {
 
-using tb::serve::AdaptiveBatchPolicy;
-using tb::serve::AdaptiveOptions;
 using tb::serve::AdmissionBatcher;
 using tb::serve::Batch;
 using tb::serve::BatchPolicy;
@@ -89,90 +95,78 @@ TEST(MpmcQueue, WrapsAroundManyGenerations) {
 // ---- AdmissionBatcher: pure virtual-time policy ---------------------------------
 
 TEST(Batcher, SizeTriggerDispatchesExactlyMaxBatch) {
-  AdmissionBatcher b({/*max_batch=*/4, /*max_wait_ns=*/1'000'000});
-  for (std::int32_t i = 0; i < 4; ++i) {
-    EXPECT_FALSE(b.ready(/*now=*/i));  // not ready before the 4th arrival
-    b.push(i, /*arrival=*/i);
-  }
-  EXPECT_TRUE(b.ready(/*now=*/3));  // full batch, no wait needed
+  AdmissionBatcher b({/*max_batch=*/4, /*budget_ns=*/1'000'000});
+  for (std::int32_t i = 0; i < 6; ++i) b.push(i, /*arrival=*/i);
   Batch out;
-  ASSERT_TRUE(b.pop_ready(/*now=*/3, out));
+  ASSERT_TRUE(b.pop(out));  // at most max_batch, oldest first
   EXPECT_EQ(out.ids, (std::vector<std::int32_t>{0, 1, 2, 3}));
   EXPECT_EQ(out.arrival_ns, (std::vector<std::int64_t>{0, 1, 2, 3}));
-  EXPECT_EQ(b.pending(), 0u);
-}
-
-TEST(Batcher, DeadlineTriggerFiresExactlyAtOldestPlusMaxWait) {
-  AdmissionBatcher b({/*max_batch=*/4, /*max_wait_ns=*/1000});
-  b.push(7, /*arrival=*/100);
-  b.push(8, /*arrival=*/500);
-  EXPECT_EQ(b.next_deadline_ns(), 1100);  // oldest arrival + max_wait
-  EXPECT_FALSE(b.ready(1099));
-  EXPECT_TRUE(b.ready(1100));  // boundary is inclusive
-  Batch out;
-  ASSERT_TRUE(b.pop_ready(1100, out));
-  EXPECT_EQ(out.ids, (std::vector<std::int32_t>{7, 8}));
+  EXPECT_EQ(b.pending(), 2u);
 }
 
 TEST(Batcher, ZeroMaxWaitServesImmediately) {
-  AdmissionBatcher b({/*max_batch=*/64, /*max_wait_ns=*/0});
-  b.push(1, 10);
-  EXPECT_TRUE(b.ready(10));  // ready the instant it arrives
-  Batch out;
-  ASSERT_TRUE(b.pop_ready(10, out));
-  EXPECT_EQ(out.size(), 1u);
+  // Work-conserving: a lone query is dispatchable the instant it arrives,
+  // whatever its lane's EDF budget.
+  for (const std::int64_t budget : {std::int64_t{0}, std::int64_t{3600} * 1'000'000'000}) {
+    AdmissionBatcher b({/*max_batch=*/64, budget});
+    b.push(1, 10);
+    Batch out;
+    ASSERT_TRUE(b.pop(out));
+    EXPECT_EQ(out.size(), 1u);
+    EXPECT_EQ(b.pending(), 0u);
+  }
 }
 
 TEST(Batcher, RemainderKeepsItsOwnDeadline) {
-  AdmissionBatcher b({/*max_batch=*/4, /*max_wait_ns=*/1000});
+  AdmissionBatcher b({/*max_batch=*/4, /*budget_ns=*/1000});
   for (std::int32_t i = 0; i < 7; ++i) b.push(i, /*arrival=*/100 + i);
+  EXPECT_EQ(b.urgency_ns(), 1100);  // oldest arrival 100 + budget
   Batch out;
-  ASSERT_TRUE(b.pop_ready(/*now=*/106, out));  // size trigger: first 4
+  ASSERT_TRUE(b.pop(out));
   EXPECT_EQ(out.ids, (std::vector<std::int32_t>{0, 1, 2, 3}));
   out.clear();
-  // Three left — below max_batch, so they wait for the 5th arrival's
-  // deadline (arrival 104 + 1000).
+  // Three left: they rank by the 5th arrival (104 + 1000) and pop next.
   EXPECT_EQ(b.pending(), 3u);
-  EXPECT_EQ(b.next_deadline_ns(), 1104);
-  EXPECT_FALSE(b.pop_ready(1103, out));
-  ASSERT_TRUE(b.pop_ready(1104, out));
+  EXPECT_EQ(b.urgency_ns(), 1104);
+  ASSERT_TRUE(b.pop(out));
   EXPECT_EQ(out.ids, (std::vector<std::int32_t>{4, 5, 6}));
 }
 
 TEST(Batcher, NextDeadlineSentinelWhenEmpty) {
   AdmissionBatcher b({4, 1000});
-  EXPECT_EQ(b.next_deadline_ns(), tb::serve::kNoDeadline);
+  EXPECT_EQ(b.urgency_ns(), tb::serve::kNoDeadline);
   b.push(0, 50);
-  EXPECT_EQ(b.next_deadline_ns(), 1050);
+  EXPECT_EQ(b.urgency_ns(), 1050);
   Batch out;
-  ASSERT_TRUE(b.flush(out));
-  EXPECT_EQ(b.next_deadline_ns(), tb::serve::kNoDeadline);
+  ASSERT_TRUE(b.pop(out));
+  EXPECT_EQ(b.urgency_ns(), tb::serve::kNoDeadline);
 }
 
 TEST(Batcher, FlushDrainsWithoutDeadline) {
-  AdmissionBatcher b({/*max_batch=*/4, /*max_wait_ns=*/1'000'000'000});
+  AdmissionBatcher b({/*max_batch=*/4, /*budget_ns=*/1'000'000'000});
   for (std::int32_t i = 0; i < 6; ++i) b.push(i, i);
   Batch out;
-  EXPECT_TRUE(b.flush(out));  // 4 (max_batch)
+  EXPECT_TRUE(b.pop(out));  // 4 (max_batch)
   EXPECT_EQ(out.size(), 4u);
   out.clear();
-  EXPECT_TRUE(b.flush(out));  // remaining 2
+  EXPECT_TRUE(b.pop(out));  // remaining 2
   EXPECT_EQ(out.size(), 2u);
   out.clear();
-  EXPECT_FALSE(b.flush(out));
+  EXPECT_FALSE(b.pop(out));
+  EXPECT_EQ(out.size(), 0u);
 }
 
 // Regression: any workload that always keeps >= 1 query pending never hits
 // the full-drain compaction, so before the threshold compaction the
 // consumed prefix of the batcher's arrays grew forever.
 TEST(Batcher, LongLivedBacklogStaysBounded) {
-  AdmissionBatcher b({/*max_batch=*/1, /*max_wait_ns=*/0});
+  AdmissionBatcher b({/*max_batch=*/1, /*budget_ns=*/0});
   b.push(0, 0);
   Batch out;
   for (std::int64_t i = 1; i <= 20000; ++i) {
     b.push(static_cast<std::int32_t>(i), i);  // backlog never drains fully
     out.clear();
-    ASSERT_TRUE(b.pop_ready(i, out));
+    ASSERT_TRUE(b.pop(out));
     ASSERT_EQ(out.size(), 1u);
     ASSERT_EQ(b.pending(), 1u);
   }
@@ -184,47 +178,37 @@ TEST(Batcher, LongLivedBacklogStaysBounded) {
 // ---- deadline-aware admission (exact virtual time) ------------------------------
 
 TEST(DeadlineAdmission, ShedsExpiredAndUnmeetableAtTheBoundary) {
-  AdmissionBatcher b({/*max_batch=*/8, /*max_wait_ns=*/1000});
+  AdmissionBatcher b({/*max_batch=*/8, /*budget_ns=*/1000});
   b.set_service_estimate(100);
-  // Already expired: deadline behind the virtual clock.
+  // Already expired: deadline behind the virtual clock sheds even into an
+  // empty batcher.
   EXPECT_FALSE(b.push(1, /*arrival=*/0, /*deadline=*/-1, /*now=*/0));
-  // Unmeetable: even an immediate dispatch lands at now + 100 > 99.
-  EXPECT_FALSE(b.push(2, 0, /*deadline=*/99, /*now=*/0));
+  // Empty batcher: the query dispatches at once and that dispatch refreshes
+  // the estimate, so the estimate alone does not shed it.
+  EXPECT_TRUE(b.push(2, 0, /*deadline=*/99, /*now=*/0));
+  // Non-empty window: even an immediate dispatch lands at now + 100 > 99.
+  EXPECT_FALSE(b.push(3, 0, /*deadline=*/99, /*now=*/0));
   EXPECT_EQ(b.shed(), 2u);
-  EXPECT_EQ(b.pending(), 0u);
-  // Exactly meetable boundary: now + 100 > 100 is false — admitted.
-  EXPECT_TRUE(b.push(3, 0, /*deadline=*/100, /*now=*/0));
   EXPECT_EQ(b.pending(), 1u);
+  // Exactly meetable boundary: now + 100 > 100 is false — admitted.
+  EXPECT_TRUE(b.push(4, 0, /*deadline=*/100, /*now=*/0));
+  EXPECT_EQ(b.pending(), 2u);
   EXPECT_EQ(b.shed(), 2u);
 }
 
 TEST(DeadlineAdmission, NoDeadlineQueriesNeverShed) {
-  AdmissionBatcher b({/*max_batch=*/8, /*max_wait_ns=*/1000});
+  AdmissionBatcher b({/*max_batch=*/8, /*budget_ns=*/1000});
   b.set_service_estimate(1'000'000'000);  // huge estimate must not matter
   EXPECT_TRUE(b.push(1, 0, kNoDeadline, /*now=*/999'999'999));
+  EXPECT_TRUE(b.push(2, 0, kNoDeadline, /*now=*/999'999'999));
   EXPECT_EQ(b.shed(), 0u);
 }
 
-TEST(DeadlineAdmission, DeadlineForcesEarlyDispatch) {
-  AdmissionBatcher b({/*max_batch=*/8, /*max_wait_ns=*/1000});
-  b.set_service_estimate(100);
-  ASSERT_TRUE(b.push(7, /*arrival=*/0, /*deadline=*/500, /*now=*/0));
-  // max-wait alone would fire at 1000; the deadline pulls dispatch forward
-  // to 500 - 100 (last instant a dispatch can still complete in time).
-  EXPECT_EQ(b.next_deadline_ns(), 400);
-  EXPECT_FALSE(b.ready(399));
-  EXPECT_TRUE(b.ready(400));
-  Batch out;
-  ASSERT_TRUE(b.pop_ready(400, out));
-  EXPECT_EQ(out.ids, (std::vector<std::int32_t>{7}));
-  EXPECT_EQ(out.deadline_ns, (std::vector<std::int64_t>{500}));
-}
-
 TEST(DeadlineAdmission, UrgencyIsTightestEffectiveDeadlineInWindow) {
-  AdmissionBatcher b({/*max_batch=*/4, /*max_wait_ns=*/1000});
+  AdmissionBatcher b({/*max_batch=*/4, /*budget_ns=*/1000});
   EXPECT_EQ(b.urgency_ns(), kNoDeadline);
   ASSERT_TRUE(b.push(1, /*arrival=*/100, kNoDeadline, /*now=*/100));
-  EXPECT_EQ(b.urgency_ns(), 1100);  // no deadline -> max-wait expiry
+  EXPECT_EQ(b.urgency_ns(), 1100);  // no deadline -> arrival + budget
   ASSERT_TRUE(b.push(2, /*arrival=*/200, /*deadline=*/900, /*now=*/200));
   EXPECT_EQ(b.urgency_ns(), 900);  // explicit deadline tightens the key
 }
@@ -240,89 +224,204 @@ TEST(DeadlineAdmission, RouterPicksEarliestDeadlineAmongReadyLanes) {
   KernelRouter router;
   const tb::serve::RunnerFactory noop = noop_lane();
   KernelOptions kopt;
-  kopt.policy = {/*max_batch=*/4, /*max_wait_ns=*/1000};
+  kopt.policy = {/*max_batch=*/4, /*budget_ns=*/1000};
   const int bulk = router.add("bulk", kopt, noop);
   const int slo = router.add("slo", kopt, noop);
-  EXPECT_EQ(router.pick_ready(/*now=*/0), -1);
-  // Bulk lane: older arrival, no deadline (effective deadline 1000).
-  ASSERT_TRUE(router.lane(bulk).admit(1, /*arrival=*/0, kNoDeadline, /*now=*/0));
+  EXPECT_EQ(router.pick(), -1);
+  // Bulk lane: older arrival, no deadline (ranks as due at 0 + 1000).
+  ASSERT_TRUE(router.lane(bulk).batcher().push(1, /*arrival=*/0, kNoDeadline, /*now=*/0));
   // SLO lane: newer arrival with a 600 deadline.
-  ASSERT_TRUE(router.lane(slo).admit(2, /*arrival=*/50, /*deadline=*/600, /*now=*/50));
-  // At t=2000 both lanes are past their triggers; EDF must pick the SLO
-  // lane despite the bulk lane's older arrival.
-  ASSERT_EQ(router.pick_ready(2000), slo);
+  ASSERT_TRUE(router.lane(slo).batcher().push(2, /*arrival=*/50, /*deadline=*/600, /*now=*/50));
+  // EDF must pick the SLO lane despite the bulk lane's older arrival.
+  ASSERT_EQ(router.pick(), slo);
   Batch out;
-  ASSERT_TRUE(router.lane(slo).batcher().pop_ready(2000, out));
-  EXPECT_EQ(router.pick_ready(2000), bulk);
-  // Park horizon is the earliest lane deadline (bulk's max-wait expiry).
-  EXPECT_EQ(router.next_deadline_ns(), 1000);
+  ASSERT_TRUE(router.lane(slo).batcher().pop(out));
+  EXPECT_EQ(router.pick(), bulk);
+  // Equal keys: the lower lane index wins.
+  ASSERT_TRUE(router.lane(slo).batcher().push(3, /*arrival=*/0, kNoDeadline, /*now=*/60));
+  EXPECT_EQ(router.pick(), bulk);
 }
 
-// ---- adaptive batch policy (exact virtual time) ---------------------------------
-
-TEST(AdaptivePolicy, StaysAtMinBatchUntilRateIsKnown) {
-  AdaptiveOptions opt;
-  opt.enabled = true;
-  opt.min_batch = 2;
-  opt.max_batch = 64;
-  opt.target_window_ns = 1000;
-  AdaptiveBatchPolicy p(opt);
-  EXPECT_EQ(p.current().max_batch, 2u);  // no arrivals
-  EXPECT_EQ(p.current().max_wait_ns, 1000);
-  p.observe_arrival(0);
-  EXPECT_EQ(p.current().max_batch, 2u);  // one arrival: still no gap
+// Regression for the deadline-shed spiral: the service estimate refreshes
+// only when a batch dispatches, so one slow batch that lifted it past the
+// deadline budget used to shed every later deadline query — and with
+// nothing dispatching, the estimate never came back down.  A query that
+// arrives at an empty lane dispatches at once and refreshes it.
+TEST(DeadlineAdmission, OneSlowBatchDoesNotShedEveryLaterQuery) {
+  KernelRouter router;
+  KernelOptions kopt;
+  kopt.policy = {/*max_batch=*/64, /*budget_ns=*/1'000'000};
+  const int k = router.add("knn", kopt, noop_lane());
+  tb::serve::KernelLane& lane = router.lane(k);
+  std::int64_t now = 0;
+  std::int32_t id = 0;
+  Batch out;
+  // Serve one arrival (deadline `rel` after it, 0 = none) if admitted; each
+  // batch takes `service` ns of virtual time.
+  const auto serve_one = [&](std::int64_t rel, std::int64_t service) {
+    const bool admitted = lane.batcher().push(id++, now, rel > 0 ? now + rel : kNoDeadline, now);
+    if (router.pick() == k) {
+      lane.batcher().pop(out);
+      lane.record_dispatch(out, now, now + service);
+      out.clear();
+    }
+    return admitted;
+  };
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(serve_one(0, 200'000));  // 200 us batches
+    now += 1'000'000;
+  }
+  ASSERT_TRUE(serve_one(0, 10'000'000));  // one 10 ms batch
+  now += 10'000'000;
+  ASSERT_EQ(lane.batcher().service_estimate_ns(), 2'650'000);  // past a 2 ms budget
+  // 50,000 arrivals at 5,000 q/s, each due 2 ms after arrival.
+  for (int i = 0; i < 50'000; ++i) {
+    serve_one(2'000'000, 200'000);
+    now += 200'000;
+  }
+  EXPECT_EQ(lane.shed(), 0u);
+  EXPECT_EQ(lane.completed(), 50'021u);
+  EXPECT_EQ(lane.served_late(), 0u);
+  EXPECT_EQ(lane.batcher().service_estimate_ns(), 200'000);
 }
 
-TEST(AdaptivePolicy, SteadyRateFillsTheTargetWindow) {
-  AdaptiveOptions opt;
-  opt.enabled = true;
-  opt.max_batch = 64;
-  opt.target_window_ns = 1000;
-  opt.ewma_shift = 3;
-  AdaptiveBatchPolicy p(opt);
-  // Arrivals every 100 ns: a 1000 ns window is expected to hold 10.
-  for (std::int64_t t = 0; t <= 500; t += 100) p.observe_arrival(t);
-  EXPECT_EQ(p.ewma_gap_ns(), 100);
-  EXPECT_EQ(p.current().max_batch, 10u);
-  EXPECT_EQ(p.current().max_wait_ns, 1000);
-}
+// ---- model-based admission (exact virtual time) ----------------------------------
 
-TEST(AdaptivePolicy, EwmaStepIsExact) {
-  AdaptiveOptions opt;
-  opt.enabled = true;
-  opt.max_batch = 64;
-  opt.target_window_ns = 1000;
-  opt.ewma_shift = 3;
-  AdaptiveBatchPolicy p(opt);
-  p.observe_arrival(0);
-  p.observe_arrival(100);  // seeds ewma = 100
-  p.observe_arrival(110);  // gap 10: ewma += (10 - 100) >> 3 = -12 -> 88
-  EXPECT_EQ(p.ewma_gap_ns(), 88);
-  EXPECT_EQ(p.current().max_batch, 11u);  // 1000 / 88
-}
+// Reference model of batcher + router: per-lane FIFO, shed on a passed
+// deadline or (into a non-empty window) on now + estimate, EDF pick over
+// each lane's next window with ties to the lower index, and an EWMA
+// (seeded by the first batch) of measured service times.
+struct ModelLane {
+  struct Query {
+    std::int32_t id = 0;
+    std::int64_t arrival = 0, deadline = kNoDeadline;
+  };
+  std::size_t max_batch = 1;
+  std::int64_t budget = 0;
+  std::deque<Query> q;
+  std::int64_t est = 0;
+  std::size_t batches = 0, shed = 0, late = 0, admitted = 0, dispatched = 0;
 
-TEST(AdaptivePolicy, ClampsToMinAndMaxBatch) {
-  AdaptiveOptions opt;
-  opt.enabled = true;
-  opt.min_batch = 1;
-  opt.max_batch = 64;
-  opt.target_window_ns = 1000;
-  // Burst (gap 1 ns): window/gap = 1000, clamped to 64.
-  AdaptiveBatchPolicy fast(opt);
-  fast.observe_arrival(0);
-  fast.observe_arrival(1);
-  EXPECT_EQ(fast.current().max_batch, 64u);
-  // Sparse (gap 5000 ns > window): window/gap = 0, clamped to 1.
-  AdaptiveBatchPolicy slow(opt);
-  slow.observe_arrival(0);
-  slow.observe_arrival(5000);
-  EXPECT_EQ(slow.current().max_batch, 1u);
-  // Out-of-order stamp clamps to a zero gap instead of going negative.
-  AdaptiveBatchPolicy unordered(opt);
-  unordered.observe_arrival(100);
-  unordered.observe_arrival(50);
-  EXPECT_EQ(unordered.ewma_gap_ns(), 0);
-  EXPECT_EQ(unordered.current().max_batch, 64u);
+  bool admit(const Query& query, std::int64_t now) {
+    const std::int64_t horizon = q.empty() ? 0 : est;
+    if (query.deadline != kNoDeadline && now + horizon > query.deadline) {
+      ++shed;
+      return false;
+    }
+    q.push_back(query);
+    ++admitted;
+    return true;
+  }
+  std::int64_t urgency() const {
+    std::int64_t u = kNoDeadline;
+    for (std::size_t i = 0; i < std::min(q.size(), max_batch); ++i) {
+      u = std::min(u, q[i].deadline != kNoDeadline ? q[i].deadline : q[i].arrival + budget);
+    }
+    return u;
+  }
+};
+
+TEST(AdmissionModel, RandomOpsMatchReferenceModel) {
+  constexpr int kOps = 12'000;
+  const std::size_t batch_caps[] = {1, 2, 3, 8};
+  const std::int64_t budgets[] = {0, 100'000, 1'000'000};
+  // Times are whole ticks so that EDF keys often tie across lanes.
+  constexpr std::int64_t kTick = 10'000;
+  std::size_t compactions = 0;  // pops that compacted a still-pending window
+  std::size_t ties = 0;         // picks between lanes with equal keys
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    tb::rt::Xoshiro256 rng(seed);
+    const auto below = [&](std::uint32_t n) { return static_cast<std::int64_t>(rng.below(n)); };
+    const int lanes = 1 + static_cast<int>(rng.below(3));
+    // Admit share 50-70%: the higher shares build a backlog that never
+    // drains, which exercises the consumed-prefix compaction.
+    const std::int64_t admit_pct = 50 + 10 * below(3);
+    KernelRouter router;
+    std::vector<ModelLane> model;
+    for (int k = 0; k < lanes; ++k) {
+      KernelOptions kopt;
+      kopt.policy = {batch_caps[rng.below(4)], budgets[rng.below(3)]};
+      router.add("lane" + std::to_string(k), kopt, noop_lane());
+      ModelLane m;
+      m.max_batch = kopt.policy.max_batch;
+      m.budget = kopt.policy.budget_ns;
+      model.push_back(m);
+    }
+    std::int64_t now = 1'000'000'000;
+    std::int32_t next_id = 0;
+    Batch out;
+    for (int op = 0; op < kOps; ++op) {
+      if (below(100) < admit_pct) {
+        now += kTick * below(5);
+        const int k = static_cast<int>(rng.below(static_cast<std::uint32_t>(lanes)));
+        const std::int64_t arrival = now - kTick * below(3);
+        // Half carry a deadline, from already passed to 5 ms out.
+        const std::int64_t deadline =
+            rng.below(2) == 0 ? kNoDeadline : arrival + kTick * (below(511) - 10);
+        const ModelLane::Query query{next_id++, arrival, deadline};
+        ASSERT_EQ(router.lane(k).batcher().push(query.id, arrival, deadline, now),
+                  model[static_cast<std::size_t>(k)].admit(query, now))
+            << "op " << op;
+      } else {
+        int want = -1;
+        std::int64_t best = kNoDeadline;
+        for (int k = 0; k < lanes; ++k) {
+          const ModelLane& m = model[static_cast<std::size_t>(k)];
+          if (m.q.empty()) continue;
+          if (want != -1 && m.urgency() == best) ++ties;
+          if (want == -1 || m.urgency() < best) {
+            want = k;
+            best = m.urgency();
+          }
+        }
+        const int k = router.pick();
+        ASSERT_EQ(k, want) << "op " << op;
+        if (k < 0) continue;
+        ModelLane& m = model[static_cast<std::size_t>(k)];
+        out.clear();
+        const std::size_t held = router.lane(k).batcher().buffered();
+        ASSERT_TRUE(router.lane(k).batcher().pop(out));
+        const AdmissionBatcher& b = router.lane(k).batcher();
+        if (b.pending() > 0 && b.buffered() < held) ++compactions;
+        const std::size_t n = std::min(m.q.size(), m.max_batch);
+        ASSERT_EQ(out.size(), n) << "op " << op;
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out.ids[i], m.q[i].id) << "op " << op;
+          ASSERT_EQ(out.arrival_ns[i], m.q[i].arrival) << "op " << op;
+          ASSERT_EQ(out.deadline_ns[i], m.q[i].deadline) << "op " << op;
+        }
+        // Mostly sub-millisecond batches, now and then a 10 ms stall.
+        const std::int64_t service = below(20) == 0 ? 10'000'000 : kTick * (1 + below(150));
+        router.lane(k).record_dispatch(out, now, now + service);
+        now += service;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (m.q.front().deadline != kNoDeadline && now > m.q.front().deadline) ++m.late;
+          m.q.pop_front();
+        }
+        m.est = m.batches == 0
+                    ? service
+                    : m.est + ((service - m.est) >> tb::serve::KernelLane::kServiceEwmaShift);
+        ++m.batches;
+        m.dispatched += n;
+      }
+      for (int k = 0; k < lanes; ++k) {
+        const tb::serve::KernelLane& lane = router.lane(k);
+        const ModelLane& m = model[static_cast<std::size_t>(k)];
+        const AdmissionBatcher& b = lane.batcher();
+        ASSERT_EQ(b.pending(), m.q.size()) << "op " << op;
+        ASSERT_EQ(m.admitted, m.dispatched + b.pending());
+        ASSERT_EQ(lane.completed(), m.dispatched);
+        ASSERT_EQ(lane.shed(), m.shed);
+        ASSERT_EQ(lane.served_late(), m.late);
+        ASSERT_EQ(b.service_estimate_ns(), m.est);
+        ASSERT_LE(b.buffered() - b.pending(),
+                  std::max(AdmissionBatcher::kCompactThreshold, b.pending()));
+      }
+    }
+  }
+  EXPECT_GT(compactions, 0u) << "no seed exercised the consumed-prefix compaction";
+  EXPECT_GT(ties, 0u) << "no seed exercised an EDF tie";
 }
 
 // ---- latency percentiles --------------------------------------------------------
@@ -372,7 +471,7 @@ struct CountingRunner {
 TEST(QueryServer, ServesEveryQueryExactlyOnce) {
   CountingRunner cr;
   ServerOptions opt;
-  opt.policy = {/*max_batch=*/8, /*max_wait_ns=*/100'000};
+  opt.policy = {/*max_batch=*/8, /*budget_ns=*/100'000};
   QueryServer server(opt, cr.runner());
   server.start();
   constexpr std::int32_t kN = 500;
@@ -392,8 +491,9 @@ TEST(QueryServer, ServesEveryQueryExactlyOnce) {
 TEST(QueryServer, StopDrainsPendingPartialBatch) {
   CountingRunner cr;
   ServerOptions opt;
-  // Huge max_wait: without the shutdown flush these would never dispatch.
-  opt.policy = {/*max_batch=*/64, /*max_wait_ns=*/std::int64_t{3600} * 1'000'000'000};
+  // stop() returns only once everything admitted was served, even under a
+  // 1 h budget.
+  opt.policy = {/*max_batch=*/64, /*budget_ns=*/std::int64_t{3600} * 1'000'000'000};
   QueryServer server(opt, cr.runner());
   server.start();
   for (std::int32_t i = 0; i < 10; ++i) server.submit(i, tb::serve::now_ns());
@@ -404,7 +504,7 @@ TEST(QueryServer, StopDrainsPendingPartialBatch) {
 TEST(QueryServer, LoadGeneratorOffersAllQueries) {
   CountingRunner cr;
   ServerOptions opt;
-  opt.policy = {/*max_batch=*/16, /*max_wait_ns=*/200'000};
+  opt.policy = {/*max_batch=*/16, /*budget_ns=*/200'000};
   QueryServer server(opt, cr.runner());
   server.start();
   tb::serve::LoadGenOptions lg;
@@ -442,7 +542,7 @@ TEST(QueryServer, KnnServeMatchesSequentialOracle) {
   hopt.t_reexp = 4 * static_cast<std::size_t>(tb::simd::kernels().width);
 
   ServerOptions opt;
-  opt.policy = {/*max_batch=*/32, /*max_wait_ns=*/200'000};
+  opt.policy = {/*max_batch=*/32, /*budget_ns=*/200'000};
   QueryServer server(opt, tb::serve::knn_pool_runner(pool, hopt, prog));
   // Dispatch-native: the lane is bound to the process-wide active table.
   EXPECT_EQ(&server.serving_table(), &tb::simd::kernels());
@@ -467,6 +567,97 @@ TEST(QueryServer, KnnServeMatchesSequentialOracle) {
   }
 }
 
+// ---- admission contract on a live server ----------------------------------------
+
+// Polls `done` until it holds or 10 s pass; true when it held.
+bool eventually(const std::function<bool()>& done) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Records every batch; while `held` is set, the next batch blocks inside
+// the runner until release() — holding the admission thread mid-dispatch.
+struct GatedRunner {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::vector<std::int32_t>> batches;
+  std::size_t seen = 0;
+  bool held = false;
+  bool inside = false;
+
+  tb::serve::RunnerFactory runner() {
+    return [this](const tb::simd::KernelTable&) -> QueryServer::BatchRunner {
+      return [this](const std::int32_t* ids, std::size_t count) {
+        std::unique_lock<std::mutex> lock(mu);
+        batches.emplace_back(ids, ids + count);
+        seen += count;
+        inside = true;
+        cv.wait(lock, [this] { return !held; });
+        inside = false;
+      };
+    };
+  }
+  bool saw(std::size_t n) {
+    const std::lock_guard<std::mutex> lock(mu);
+    return seen >= n;
+  }
+  void release() {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      held = false;
+    }
+    cv.notify_all();
+  }
+};
+
+// Work conservation: no timer holds a query on an idle server, however
+// large its lane's EDF budget.
+TEST(AdmissionContract, IdleQueryDispatchesBeforeStop) {
+  GatedRunner gr;
+  ServerOptions opt;
+  opt.policy = {/*max_batch=*/64, /*budget_ns=*/std::int64_t{3600} * 1'000'000'000};
+  QueryServer server(opt, gr.runner());
+  server.start();
+  ASSERT_TRUE(server.submit(7, tb::serve::now_ns()));
+  EXPECT_TRUE(eventually([&] { return gr.saw(1); })) << "the query waited for stop()";
+  server.stop();
+  EXPECT_EQ(server.completed(), 1u);
+  EXPECT_EQ(gr.batches, (std::vector<std::vector<std::int32_t>>{{7}}));
+}
+
+// Group commit: the queries that arrive while a batch runs form the next
+// dispatch — exactly those, in arrival order, split at max_batch.
+TEST(AdmissionContract, ArrivalsDuringADispatchFormTheNextBatches) {
+  GatedRunner gr;
+  gr.held = true;
+  ServerOptions opt;
+  opt.policy = {/*max_batch=*/4, /*budget_ns=*/std::int64_t{3600} * 1'000'000'000};
+  QueryServer server(opt, gr.runner());
+  // Declared after the server so it opens the gate before the server's
+  // destructor stops it, even when an assertion below returns early.
+  const struct Opener {
+    GatedRunner& g;
+    ~Opener() { g.release(); }
+  } opener{gr};
+  server.start();
+  ASSERT_TRUE(server.submit(0, tb::serve::now_ns()));
+  ASSERT_TRUE(eventually([&] {
+    const std::lock_guard<std::mutex> lock(gr.mu);
+    return gr.inside;
+  })) << "the first query waited for stop()";
+  for (std::int32_t i = 1; i <= 10; ++i) ASSERT_TRUE(server.submit(i, tb::serve::now_ns()));
+  gr.release();
+  ASSERT_TRUE(eventually([&] { return gr.saw(11); }));
+  server.stop();
+  const std::vector<std::vector<std::int32_t>> want = {{0}, {1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10}};
+  EXPECT_EQ(gr.batches, want);
+  EXPECT_EQ(server.max_batch_seen(), 4u);
+}
+
 // ---- lifecycle regressions ------------------------------------------------------
 
 // Regression: stop() joined a non-joinable thread (std::system_error) when
@@ -481,7 +672,7 @@ TEST(ServerLifecycle, StopWithoutStartIsSafe) {
 TEST(ServerLifecycle, DoubleStopIsIdempotent) {
   CountingRunner cr;
   ServerOptions opt;
-  opt.policy = {/*max_batch=*/8, /*max_wait_ns=*/0};
+  opt.policy = {/*max_batch=*/8, /*budget_ns=*/0};
   QueryServer server(opt, cr.runner());
   server.start();
   for (std::int32_t i = 0; i < 20; ++i) server.submit(i, tb::serve::now_ns());
@@ -536,7 +727,7 @@ TEST(MultiKernel, RoutesEachKernelToItsOwnRunner) {
   CountingRunner even, odd;
   QueryServer server(ServerOptions{});
   KernelOptions kopt;
-  kopt.policy = {/*max_batch=*/8, /*max_wait_ns=*/100'000};
+  kopt.policy = {/*max_batch=*/8, /*budget_ns=*/100'000};
   const int ke = server.register_kernel("even", kopt, even.runner());
   const int ko = server.register_kernel("odd", kopt, odd.runner());
   EXPECT_EQ(server.kernels(), 2u);
@@ -604,7 +795,7 @@ TEST(MultiKernel, ThreeKernelServeMatchesSequentialOracles) {
 
   QueryServer server(ServerOptions{});
   KernelOptions kopt;
-  kopt.policy = {/*max_batch=*/32, /*max_wait_ns=*/200'000};
+  kopt.policy = {/*max_batch=*/32, /*budget_ns=*/200'000};
   const int k_knn =
       server.register_kernel("knn", kopt, tb::serve::knn_pool_runner(pool, hopt, knn_prog));
   const int k_pc = server.register_kernel(
@@ -659,7 +850,7 @@ TEST(DeadlineServe, ExpiredDeadlinesAreShedNotServed) {
 TEST(DeadlineServe, GenerousDeadlinesAllServedOnTime) {
   CountingRunner cr;
   ServerOptions opt;
-  opt.policy = {/*max_batch=*/8, /*max_wait_ns=*/100'000};
+  opt.policy = {/*max_batch=*/8, /*budget_ns=*/100'000};
   QueryServer server(opt, cr.runner());
   server.start();
   constexpr std::int32_t kN = 200;
@@ -770,7 +961,7 @@ TEST(ServeDispatch, CrossIsaServeEquivalenceMatrix) {
     opt.forced_width = tab->width;
     QueryServer server(opt);
     KernelOptions kopt;
-    kopt.policy = {kMaxBatch, /*max_wait_ns=*/200'000};
+    kopt.policy = {kMaxBatch, /*budget_ns=*/200'000};
     const int k_knn = server.register_kernel(
         "knn", kopt, tb::serve::knn_pool_runner(pool, hopt, knn_prog));
     const int k_pc = server.register_kernel(
@@ -874,51 +1065,39 @@ TEST(ServeDispatch, ClampRuleIsPure) {
   EXPECT_EQ(clamp_serve_width(4, weird, 2), 8);
 }
 
-// Satellite: admission policy behavior (EDF arbitration, deadline shed,
-// adaptive batch sizing) is a pure function of virtual time and must not
-// depend on which table a lane is bound to.  Replays one scenario per
-// runnable table and compares every observable against the width-0 run.
+// Satellite: admission policy behavior (EDF arbitration, deadline shed)
+// is a pure function of virtual time and must not depend on which table a
+// lane is bound to.  Replays one scenario per runnable table and compares
+// every observable against the width-0 run.
 TEST(ServeDispatch, TableChoiceDoesNotAffectAdmissionPolicies) {
   struct Observed {
     std::vector<int> picks;
     std::size_t bulk_shed = 0;
     std::size_t slo_shed = 0;
-    std::int64_t park_horizon = 0;
-    std::size_t adaptive_batch = 0;
   };
   const auto replay = [](int forced_width) {
     const tb::serve::RunnerFactory noop = noop_lane();
     KernelRouter router;
     KernelOptions kopt;
-    kopt.policy = {/*max_batch=*/4, /*max_wait_ns=*/1000};
-    kopt.initial_service_estimate_ns = 100;
+    kopt.policy = {/*max_batch=*/4, /*budget_ns=*/1000};
     kopt.forced_width = forced_width;
-    KernelOptions aopt = kopt;
-    aopt.adaptive.enabled = true;
-    aopt.adaptive.max_batch = 64;
-    aopt.adaptive.target_window_ns = 1000;
     const int bulk = router.add("bulk", kopt, noop);
-    const int slo = router.add("slo", aopt, noop);
+    const int slo = router.add("slo", kopt, noop);
+    router.lane(slo).batcher().set_service_estimate(100);
 
     Observed o;
     // Bulk: old arrival, no deadline.  SLO: newer arrival, 600 deadline,
     // plus one unmeetable deadline that must shed (service estimate 100).
-    router.lane(bulk).admit(1, /*arrival=*/0, kNoDeadline, /*now=*/0);
-    router.lane(slo).admit(2, /*arrival=*/50, /*deadline=*/600, /*now=*/50);
-    router.lane(slo).admit(3, /*arrival=*/60, /*deadline=*/120, /*now=*/60);
-    o.park_horizon = router.next_deadline_ns();
+    router.lane(bulk).batcher().push(1, /*arrival=*/0, kNoDeadline, /*now=*/0);
+    router.lane(slo).batcher().push(2, /*arrival=*/50, /*deadline=*/600, /*now=*/50);
+    router.lane(slo).batcher().push(3, /*arrival=*/60, /*deadline=*/120, /*now=*/60);
     Batch out;
     int k;
-    while ((k = router.pick_ready(/*now=*/2000)) != -1) {
+    while ((k = router.pick()) != -1) {
       o.picks.push_back(k);
-      router.lane(k).batcher().pop_ready(2000, out);
+      router.lane(k).batcher().pop(out);
       out.clear();
     }
-    // Adaptive lane: steady 100 ns gaps derive the same policy everywhere.
-    for (std::int64_t t = 3000; t <= 3500; t += 100) {
-      router.lane(slo).admit(9, t, kNoDeadline, t);
-    }
-    o.adaptive_batch = router.lane(slo).batcher().policy().max_batch;
     o.bulk_shed = router.lane(bulk).shed();
     o.slo_shed = router.lane(slo).shed();
     return o;
@@ -926,6 +1105,7 @@ TEST(ServeDispatch, TableChoiceDoesNotAffectAdmissionPolicies) {
 
   const Observed want = replay(/*forced_width=*/0);
   EXPECT_EQ(want.slo_shed, 1u);  // the unmeetable deadline
+  EXPECT_EQ(want.picks, (std::vector<int>{1, 0}));
   int count = 0;
   const tb::simd::KernelTable* const* tables = tb::simd::available_tables(count);
   for (int ti = 0; ti < count; ++ti) {
@@ -934,8 +1114,6 @@ TEST(ServeDispatch, TableChoiceDoesNotAffectAdmissionPolicies) {
     EXPECT_EQ(got.picks, want.picks);
     EXPECT_EQ(got.bulk_shed, want.bulk_shed);
     EXPECT_EQ(got.slo_shed, want.slo_shed);
-    EXPECT_EQ(got.park_horizon, want.park_horizon);
-    EXPECT_EQ(got.adaptive_batch, want.adaptive_batch);
   }
 }
 
