@@ -3,11 +3,11 @@
 // The same textual program runs through five tiers:
 //
 //   ast      — AST-walking interpreter per task (the naive front-end)
-//   vm       — scalar bytecode VM per task (compiled, short-circuit jumps)
-//   jit      — the same scalar bytecode compiled to native x64 step
-//              functions (spec/jit/): no dispatch, stack slots in registers
-//   vm+simd  — block bytecode VM: straight-line blocked dialect evaluated
-//              4 lanes at a time with masked child compaction
+//   vm       — bytecode interpreter per task (compiled, jump-free)
+//   jit      — the same bytecode compiled to native x64 step functions
+//              (spec/jit/): no dispatch, stack slots in registers
+//   vm+simd  — block VM: the same bytecode evaluated 4 lanes at a time
+//              with masked child compaction
 //   native   — the equivalent hand-written C++ kernel's SIMD rung
 //              (the ceiling the compiler pipeline is chasing)
 //

@@ -1,9 +1,9 @@
 // The full §5 compiler pipeline, end to end: parse a recursive method from
-// text, compile it to stack bytecode in both dialects (scalar short-circuit
-// and blocked jump-free), print the disassembly, then execute the *same
-// program text* at three tiers — AST interpreter, scalar bytecode VM, and
-// the 4-lane block VM with masked child compaction — through the restart
-// scheduler, verifying they agree.
+// text, compile it once to straight-line stack bytecode, print the
+// disassembly, then execute the *same program text* at three tiers — AST
+// interpreter, per-task bytecode (jitted where supported), and the 4-lane
+// block VM with masked child compaction — through the restart scheduler,
+// verifying they agree.
 //
 // Usage: ./spec_compiler [file.spec [root-args...]]
 // With no arguments, runs a built-in binomial-coefficient program.  Sources
@@ -83,10 +83,8 @@ int main(int argc, char** argv) {
   }
   spec::SpecProgram ast(std::move(unit.method));
 
-  std::printf("=== scalar dialect (short-circuit jumps) ===\n%s\n",
-              vm.scalar_method().disassemble().c_str());
-  std::printf("=== blocked dialect (jump-free, block-VM input) ===\n%s\n",
-              vm.blocked_method().disassemble().c_str());
+  std::printf("=== bytecode (jump-free; %s per task, block VM per 4 tasks) ===\n%s\n",
+              vm.jit_active() ? "jitted" : "interpreted", vm.method().disassemble().c_str());
 
   const std::vector<spec::SpecProgram::Task>& ast_roots = roots;
   const std::vector<spec::SpecProgram::Task>& vm_roots = roots;

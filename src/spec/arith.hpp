@@ -5,9 +5,9 @@
 // INT64_MIN / -1 wraps to INT64_MIN.  Totality is what lets blocked
 // execution evaluate every lane of a task block eagerly under a mask (the
 // paper's §6 masked-SIMD discipline) without lane-dependent traps, and
-// wrap-around keeps the AST interpreter, the constant folder, the scalar
-// VM, and the block VM bit-identical on any input — including the random
-// expressions the property tests generate.
+// wrap-around keeps the AST interpreter, the constant folder, the bytecode
+// interpreter, the JIT and the block VM bit-identical on any input —
+// including the random expressions the property tests generate.
 #pragma once
 
 #include <cstdint>

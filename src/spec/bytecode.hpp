@@ -9,16 +9,18 @@
 // lanes eagerly under a mask, exactly the masked-execution discipline the
 // paper's hand-vectorized kernels use (§6).
 //
-// Two dialects share the opcode set:
-//   * scalar chunks may use short-circuit jumps (JumpIfZero/JumpIfNonZero)
-//     for && and ||;
-//   * blocked chunks are jump-free (logic is eager: LogicAnd/LogicOr), so
-//     every lane runs the same straight-line instruction sequence.
+// Chunks are straight-line: there are no jumps, && and || are eager
+// (LogicAnd/LogicOr), so every lane of a block runs the same instruction
+// sequence and every program point has one static stack depth.  The one
+// stack-effect table below gives each opcode's pops and pushes; the
+// verifier and the JIT both walk it.
 //
-// A chunk carries its own static verifier (stack-effect analysis) and a
-// disassembler for debugging and tests.
+// A chunk carries its own static verifier and a disassembler for debugging
+// and tests.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -51,45 +53,34 @@ enum class OpCode : std::uint8_t {
   LogicAnd,    // eager: (a != 0) & (b != 0)
   LogicOr,     // eager: (a != 0) | (b != 0)
   Bool,        // normalize: push(pop() != 0)
-  // Control flow (scalar dialect only).  The jump is relative to the *next*
-  // instruction; the tested value stays on the stack when the jump is taken
-  // and is popped otherwise (the classic short-circuit encoding).
-  JumpIfZero,
-  JumpIfNonZero,
   Return,      // stop; the result is the single remaining stack slot
 };
 
-inline const char* mnemonic(OpCode op) {
-  switch (op) {
-    case OpCode::PushConst: return "push.const";
-    case OpCode::PushParam: return "push.param";
-    case OpCode::Add: return "add";
-    case OpCode::Sub: return "sub";
-    case OpCode::Mul: return "mul";
-    case OpCode::Div: return "div";
-    case OpCode::Mod: return "mod";
-    case OpCode::Neg: return "neg";
-    case OpCode::Shl: return "shl";
-    case OpCode::CmpEq: return "cmp.eq";
-    case OpCode::CmpNe: return "cmp.ne";
-    case OpCode::CmpLt: return "cmp.lt";
-    case OpCode::CmpLe: return "cmp.le";
-    case OpCode::CmpGt: return "cmp.gt";
-    case OpCode::CmpGe: return "cmp.ge";
-    case OpCode::LogicNot: return "not";
-    case OpCode::LogicAnd: return "and";
-    case OpCode::LogicOr: return "or";
-    case OpCode::Bool: return "bool";
-    case OpCode::JumpIfZero: return "jz";
-    case OpCode::JumpIfNonZero: return "jnz";
-    case OpCode::Return: return "ret";
-  }
-  return "?";
+// Stack effect and mnemonic of one opcode, indexed by its byte value.
+struct OpInfo {
+  const char* mnemonic;
+  int pops;
+  int pushes;
+};
+
+inline constexpr std::array<OpInfo, 20> kOpInfo = {{
+    {"push.const", 0, 1}, {"push.param", 0, 1}, {"add", 2, 1},    {"sub", 2, 1},
+    {"mul", 2, 1},        {"div", 2, 1},        {"mod", 2, 1},    {"neg", 1, 1},
+    {"shl", 1, 1},        {"cmp.eq", 2, 1},     {"cmp.ne", 2, 1}, {"cmp.lt", 2, 1},
+    {"cmp.le", 2, 1},     {"cmp.gt", 2, 1},     {"cmp.ge", 2, 1}, {"not", 1, 1},
+    {"and", 2, 1},        {"or", 2, 1},         {"bool", 1, 1},   {"ret", 1, 0},
+}};
+static_assert(kOpInfo.size() == static_cast<std::size_t>(OpCode::Return) + 1);
+
+// Null for a byte outside the opcode set.
+inline const OpInfo* op_info(OpCode op) {
+  const auto i = static_cast<std::size_t>(op);
+  return i < kOpInfo.size() ? &kOpInfo[i] : nullptr;
 }
 
 struct Instr {
   OpCode op;
-  std::int32_t arg = 0;  // const-pool index, param index, shift amount, or jump offset
+  std::int32_t arg = 0;  // const-pool index, param index, or shift amount
 
   friend bool operator==(const Instr&, const Instr&) = default;
 };
@@ -104,16 +95,6 @@ struct VerifyResult {
 class Chunk {
 public:
   void emit(OpCode op, std::int32_t arg = 0) { code_.push_back({op, arg}); }
-
-  // Returns the index of the emitted instruction (for later patching).
-  std::size_t emit_jump(OpCode op) {
-    code_.push_back({op, 0});
-    return code_.size() - 1;
-  }
-  // Point the jump at `at` to the instruction *after* the current end.
-  void patch_jump_to_here(std::size_t at) {
-    code_[at].arg = static_cast<std::int32_t>(code_.size() - (at + 1));
-  }
 
   std::int32_t add_const(std::int64_t v) {
     for (std::size_t i = 0; i < consts_.size(); ++i) {
@@ -136,128 +117,56 @@ public:
     return std::nullopt;
   }
 
-  bool has_jumps() const {
-    for (const Instr& in : code_) {
-      if (in.op == OpCode::JumpIfZero || in.op == OpCode::JumpIfNonZero) return true;
-    }
-    return false;
-  }
-
   // ---- static verification ---------------------------------------------------
   //
-  // Abstract interpretation over stack depths: walks the instruction list,
-  // tracking the depth at each program point; jump targets must agree on
-  // depth from every incoming edge.  Rejects underflow, out-of-range
-  // operands, missing/early Return, and inconsistent join depths.  The
-  // returned max depth lets VMs allocate fixed-size evaluation stacks.
+  // One straight-line pass over the stack-effect table.  Rejects unknown
+  // opcodes, underflow, out-of-range operands, and a `ret` that is missing,
+  // early, or not at depth 1.  The returned max depth lets VMs allocate
+  // fixed-size evaluation stacks.
   VerifyResult verify(int arity) const {
     VerifyResult res;
+    const auto fail = [&res](const std::string& what, std::size_t i) {
+      res.error = what + " at " + std::to_string(i);
+      return res;
+    };
     if (code_.empty() || code_.back().op != OpCode::Return) {
       res.error = "chunk must end with ret";
       return res;
     }
-    std::vector<int> depth_at(code_.size() + 1, -1);  // -1 = not yet reached
-    depth_at[0] = 0;
-    int max_depth = 0;
+    int depth = 0;
     for (std::size_t i = 0; i < code_.size(); ++i) {
-      const int d = depth_at[i];
-      if (d < 0) {
-        res.error = "unreachable instruction at " + std::to_string(i);
-        return res;
+      const Instr in = code_[i];
+      const OpInfo* info = op_info(in.op);
+      if (info == nullptr) {
+        return fail("unknown opcode " + std::to_string(static_cast<int>(in.op)), i);
       }
-      const Instr& in = code_[i];
-      int out = d;
+      if (depth < info->pops) return fail("stack underflow", i);
       switch (in.op) {
         case OpCode::PushConst:
           if (in.arg < 0 || static_cast<std::size_t>(in.arg) >= consts_.size()) {
-            res.error = "const index out of range at " + std::to_string(i);
-            return res;
+            return fail("const index out of range", i);
           }
-          out = d + 1;
           break;
         case OpCode::PushParam:
-          if (in.arg < 0 || in.arg >= arity) {
-            res.error = "param index out of range at " + std::to_string(i);
-            return res;
-          }
-          out = d + 1;
+          if (in.arg < 0 || in.arg >= arity) return fail("param index out of range", i);
           break;
-        case OpCode::Neg:
-        case OpCode::LogicNot:
-        case OpCode::Bool:
-          if (d < 1) {
-            res.error = "stack underflow at " + std::to_string(i);
-            return res;
-          }
-          break;  // depth unchanged
         case OpCode::Shl:
-          if (d < 1) {
-            res.error = "stack underflow at " + std::to_string(i);
-            return res;
-          }
-          if (in.arg < 0 || in.arg > 62) {
-            res.error = "shift amount out of range at " + std::to_string(i);
-            return res;
-          }
+          if (in.arg < 0 || in.arg > 62) return fail("shift amount out of range", i);
           break;
-        case OpCode::Add:
-        case OpCode::Sub:
-        case OpCode::Mul:
-        case OpCode::Div:
-        case OpCode::Mod:
-        case OpCode::CmpEq:
-        case OpCode::CmpNe:
-        case OpCode::CmpLt:
-        case OpCode::CmpLe:
-        case OpCode::CmpGt:
-        case OpCode::CmpGe:
-        case OpCode::LogicAnd:
-        case OpCode::LogicOr:
-          if (d < 2) {
-            res.error = "stack underflow at " + std::to_string(i);
-            return res;
-          }
-          out = d - 1;
-          break;
-        case OpCode::JumpIfZero:
-        case OpCode::JumpIfNonZero: {
-          if (d < 1) {
-            res.error = "stack underflow at " + std::to_string(i);
-            return res;
-          }
-          const std::size_t target = i + 1 + static_cast<std::size_t>(in.arg);
-          if (in.arg < 0 || target > code_.size() - 1) {
-            res.error = "jump out of range at " + std::to_string(i);
-            return res;
-          }
-          // Taken edge keeps the tested value (depth d); fall-through pops it.
-          if (depth_at[target] >= 0 && depth_at[target] != d) {
-            res.error = "inconsistent stack depth at jump target " + std::to_string(target);
-            return res;
-          }
-          depth_at[target] = d;
-          out = d - 1;
-          break;
-        }
         case OpCode::Return:
-          if (d != 1) {
-            res.error = "ret requires exactly one stack slot, have " + std::to_string(d);
-            return res;
+          if (depth != 1) {
+            return fail("ret requires exactly one stack slot, have " + std::to_string(depth),
+                        i);
           }
-          out = 0;
+          if (i + 1 != code_.size()) return fail("ret before the end of the chunk", i);
+          break;
+        default:
           break;
       }
-      max_depth = std::max(max_depth, out);
-      if (in.op != OpCode::Return) {
-        if (depth_at[i + 1] >= 0 && depth_at[i + 1] != out) {
-          res.error = "inconsistent stack depth at " + std::to_string(i + 1);
-          return res;
-        }
-        depth_at[i + 1] = out;
-      }
+      depth += info->pushes - info->pops;
+      res.max_stack = std::max(res.max_stack, depth);
     }
     res.ok = true;
-    res.max_stack = max_depth;
     return res;
   }
 
@@ -267,7 +176,8 @@ public:
     if (!label.empty()) os << label << ":\n";
     for (std::size_t i = 0; i < code_.size(); ++i) {
       const Instr& in = code_[i];
-      os << "  " << i << "\t" << mnemonic(in.op);
+      const OpInfo* info = op_info(in.op);
+      os << "  " << i << "\t" << (info != nullptr ? info->mnemonic : "?");
       switch (in.op) {
         case OpCode::PushConst:
           os << "\t" << consts_[static_cast<std::size_t>(in.arg)];
@@ -277,10 +187,6 @@ public:
           break;
         case OpCode::Shl:
           os << "\t" << in.arg;
-          break;
-        case OpCode::JumpIfZero:
-        case OpCode::JumpIfNonZero:
-          os << "\t-> " << (i + 1 + static_cast<std::size_t>(in.arg));
           break;
         default:
           break;

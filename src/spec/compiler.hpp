@@ -1,18 +1,12 @@
 // Expression and method compiler for the §5 specification language.
 //
-// Lowers the parser's AST (spec_lang.hpp) to stack bytecode (bytecode.hpp),
-// in one of two dialects:
-//
-//   CompileMode::Scalar  — && and || compile to short-circuit jumps; this is
-//                          the fastest per-task form and mirrors what a
-//                          conventional compiler would emit.
-//   CompileMode::Blocked — && and || compile to eager LogicAnd/LogicOr so
-//                          the chunk is straight-line (jump-free) and a
-//                          block VM can run all SIMD lanes in lock-step.
-//                          Eager evaluation is semantics-preserving because
-//                          spec expressions are total and side-effect-free
-//                          (arith.hpp) — this is precisely the transformation
-//                          that makes the language vectorizable (§6).
+// Lowers the parser's AST (spec_lang.hpp) to straight-line stack bytecode
+// (bytecode.hpp).  && and || compile to eager LogicAnd/LogicOr, so a chunk
+// has no jumps and a block VM can run all SIMD lanes in lock-step.  Eager
+// evaluation is semantics-preserving because spec expressions are total and
+// side-effect-free (arith.hpp) — this is precisely the transformation that
+// makes the language vectorizable (§6).  The same chunk runs on every tier:
+// the JIT, the interpreter, and the block VM.
 //
 // The compiler performs constant folding (bottom-up, with the language's
 // wrap-around/total semantics), the algebraic identities x+0, x-0, x*0, x*1,
@@ -35,8 +29,6 @@
 
 namespace tb::spec {
 
-enum class CompileMode { Scalar, Blocked };
-
 class CompileError : public std::runtime_error {
 public:
   using std::runtime_error::runtime_error;
@@ -44,10 +36,8 @@ public:
 
 class Compiler {
 public:
-  explicit Compiler(CompileMode mode) : mode_(mode) {}
-
   // Compile one expression into a verified chunk ending in `ret`.
-  Chunk compile(const Expr& e, int arity) const {
+  static Chunk compile(const Expr& e, int arity) {
     Chunk ch;
     emit(e, ch);
     ch.emit(OpCode::Return);
@@ -108,11 +98,11 @@ private:
     }
   }
 
-  void emit_const(std::int64_t v, Chunk& ch) const {
+  static void emit_const(std::int64_t v, Chunk& ch) {
     ch.emit(OpCode::PushConst, ch.add_const(v));
   }
 
-  void emit(const Expr& e, Chunk& ch) const {
+  static void emit(const Expr& e, Chunk& ch) {
     if (const auto c = fold(e)) {
       emit_const(*c, ch);
       return;
@@ -166,7 +156,7 @@ private:
     throw CompileError("unexpected op in emit");
   }
 
-  void emit_binary(const Expr& e, OpCode op, Chunk& ch) const {
+  static void emit_binary(const Expr& e, OpCode op, Chunk& ch) {
     emit(*e.lhs, ch);
     emit(*e.rhs, ch);
     ch.emit(op);
@@ -174,7 +164,8 @@ private:
 
   // Multiplication by a constant 0, 1, or 2^k (k >= 1); returns true when a
   // simplified form was emitted.  Safe because operands are side-effect-free.
-  std::optional<bool> try_mul_simplify(const Expr& konst, const Expr& other, Chunk& ch) const {
+  static std::optional<bool> try_mul_simplify(const Expr& konst, const Expr& other,
+                                              Chunk& ch) {
     const auto c = fold(konst);
     if (!c) return std::nullopt;
     if (*c == 0) {
@@ -193,7 +184,7 @@ private:
     return std::nullopt;
   }
 
-  void emit_logic(const Expr& e, bool is_and, Chunk& ch) const {
+  static void emit_logic(const Expr& e, bool is_and, Chunk& ch) {
     // A constant side decides (or reduces to bool(other)); fold() already
     // handled the fully-constant case.
     if (const auto a = fold(*e.lhs)) {
@@ -205,33 +196,13 @@ private:
       }
       return;
     }
-    if (mode_ == CompileMode::Blocked) {
-      emit(*e.lhs, ch);
-      emit(*e.rhs, ch);
-      ch.emit(is_and ? OpCode::LogicAnd : OpCode::LogicOr);
-      return;
-    }
-    // Scalar short-circuit.  The taken edge keeps the (already 0/1) tested
-    // value; the fall-through pops it and evaluates the other side.
-    emit(*e.lhs, ch);
-    std::size_t j;
-    if (is_and) {
-      j = ch.emit_jump(OpCode::JumpIfZero);  // taken value is 0: normalized
-    } else {
-      ch.emit(OpCode::Bool);                 // normalize so the taken value is 1
-      j = ch.emit_jump(OpCode::JumpIfNonZero);
-    }
-    emit(*e.rhs, ch);
-    ch.emit(OpCode::Bool);
-    ch.patch_jump_to_here(j);
+    emit_binary(e, is_and ? OpCode::LogicAnd : OpCode::LogicOr, ch);
   }
 
   static bool is_const_zero(const Expr& e) {
     const auto c = fold(e);
     return c && *c == 0;
   }
-
-  CompileMode mode_;
 };
 
 // ---- whole-method compilation ---------------------------------------------------
@@ -245,7 +216,6 @@ struct CompiledSpawn {
 struct CompiledMethod {
   std::string name;
   int arity = 0;
-  CompileMode mode = CompileMode::Scalar;
   Chunk base;    // eb: nonzero => base case
   Chunk reduce;  // sb: value added to the running sum at base cases
   std::vector<CompiledSpawn> spawns;
@@ -265,28 +235,27 @@ struct CompiledMethod {
   }
 };
 
-inline CompiledMethod compile_method(const Method& m, CompileMode mode) {
-  Compiler c(mode);
+inline CompiledMethod compile_method(const Method& m) {
   const int arity = static_cast<int>(m.params.size());
   CompiledMethod out;
   out.name = m.name;
   out.arity = arity;
-  out.mode = mode;
-  const auto track = [&out, arity](Chunk ch) {
+  const auto compile = [&out, arity](const Expr& e) {
+    Chunk ch = Compiler::compile(e, arity);
     out.max_stack = std::max(out.max_stack, ch.verify(arity).max_stack);
     return ch;
   };
-  out.base = track(c.compile(*m.base, arity));
-  out.reduce = track(c.compile(*m.reduce, arity));
+  out.base = compile(*m.base);
+  out.reduce = compile(*m.reduce);
   out.spawns.reserve(m.spawns.size());
   for (const SpawnClause& s : m.spawns) {
     CompiledSpawn cs;
     if (s.guard) {
       cs.has_guard = true;
-      cs.guard = track(c.compile(*s.guard, arity));
+      cs.guard = compile(*s.guard);
     }
     cs.args.reserve(s.args.size());
-    for (const auto& a : s.args) cs.args.push_back(track(c.compile(*a, arity)));
+    for (const auto& a : s.args) cs.args.push_back(compile(*a));
     out.spawns.push_back(std::move(cs));
   }
   return out;

@@ -4,26 +4,26 @@
 //
 //     std::int64_t fn(const std::int64_t* params)   // params in rdi
 //
-// that reproduces the scalar VM (vm.hpp run_chunk) bit for bit: wrap-around
+// that reproduces the interpreter (vm.hpp run_chunk) bit for bit: wrap-around
 // add/sub/mul/neg/shl map to the hardware instructions (two's-complement
 // wrap *is* the hardware behaviour), comparisons and logic produce exact
 // 0/1 values via setcc, and Div/Mod emit the guarded total-division
 // sequence (b == 0 -> 0; INT64_MIN / -1 -> INT64_MIN, INT64_MIN % -1 -> 0;
 // otherwise cqo+idiv) so the verifier's totality contract survives
-// compilation.  Short-circuit jumps become forward rel32 branches.
+// compilation.
 //
-// The operand stack disappears at compile time: the bytecode verifier
-// proves a single static stack depth per program point, so every slot gets
-// a fixed home — slots 0..3 live in r8..r11, deeper slots in the native
-// frame at [rsp + 8*(slot-4)].  No dispatch, no stack-pointer arithmetic,
-// no memory traffic for shallow expressions (the common case: spec chunks
-// rarely exceed depth 4).
+// The operand stack disappears at compile time: chunks are straight-line,
+// so the stack-effect table (bytecode.hpp) gives a single static depth per
+// instruction and every slot gets a fixed home — slots 0..3 live in
+// r8..r11, deeper slots in the native frame at [rsp + 8*(slot-4)].  No
+// dispatch, no stack-pointer arithmetic, no memory traffic for shallow
+// expressions (the common case: spec chunks rarely exceed depth 4).
 //
 // Fallback rules (the interpreter is always the reference tier):
 //   * non-x86-64 or forced-off builds: compile_chunks() reports no code;
 //   * TB_SPEC_JIT=off|0|false at runtime: callers skip compilation;
-//   * a chunk that fails verification or uses an unsupported opcode:
-//     that chunk's entry is null, the interpreter runs it.
+//   * a chunk that fails verification (an unknown opcode included): that
+//     chunk's entry is null, and the interpreter runs it.
 #pragma once
 
 #include <cstdint>
@@ -78,64 +78,6 @@ private:
 
 namespace detail {
 
-// Static stack depth before each instruction, recomputed exactly as the
-// verifier propagates it.  Returns false on any inconsistency — callers
-// only hand us verified chunks, but the JIT re-derives rather than trusts.
-inline bool depths_before(const Chunk& ch, std::vector<int>& depth_at) {
-  const auto& code = ch.code();
-  depth_at.assign(code.size(), -1);
-  if (code.empty()) return false;
-  depth_at[0] = 0;
-  for (std::size_t i = 0; i < code.size(); ++i) {
-    const int d = depth_at[i];
-    if (d < 0) return false;
-    const Instr in = code[i];
-    int out = d;
-    switch (in.op) {
-      case OpCode::PushConst:
-      case OpCode::PushParam:
-        out = d + 1;
-        break;
-      case OpCode::Neg:
-      case OpCode::Shl:
-      case OpCode::LogicNot:
-      case OpCode::Bool:
-        break;
-      case OpCode::Add:
-      case OpCode::Sub:
-      case OpCode::Mul:
-      case OpCode::Div:
-      case OpCode::Mod:
-      case OpCode::CmpEq:
-      case OpCode::CmpNe:
-      case OpCode::CmpLt:
-      case OpCode::CmpLe:
-      case OpCode::CmpGt:
-      case OpCode::CmpGe:
-      case OpCode::LogicAnd:
-      case OpCode::LogicOr:
-        out = d - 1;
-        break;
-      case OpCode::JumpIfZero:
-      case OpCode::JumpIfNonZero: {
-        const std::size_t target = i + 1 + static_cast<std::size_t>(in.arg);
-        if (in.arg < 0 || target >= code.size()) return false;
-        if (depth_at[target] >= 0 && depth_at[target] != d) return false;
-        depth_at[target] = d;  // taken edge keeps the tested value
-        out = d - 1;
-        break;
-      }
-      case OpCode::Return:
-        continue;  // no fall-through successor
-    }
-    if (i + 1 < code.size()) {
-      if (depth_at[i + 1] >= 0 && depth_at[i + 1] != out) return false;
-      depth_at[i + 1] = out;
-    }
-  }
-  return true;
-}
-
 // Where a stack slot lives: a register for the hot shallow slots, the
 // native frame beyond.
 struct Loc {
@@ -154,115 +96,81 @@ class ChunkCompiler {
 public:
   ChunkCompiler(X64Emitter& em, const Chunk& ch) : em_(em), ch_(ch) {}
 
-  // Appends one complete function to the emitter; false = unsupported
-  // chunk (nothing emitted beyond a possibly partial prologue is a bug, so
-  // the check runs before emission starts).
+  // Appends one complete function to the emitter; false = rejected chunk.
+  // Verification runs before emission starts, so a rejected chunk emits
+  // nothing.
   bool compile(int arity) {
     const VerifyResult v = ch_.verify(arity);
     if (!v.ok) return false;
-    std::vector<int> depth_at;
-    if (!detail::depths_before(ch_, depth_at)) return false;
     frame_ = v.max_stack > 4 ? 8 * (v.max_stack - 4) : 0;
 
     if (frame_ > 0) em_.sub_rsp(frame_);
-    const auto& code = ch_.code();
     const auto& consts = ch_.consts();
-    std::vector<std::vector<std::size_t>> fixups(code.size());
-    for (std::size_t i = 0; i < code.size(); ++i) {
-      for (const std::size_t f : fixups[i]) em_.patch_to_here(f);
-      const Instr in = code[i];
-      const int d = depth_at[i];
+    int d = 0;  // static stack depth before the instruction
+    for (const Instr in : ch_.code()) {
+      const OpInfo& info = *op_info(in.op);
+      const Loc a = slot_loc(d - info.pops);  // push target, unary operand, or binary lhs
       switch (in.op) {
         case OpCode::PushConst:
-          emit_push_const(consts[static_cast<std::size_t>(in.arg)], slot_loc(d));
+          emit_push_const(consts[static_cast<std::size_t>(in.arg)], a);
           break;
         case OpCode::PushParam:
-          emit_push_param(in.arg, slot_loc(d));
+          emit_push_param(in.arg, a);
           break;
         case OpCode::Add:
-          emit_arith(OpCode::Add, slot_loc(d - 2), slot_loc(d - 1));
-          break;
         case OpCode::Sub:
-          emit_arith(OpCode::Sub, slot_loc(d - 2), slot_loc(d - 1));
-          break;
         case OpCode::Mul:
-          emit_arith(OpCode::Mul, slot_loc(d - 2), slot_loc(d - 1));
+          emit_arith(in.op, a, slot_loc(d - 1));
           break;
         case OpCode::Div:
-          emit_divmod(/*want_rem=*/false, slot_loc(d - 2), slot_loc(d - 1));
-          break;
         case OpCode::Mod:
-          emit_divmod(/*want_rem=*/true, slot_loc(d - 2), slot_loc(d - 1));
+          emit_divmod(/*want_rem=*/in.op == OpCode::Mod, a, slot_loc(d - 1));
           break;
-        case OpCode::Neg: {
-          const Loc t = slot_loc(d - 1);
-          if (t.in_reg) {
-            em_.neg_r(t.reg);
+        case OpCode::Neg:
+          if (a.in_reg) {
+            em_.neg_r(a.reg);
           } else {
-            em_.neg_m(RSP, t.disp);
+            em_.neg_m(RSP, a.disp);
           }
           break;
-        }
         case OpCode::Shl: {
-          const Loc t = slot_loc(d - 1);
           const auto amount = static_cast<std::uint8_t>(in.arg);
-          if (t.in_reg) {
-            em_.shl_ri(t.reg, amount);
+          if (a.in_reg) {
+            em_.shl_ri(a.reg, amount);
           } else {
-            em_.shl_mi(RSP, t.disp, amount);
+            em_.shl_mi(RSP, a.disp, amount);
           }
           break;
         }
         case OpCode::CmpEq:
-          emit_compare(Cond::Eq, slot_loc(d - 2), slot_loc(d - 1));
-          break;
         case OpCode::CmpNe:
-          emit_compare(Cond::Ne, slot_loc(d - 2), slot_loc(d - 1));
-          break;
         case OpCode::CmpLt:
-          emit_compare(Cond::Lt, slot_loc(d - 2), slot_loc(d - 1));
-          break;
         case OpCode::CmpLe:
-          emit_compare(Cond::Le, slot_loc(d - 2), slot_loc(d - 1));
-          break;
         case OpCode::CmpGt:
-          emit_compare(Cond::Gt, slot_loc(d - 2), slot_loc(d - 1));
-          break;
-        case OpCode::CmpGe:
-          emit_compare(Cond::Ge, slot_loc(d - 2), slot_loc(d - 1));
-          break;
-        case OpCode::LogicNot:
-          emit_truth(Cond::Eq, slot_loc(d - 1));
-          break;
-        case OpCode::Bool:
-          emit_truth(Cond::Ne, slot_loc(d - 1));
-          break;
-        case OpCode::LogicAnd:
-          emit_logic(/*is_and=*/true, slot_loc(d - 2), slot_loc(d - 1));
-          break;
-        case OpCode::LogicOr:
-          emit_logic(/*is_and=*/false, slot_loc(d - 2), slot_loc(d - 1));
-          break;
-        case OpCode::JumpIfZero:
-        case OpCode::JumpIfNonZero: {
-          emit_cmp_zero(slot_loc(d - 1));
-          const std::size_t fix =
-              em_.jcc(in.op == OpCode::JumpIfZero ? Cond::Eq : Cond::Ne);
-          fixups[i + 1 + static_cast<std::size_t>(in.arg)].push_back(fix);
+        case OpCode::CmpGe: {
+          static constexpr Cond kCond[] = {Cond::Eq, Cond::Ne, Cond::Lt,
+                                           Cond::Le, Cond::Gt, Cond::Ge};
+          emit_compare(kCond[static_cast<int>(in.op) - static_cast<int>(OpCode::CmpEq)], a,
+                       slot_loc(d - 1));
           break;
         }
-        case OpCode::Return: {
-          const Loc t = slot_loc(d - 1);
-          if (t.in_reg) {
-            em_.mov_rr(RAX, t.reg);
-          } else {
-            em_.mov_rm(RAX, RSP, t.disp);
-          }
+        case OpCode::LogicNot:
+          emit_truth(Cond::Eq, a);
+          break;
+        case OpCode::Bool:
+          emit_truth(Cond::Ne, a);
+          break;
+        case OpCode::LogicAnd:
+        case OpCode::LogicOr:
+          emit_logic(/*is_and=*/in.op == OpCode::LogicAnd, a, slot_loc(d - 1));
+          break;
+        case OpCode::Return:
+          load(RAX, a);
           if (frame_ > 0) em_.add_rsp(frame_);
           em_.ret();
           break;
-        }
       }
+      d += info.pushes - info.pops;
     }
     return true;
   }
@@ -374,7 +282,7 @@ private:
     store(t, RAX);
   }
 
-  // a <- (a != 0) &/| (b != 0); both sides already evaluated (eager dialect).
+  // a <- (a != 0) &/| (b != 0); both sides are already evaluated.
   void emit_logic(bool is_and, const Loc& a, const Loc& b) {
     emit_cmp_zero(a);
     em_.setcc(Cond::Ne, RAX);

@@ -6,8 +6,8 @@
 // (add/sub/imul/neg/shl are two's-complement wrap in hardware, which is
 // precisely wrap_add/wrap_sub/wrap_mul/wrap_neg/wrap_shl), cqo+idiv for the
 // guarded total-division sequence, setcc/movzx for 0/1-valued comparisons,
-// and rel32 jumps with single-pass forward patching (spec chunks are
-// verified forward-jump-only, so one pass suffices).
+// and rel32 forward jumps with single-pass patching (used only inside the
+// guarded division sequence; spec chunks themselves are jump-free).
 //
 // Code is emitted into a plain byte vector; the caller copies it into an
 // ExecPage afterwards.  All generated code is position-independent — the

@@ -38,6 +38,7 @@
 #include <cctype>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -65,8 +66,8 @@ struct Expr {
 };
 
 // Arithmetic follows arith.hpp: wrap-around overflow, total division (the
-// semantics every execution tier — AST walk, constant folder, scalar VM,
-// block VM — implements identically).
+// semantics every execution tier — AST walk, constant folder, interpreter,
+// JIT, block VM — implements identically).
 inline std::int64_t eval(const Expr& e, std::span<const std::int64_t> params) {
   switch (e.op) {
     case Op::Const: return e.value;

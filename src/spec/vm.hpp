@@ -1,39 +1,39 @@
-// Bytecode virtual machines for the §5 specification language.
+// The interpreter and the block VM for the §5 specification language.
 //
-// Two evaluators over the chunks produced by compiler.hpp:
+// One evaluator, run_chunk<V>, executes the straight-line chunks produced by
+// compiler.hpp over a lane type V:
 //
-//   run_chunk     — scalar stack machine (short-circuit jumps supported);
-//                   one task at a time.  This is the per-task tier a
-//                   conventional runtime would use.
-//   eval_blocked  — W-lane batch machine over jump-free (Blocked-dialect)
-//                   chunks: every stack slot is a batch<int64,W>, every
-//                   instruction executes on all lanes, and divergence is
-//                   handled by the *caller's* masks — the masked-execution
-//                   discipline of the paper's hand-vectorized kernels (§6),
-//                   obtained here mechanically from the program text.
+//   V = std::int64_t — one task at a time: the interpreter tier;
+//   V = IBatch<W>    — W tasks in lock-step: every stack slot is a
+//                      batch<int64,W>, every instruction executes on all
+//                      lanes, and divergence is handled by the *caller's*
+//                      masks — the masked-execution discipline of the
+//                      paper's hand-vectorized kernels (§6), obtained here
+//                      mechanically from the program text.
 //
-// A third tier sits behind the same entry: each scalar chunk can carry a
-// jitted native step function (spec/jit/jit_compiler.hpp), and the
-// PreparedChunk overload of run_chunk dispatches to it when present.  The
-// interpreter remains the always-available fallback — non-x86 builds,
-// TB_SPEC_JIT=off, or any chunk the JIT declines compile to exactly the
-// same results (the JIT reproduces wrap/total semantics bit for bit).
+// A third tier runs the same chunks as jitted native step functions
+// (spec/jit/jit_compiler.hpp).  The interpreter remains the always-available
+// fallback — non-x86 builds, TB_SPEC_JIT=off, or any chunk the JIT declines
+// compute exactly the same results (the JIT reproduces wrap/total semantics
+// bit for bit).
 //
-// CompiledSpecProgram packages both into a program satisfying the same
-// TaskProgram / SoaProgram / SimdProgram concepts as the hand-written
-// kernels, which means a *text* spec program runs through every scheduler
-// and every execution layer (Block / SOA / SIMD) unchanged — the full §5.3
-// transformation pipeline: parse → compile → blocked, vectorized execution.
+// CompiledSpecProgram packages one compiled method into a program satisfying
+// the same TaskProgram / SoaProgram / SimdProgram concepts as the
+// hand-written kernels, which means a *text* spec program runs through every
+// scheduler and every execution layer (Block / SOA / SIMD) unchanged — the
+// full §5.3 transformation pipeline: parse → compile → blocked, vectorized
+// execution.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -48,127 +48,75 @@
 
 namespace tb::spec {
 
-// ---- scalar VM --------------------------------------------------------------------
+template <int W>
+using IBatch = simd::batch<std::int64_t, W>;
 
-// Evaluates `ch` with the given parameters.  `stack` must provide at least
-// `ch.verify(arity).max_stack` slots; CompiledSpecProgram sizes it statically.
-inline std::int64_t run_chunk(const Chunk& ch, std::span<const std::int64_t> params,
-                              std::span<std::int64_t> stack) {
-  const std::vector<Instr>& code = ch.code();
-  const std::vector<std::int64_t>& consts = ch.consts();
+namespace detail {
+// r = f(a, b) on every lane: the one place the evaluator's two lane types
+// differ.
+template <class F>
+inline std::int64_t lanewise(F f, std::int64_t a, std::int64_t b) {
+  return f(a, b);
+}
+template <class F, int W>
+inline IBatch<W> lanewise(F f, const IBatch<W>& a, const IBatch<W>& b) {
+  IBatch<W> r;
+  for (int i = 0; i < W; ++i) r.lane[i] = f(a.lane[i], b.lane[i]);
+  return r;
+}
+}  // namespace detail
+
+// Evaluates a verified chunk on V's lanes; `params[i]` supplies parameter i.
+// `stack` must provide at least `ch.verify(arity).max_stack` slots;
+// CompiledSpecProgram sizes it statically.
+template <class V>
+inline V run_chunk(const Chunk& ch, std::span<const V> params,
+                   std::span<std::type_identity_t<V>> stack) {
+  using I = std::int64_t;
   std::size_t sp = 0;
-  for (std::size_t pc = 0; pc < code.size(); ++pc) {
-    const Instr in = code[pc];
+  const auto binary = [&](auto f) {
+    stack[sp - 2] = detail::lanewise(f, stack[sp - 2], stack[sp - 1]);
+    --sp;
+  };
+  const auto unary = [&](auto f) {
+    stack[sp - 1] = detail::lanewise(f, stack[sp - 1], stack[sp - 1]);
+  };
+  for (const Instr in : ch.code()) {
     switch (in.op) {
-      case OpCode::PushConst:
-        stack[sp++] = consts[static_cast<std::size_t>(in.arg)];
-        break;
-      case OpCode::PushParam:
-        stack[sp++] = params[static_cast<std::size_t>(in.arg)];
-        break;
-      case OpCode::Add:
-        stack[sp - 2] = wrap_add(stack[sp - 2], stack[sp - 1]);
-        --sp;
-        break;
-      case OpCode::Sub:
-        stack[sp - 2] = wrap_sub(stack[sp - 2], stack[sp - 1]);
-        --sp;
-        break;
-      case OpCode::Mul:
-        stack[sp - 2] = wrap_mul(stack[sp - 2], stack[sp - 1]);
-        --sp;
-        break;
-      case OpCode::Div:
-        stack[sp - 2] = div_total(stack[sp - 2], stack[sp - 1]);
-        --sp;
-        break;
-      case OpCode::Mod:
-        stack[sp - 2] = mod_total(stack[sp - 2], stack[sp - 1]);
-        --sp;
-        break;
-      case OpCode::Neg:
-        stack[sp - 1] = wrap_neg(stack[sp - 1]);
-        break;
-      case OpCode::Shl:
-        stack[sp - 1] = wrap_shl(stack[sp - 1], in.arg);
-        break;
-      case OpCode::CmpEq:
-        stack[sp - 2] = stack[sp - 2] == stack[sp - 1];
-        --sp;
-        break;
-      case OpCode::CmpNe:
-        stack[sp - 2] = stack[sp - 2] != stack[sp - 1];
-        --sp;
-        break;
-      case OpCode::CmpLt:
-        stack[sp - 2] = stack[sp - 2] < stack[sp - 1];
-        --sp;
-        break;
-      case OpCode::CmpLe:
-        stack[sp - 2] = stack[sp - 2] <= stack[sp - 1];
-        --sp;
-        break;
-      case OpCode::CmpGt:
-        stack[sp - 2] = stack[sp - 2] > stack[sp - 1];
-        --sp;
-        break;
-      case OpCode::CmpGe:
-        stack[sp - 2] = stack[sp - 2] >= stack[sp - 1];
-        --sp;
-        break;
-      case OpCode::LogicNot:
-        stack[sp - 1] = stack[sp - 1] == 0 ? 1 : 0;
-        break;
-      case OpCode::LogicAnd:
-        stack[sp - 2] = (stack[sp - 2] != 0 && stack[sp - 1] != 0) ? 1 : 0;
-        --sp;
-        break;
-      case OpCode::LogicOr:
-        stack[sp - 2] = (stack[sp - 2] != 0 || stack[sp - 1] != 0) ? 1 : 0;
-        --sp;
-        break;
-      case OpCode::Bool:
-        stack[sp - 1] = stack[sp - 1] != 0 ? 1 : 0;
-        break;
-      case OpCode::JumpIfZero:
-        if (stack[sp - 1] == 0) {
-          pc += static_cast<std::size_t>(in.arg);
+      case OpCode::PushConst: {
+        const I c = ch.consts()[static_cast<std::size_t>(in.arg)];
+        if constexpr (std::is_same_v<V, I>) {
+          stack[sp++] = c;
         } else {
-          --sp;
+          stack[sp++] = V::broadcast(c);
         }
         break;
-      case OpCode::JumpIfNonZero:
-        if (stack[sp - 1] != 0) {
-          pc += static_cast<std::size_t>(in.arg);
-        } else {
-          --sp;
-        }
-        break;
-      case OpCode::Return:
-        return stack[sp - 1];
+      }
+      case OpCode::PushParam: stack[sp++] = params[static_cast<std::size_t>(in.arg)]; break;
+      case OpCode::Add: binary([](I a, I b) { return wrap_add(a, b); }); break;
+      case OpCode::Sub: binary([](I a, I b) { return wrap_sub(a, b); }); break;
+      case OpCode::Mul: binary([](I a, I b) { return wrap_mul(a, b); }); break;
+      case OpCode::Div: binary([](I a, I b) { return div_total(a, b); }); break;
+      case OpCode::Mod: binary([](I a, I b) { return mod_total(a, b); }); break;
+      case OpCode::Neg: unary([](I a, I) { return wrap_neg(a); }); break;
+      case OpCode::Shl: unary([s = in.arg](I a, I) { return wrap_shl(a, s); }); break;
+      case OpCode::CmpEq: binary([](I a, I b) -> I { return a == b; }); break;
+      case OpCode::CmpNe: binary([](I a, I b) -> I { return a != b; }); break;
+      case OpCode::CmpLt: binary([](I a, I b) -> I { return a < b; }); break;
+      case OpCode::CmpLe: binary([](I a, I b) -> I { return a <= b; }); break;
+      case OpCode::CmpGt: binary([](I a, I b) -> I { return a > b; }); break;
+      case OpCode::CmpGe: binary([](I a, I b) -> I { return a >= b; }); break;
+      case OpCode::LogicNot: unary([](I a, I) -> I { return a == 0; }); break;
+      case OpCode::LogicAnd: binary([](I a, I b) -> I { return (a != 0) & (b != 0); }); break;
+      case OpCode::LogicOr: binary([](I a, I b) -> I { return (a != 0) | (b != 0); }); break;
+      case OpCode::Bool: unary([](I a, I) -> I { return a != 0; }); break;
+      case OpCode::Return: return stack[sp - 1];
     }
   }
   throw std::logic_error("chunk fell off the end (verifier should reject this)");
 }
 
-// ---- jitted chunks ----------------------------------------------------------------
-
-// A chunk paired with its (optional) jitted entry.  run_chunk on a
-// PreparedChunk is the tier switch: native code when the JIT produced it,
-// the interpreter above otherwise.  The jitted function allocates its own
-// evaluation frame, so `stack` is only touched on the fallback path.
-struct PreparedChunk {
-  const Chunk* chunk = nullptr;
-  jit::Fn fn = nullptr;
-};
-
-inline std::int64_t run_chunk(const PreparedChunk& pc, std::span<const std::int64_t> params,
-                              std::span<std::int64_t> stack) {
-  if (pc.fn != nullptr) return pc.fn(params.data());
-  return run_chunk(*pc.chunk, params, stack);
-}
-
-// Whether CompiledSpecProgram compiles its scalar chunks to native code.
+// Whether CompiledSpecProgram compiles its chunks to native code.
 //   Auto — platform support AND the TB_SPEC_JIT env switch (the default);
 //   Off  — interpreter only (the bench's `vm` tier, fallback tests);
 //   On   — ignore the env switch; still interpreter on unsupported builds.
@@ -183,154 +131,13 @@ inline bool jit_mode_active(JitMode m) {
   return false;
 }
 
-// ---- block VM ---------------------------------------------------------------------
-
-// Wrap-around batch arithmetic: route through unsigned lanes, where overflow
-// is defined, and cast back (bit pattern preserved).
-template <int W>
-using IBatch = simd::batch<std::int64_t, W>;
-template <int W>
-using UBatch = simd::batch<std::uint64_t, W>;
-
-namespace detail {
-template <int W>
-inline IBatch<W> wrap_add(IBatch<W> a, IBatch<W> b) {
-  return std::bit_cast<IBatch<W>>(std::bit_cast<UBatch<W>>(a) + std::bit_cast<UBatch<W>>(b));
-}
-template <int W>
-inline IBatch<W> wrap_sub(IBatch<W> a, IBatch<W> b) {
-  return std::bit_cast<IBatch<W>>(std::bit_cast<UBatch<W>>(a) - std::bit_cast<UBatch<W>>(b));
-}
-template <int W>
-inline IBatch<W> wrap_mul(IBatch<W> a, IBatch<W> b) {
-  return std::bit_cast<IBatch<W>>(std::bit_cast<UBatch<W>>(a) * std::bit_cast<UBatch<W>>(b));
-}
-template <int W>
-inline IBatch<W> wrap_shl(IBatch<W> a, int s) {
-  return std::bit_cast<IBatch<W>>(std::bit_cast<UBatch<W>>(a) << s);
-}
-template <int W>
-inline IBatch<W> bool_batch(std::uint32_t mask) {
-  return simd::select(mask, IBatch<W>::broadcast(1), IBatch<W>::zero());
-}
-template <int W>
-inline std::uint32_t truthy(const IBatch<W>& v) {
-  return simd::cmp_ne(v, IBatch<W>::zero());
-}
-}  // namespace detail
-
-// Evaluates a jump-free chunk on W lanes at once.  `params[i]` supplies
-// parameter i for all lanes; `stack` must provide max_stack batches.
-template <int W>
-inline IBatch<W> eval_blocked(const Chunk& ch, std::span<const IBatch<W>> params,
-                              std::span<IBatch<W>> stack) {
-  using B = IBatch<W>;
-  const std::vector<Instr>& code = ch.code();
-  const std::vector<std::int64_t>& consts = ch.consts();
-  std::size_t sp = 0;
-  for (const Instr in : code) {
-    switch (in.op) {
-      case OpCode::PushConst:
-        stack[sp++] = B::broadcast(consts[static_cast<std::size_t>(in.arg)]);
-        break;
-      case OpCode::PushParam:
-        stack[sp++] = params[static_cast<std::size_t>(in.arg)];
-        break;
-      case OpCode::Add:
-        stack[sp - 2] = detail::wrap_add(stack[sp - 2], stack[sp - 1]);
-        --sp;
-        break;
-      case OpCode::Sub:
-        stack[sp - 2] = detail::wrap_sub(stack[sp - 2], stack[sp - 1]);
-        --sp;
-        break;
-      case OpCode::Mul:
-        stack[sp - 2] = detail::wrap_mul(stack[sp - 2], stack[sp - 1]);
-        --sp;
-        break;
-      case OpCode::Div: {
-        // No vector integer division on the target ISA; per-lane totals.
-        B r;
-        for (int i = 0; i < W; ++i) {
-          r.lane[i] = div_total(stack[sp - 2].lane[i], stack[sp - 1].lane[i]);
-        }
-        stack[sp - 2] = r;
-        --sp;
-        break;
-      }
-      case OpCode::Mod: {
-        B r;
-        for (int i = 0; i < W; ++i) {
-          r.lane[i] = mod_total(stack[sp - 2].lane[i], stack[sp - 1].lane[i]);
-        }
-        stack[sp - 2] = r;
-        --sp;
-        break;
-      }
-      case OpCode::Neg:
-        stack[sp - 1] = detail::wrap_sub(B::zero(), stack[sp - 1]);
-        break;
-      case OpCode::Shl:
-        stack[sp - 1] = detail::wrap_shl(stack[sp - 1], in.arg);
-        break;
-      case OpCode::CmpEq:
-        stack[sp - 2] = detail::bool_batch<W>(simd::cmp_eq(stack[sp - 2], stack[sp - 1]));
-        --sp;
-        break;
-      case OpCode::CmpNe:
-        stack[sp - 2] = detail::bool_batch<W>(simd::cmp_ne(stack[sp - 2], stack[sp - 1]));
-        --sp;
-        break;
-      case OpCode::CmpLt:
-        stack[sp - 2] = detail::bool_batch<W>(simd::cmp_lt(stack[sp - 2], stack[sp - 1]));
-        --sp;
-        break;
-      case OpCode::CmpLe:
-        stack[sp - 2] = detail::bool_batch<W>(simd::cmp_le(stack[sp - 2], stack[sp - 1]));
-        --sp;
-        break;
-      case OpCode::CmpGt:
-        stack[sp - 2] = detail::bool_batch<W>(simd::cmp_gt(stack[sp - 2], stack[sp - 1]));
-        --sp;
-        break;
-      case OpCode::CmpGe:
-        stack[sp - 2] = detail::bool_batch<W>(simd::cmp_ge(stack[sp - 2], stack[sp - 1]));
-        --sp;
-        break;
-      case OpCode::LogicNot:
-        stack[sp - 1] = detail::bool_batch<W>(~detail::truthy(stack[sp - 1]) &
-                                              simd::mask_all<W>);
-        break;
-      case OpCode::LogicAnd:
-        stack[sp - 2] = detail::bool_batch<W>(detail::truthy(stack[sp - 2]) &
-                                              detail::truthy(stack[sp - 1]));
-        --sp;
-        break;
-      case OpCode::LogicOr:
-        stack[sp - 2] = detail::bool_batch<W>(detail::truthy(stack[sp - 2]) |
-                                              detail::truthy(stack[sp - 1]));
-        --sp;
-        break;
-      case OpCode::Bool:
-        stack[sp - 1] = detail::bool_batch<W>(detail::truthy(stack[sp - 1]));
-        break;
-      case OpCode::JumpIfZero:
-      case OpCode::JumpIfNonZero:
-        throw std::logic_error("blocked chunks must be jump-free (use CompileMode::Blocked)");
-      case OpCode::Return:
-        return stack[sp - 1];
-    }
-  }
-  throw std::logic_error("chunk fell off the end (verifier should reject this)");
-}
-
 // ---- compiled spec program ----------------------------------------------------------
 
-// A spec method compiled to bytecode in both dialects, exposed as a
-// SimdProgram: the scalar tiers (is_base/leaf/expand) run the short-circuit
-// scalar VM; expand_simd runs the block VM over batches of 4 tasks with
-// masked child compaction.  Drop-in replacement for the AST-walking
-// SpecProgram — same Task, same Block, same results.
+// A spec method compiled once to bytecode, exposed as a SimdProgram: the
+// per-task tiers (is_base/leaf/expand) run each chunk jitted or on the
+// interpreter; expand_simd runs the same chunks on the block VM over batches
+// of 4 tasks with masked child compaction.  Drop-in replacement for the
+// AST-walking SpecProgram — same Task, same Block, same results.
 class CompiledSpecProgram {
 public:
   using Task = SpecProgram::Task;
@@ -339,13 +146,12 @@ public:
   static constexpr int kMaxStack = 64;
 
   explicit CompiledSpecProgram(const Method& m, JitMode jit_mode = JitMode::Auto)
-      : scalar_(compile_method(m, CompileMode::Scalar)),
-        blocked_(compile_method(m, CompileMode::Blocked)) {
-    if (scalar_.max_stack > kMaxStack || blocked_.max_stack > kMaxStack) {
+      : method_(std::make_shared<const CompiledMethod>(compile_method(m))) {
+    if (method_->max_stack > kMaxStack) {
       throw CompileError("expression too deep: needs stack " +
-                         std::to_string(std::max(scalar_.max_stack, blocked_.max_stack)));
+                         std::to_string(method_->max_stack));
     }
-    if (scalar_.spawns.size() > static_cast<std::size_t>(max_children)) {
+    if (method_->spawns.size() > static_cast<std::size_t>(max_children)) {
       throw CompileError("too many spawns (max 8)");
     }
     prepare_chunks(jit_mode);
@@ -356,41 +162,9 @@ public:
     return CompiledSpecProgram(Parser(source).parse_method(), jit_mode);
   }
 
-  // Copies and moves share the executable page (ChunkSet holds it via
-  // shared_ptr) but must re-point the prepared chunks at their own
-  // CompiledMethod storage.
-  CompiledSpecProgram(const CompiledSpecProgram& o)
-      : scalar_(o.scalar_), blocked_(o.blocked_), jit_code_(o.jit_code_) {
-    rebind();
-  }
-  CompiledSpecProgram(CompiledSpecProgram&& o)
-      : scalar_(std::move(o.scalar_)),
-        blocked_(std::move(o.blocked_)),
-        jit_code_(std::move(o.jit_code_)) {
-    rebind();
-  }
-  CompiledSpecProgram& operator=(const CompiledSpecProgram& o) {
-    if (this != &o) {
-      scalar_ = o.scalar_;
-      blocked_ = o.blocked_;
-      jit_code_ = o.jit_code_;
-      rebind();
-    }
-    return *this;
-  }
-  CompiledSpecProgram& operator=(CompiledSpecProgram&& o) {
-    if (this != &o) {
-      scalar_ = std::move(o.scalar_);
-      blocked_ = std::move(o.blocked_);
-      jit_code_ = std::move(o.jit_code_);
-      rebind();
-    }
-    return *this;
-  }
-
-  const CompiledMethod& scalar_method() const { return scalar_; }
-  const CompiledMethod& blocked_method() const { return blocked_; }
-  int arity() const { return scalar_.arity; }
+  // The compiled method every tier runs; copies share it.
+  const CompiledMethod& method() const { return *method_; }
+  int arity() const { return method_->arity; }
 
   // True when at least the base chunk runs jitted (all-or-nothing in
   // practice: the baseline JIT covers the whole verified opcode set).
@@ -431,8 +205,11 @@ public:
                    const std::array<Block*, static_cast<std::size_t>(max_children)>& outs,
                    Result& r, std::uint64_t& leaves) const {
     using B = IBatch<simd_width>;
+    const CompiledMethod& m = *method_;
     std::array<B, kMaxStack> stack;
     std::array<B, 4> params;
+    const auto eval = [&](const Chunk& ch) { return run_chunk<B>(ch, params, stack); };
+    const auto truthy = [](const B& v) { return simd::cmp_ne(v, B::zero()); };
     Result sum = 0;
     std::uint64_t leaf_count = 0;
     for (std::size_t i = begin; i < end; i += simd_width) {
@@ -440,28 +217,22 @@ public:
       params[1] = B::loadu(in.data<1>() + i);
       params[2] = B::loadu(in.data<2>() + i);
       params[3] = B::loadu(in.data<3>() + i);
-      const B base_v = eval_blocked<simd_width>(blocked_.base, params, stack);
-      const std::uint32_t base = detail::truthy(base_v);
+      const std::uint32_t base = truthy(eval(m.base));
       if (base != 0) {
-        const B red = eval_blocked<simd_width>(blocked_.reduce, params, stack);
-        sum += static_cast<Result>(
-            simd::reduce_add_masked<std::int64_t>(base, red));
+        // Summed as Result: unsigned lanes wrap where int64 lanes would overflow.
+        sum += simd::reduce_add_masked<Result>(base, eval(m.reduce));
         leaf_count += std::popcount(base);
       }
       const std::uint32_t rec = base ^ simd::mask_all<simd_width>;
       if (rec == 0) continue;
       int slot = 0;
-      for (const CompiledSpawn& s : blocked_.spawns) {
-        std::uint32_t m = rec;
-        if (s.has_guard) {
-          m &= detail::truthy(eval_blocked<simd_width>(s.guard, params, stack));
-        }
-        if (m != 0) {
+      for (const CompiledSpawn& s : m.spawns) {
+        std::uint32_t mask = rec;
+        if (s.has_guard) mask &= truthy(eval(s.guard));
+        if (mask != 0) {
           std::array<B, 4> child{B::zero(), B::zero(), B::zero(), B::zero()};
-          for (std::size_t a = 0; a < s.args.size(); ++a) {
-            child[a] = eval_blocked<simd_width>(s.args[a], params, stack);
-          }
-          outs[static_cast<std::size_t>(slot)]->append_compact(m, child[0], child[1],
+          for (std::size_t a = 0; a < s.args.size(); ++a) child[a] = eval(s.args[a]);
+          outs[static_cast<std::size_t>(slot)]->append_compact(mask, child[0], child[1],
                                                                child[2], child[3]);
         }
         ++slot;
@@ -479,64 +250,51 @@ public:
   }
 
 private:
+  // A chunk of *method_ paired with its jitted entry (null: interpret it).
+  struct PreparedChunk {
+    const Chunk* chunk = nullptr;
+    jit::Fn fn = nullptr;
+  };
   struct PreparedSpawn {
     bool has_guard = false;
     PreparedChunk guard;
     std::vector<PreparedChunk> args;
   };
 
-  std::int64_t eval_scalar(const PreparedChunk& pc, const Task& t) const {
+  // The tier switch: native code when the JIT produced it, the interpreter
+  // otherwise.  The jitted function allocates its own evaluation frame.
+  static std::int64_t eval_scalar(const PreparedChunk& pc, const Task& t) {
+    if (pc.fn != nullptr) return pc.fn(t.p.data());
     std::array<std::int64_t, kMaxStack> stack;
-    return run_chunk(pc, std::span<const std::int64_t>(t.p.data(), t.p.size()), stack);
+    return run_chunk<std::int64_t>(*pc.chunk, t.p, stack);
   }
 
-  // Scalar chunks in a fixed order; index into this list == function index
-  // in the ChunkSet.
-  std::vector<const Chunk*> collect_chunks() const {
-    std::vector<const Chunk*> chunks;
-    chunks.push_back(&scalar_.base);
-    chunks.push_back(&scalar_.reduce);
-    for (const CompiledSpawn& s : scalar_.spawns) {
+  // Jit every chunk of the method (base, reduce, then each spawn's guard
+  // and args) and pair each with its entry, walking in the same order.
+  void prepare_chunks(JitMode jit_mode) {
+    const CompiledMethod& m = *method_;
+    std::vector<const Chunk*> chunks{&m.base, &m.reduce};
+    for (const CompiledSpawn& s : m.spawns) {
       if (s.has_guard) chunks.push_back(&s.guard);
       for (const Chunk& a : s.args) chunks.push_back(&a);
     }
-    return chunks;
-  }
-
-  // Pair every scalar chunk with its jitted entry (or null).
-  void prepare_chunks(JitMode jit_mode) {
-    if (jit_mode_active(jit_mode)) {
-      jit_code_ = jit::compile_chunks(collect_chunks(), scalar_.arity);
-    }
-    rebind();
-  }
-
-  // (Re)point the prepared chunks into this instance's own CompiledMethod.
-  // Runs after construction and after every copy/move — PreparedChunk holds
-  // raw pointers into scalar_, which must never alias another instance.
-  void rebind() {
+    if (jit_mode_active(jit_mode)) jit_code_ = jit::compile_chunks(chunks, m.arity);
     std::size_t idx = 0;
-    const auto next = [&](const Chunk& ch) {
-      PreparedChunk pc{&ch, jit_code_.fn(idx)};
-      ++idx;
-      return pc;
-    };
-    base_pc_ = next(scalar_.base);
-    reduce_pc_ = next(scalar_.reduce);
-    spawn_pcs_.clear();
-    spawn_pcs_.reserve(scalar_.spawns.size());
-    for (const CompiledSpawn& s : scalar_.spawns) {
+    const auto next = [&](const Chunk& ch) { return PreparedChunk{&ch, jit_code_.fn(idx++)}; };
+    base_pc_ = next(m.base);
+    reduce_pc_ = next(m.reduce);
+    for (const CompiledSpawn& s : m.spawns) {
       PreparedSpawn ps;
       ps.has_guard = s.has_guard;
       if (s.has_guard) ps.guard = next(s.guard);
-      ps.args.reserve(s.args.size());
       for (const Chunk& a : s.args) ps.args.push_back(next(a));
       spawn_pcs_.push_back(std::move(ps));
     }
   }
 
-  CompiledMethod scalar_;
-  CompiledMethod blocked_;
+  // Shared and immutable, like the jitted page, so the prepared chunks'
+  // pointers stay valid in every copy.
+  std::shared_ptr<const CompiledMethod> method_;
   jit::ChunkSet jit_code_;
   PreparedChunk base_pc_;
   PreparedChunk reduce_pc_;

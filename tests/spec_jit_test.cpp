@@ -1,13 +1,14 @@
 // Tests for the spec-bytecode baseline JIT (src/spec/jit/):
 //
 //   * ExecPage W^X lifecycle (allocate RW -> write -> protect RX);
-//   * direct jitted-chunk semantics vs the scalar VM, including the totality
-//     edge cases the verifier's contract promises (x/0, x%0, INT64_MIN/-1,
-//     INT64_MIN%-1, wrap-around shl) and nested short-circuit jump chains;
+//   * direct jitted-chunk semantics vs the interpreter, including the
+//     totality edge cases the verifier's contract promises (x/0, x%0,
+//     INT64_MIN/-1, INT64_MIN%-1, wrap-around shl) and nested logic chains;
 //   * differential fuzzing: random expressions AND random *verified spec
 //     programs* (terminating methods generated by construction) asserted
-//     identical across the AST interpreter, the scalar VM, the block VM and
-//     the JIT, over randomized parameters with a deterministic xoshiro seed;
+//     identical across the AST interpreter, the interpreter, the block VM
+//     and the JIT, over randomized parameters with a deterministic xoshiro
+//     seed;
 //   * the interpreter fallback: JitMode::Off programs and verifier-rejected
 //     chunks must never run native code, and a TB_SPEC_JIT=off environment
 //     (the CTest `spec_jit_test.interp_fallback` variant re-runs this whole
@@ -45,7 +46,6 @@ using namespace tb;
 using core::SeqPolicy;
 using spec::Chunk;
 using spec::CompiledSpecProgram;
-using spec::CompileMode;
 using spec::Compiler;
 using spec::Expr;
 using spec::JitMode;
@@ -109,21 +109,17 @@ std::int64_t check_chunk(const Chunk& ch, int arity, std::span<const std::int64_
   return expect;
 }
 
-// Assert every tier agrees on an expression: AST eval, scalar VM (both
-// dialects), block VM lane 0, and the JIT on both dialects.
+// Assert every tier agrees on an expression: AST eval, the interpreter,
+// the JIT, and block VM lane 0.
 void check_expr_all_tiers(const Expr& e, int arity, std::span<const std::int64_t> params) {
   const std::int64_t expect = spec::eval(e, params);
-  const Chunk sc = Compiler(CompileMode::Scalar).compile(e, arity);
-  const Chunk bc = Compiler(CompileMode::Blocked).compile(e, arity);
-  ASSERT_EQ(run_interp(sc, params), expect);
-  ASSERT_EQ(run_interp(bc, params), expect);
-  ASSERT_EQ(check_chunk(sc, arity, params), expect);
-  ASSERT_EQ(check_chunk(bc, arity, params), expect);
+  const Chunk ch = Compiler::compile(e, arity);
+  ASSERT_EQ(check_chunk(ch, arity, params), expect);
   using B = spec::IBatch<4>;
   std::array<B, 64> stack;
   std::array<B, 4> bp{B::zero(), B::zero(), B::zero(), B::zero()};
   for (std::size_t i = 0; i < params.size(); ++i) bp[i] = B::broadcast(params[i]);
-  ASSERT_EQ(spec::eval_blocked<4>(bc, bp, stack)[0], expect);
+  ASSERT_EQ(spec::run_chunk<B>(ch, bp, stack)[0], expect);
 }
 
 // ---- ExecPage lifecycle ------------------------------------------------------------
@@ -181,12 +177,17 @@ TEST(JitChunk, RejectedChunkGetsNullEntry) {
   Chunk good;
   good.emit(OpCode::PushConst, good.add_const(5));
   good.emit(OpCode::Return);
-  const std::array<const Chunk*, 2> chunks{&bad, &good};
+  Chunk unknown;  // an op byte outside the opcode set
+  unknown.emit(OpCode::PushConst, unknown.add_const(7));
+  unknown.emit(static_cast<OpCode>(99));
+  unknown.emit(OpCode::Return);
+  const std::array<const Chunk*, 3> chunks{&bad, &good, &unknown};
   const auto code = spec::jit::compile_chunks(chunks, 0);
   ASSERT_TRUE(code.valid());
   EXPECT_EQ(code.fn(0), nullptr);  // interpreter fallback for the bad chunk
   ASSERT_NE(code.fn(1), nullptr);
   EXPECT_EQ(code.fn(1)(nullptr), 5);
+  EXPECT_EQ(code.fn(2), nullptr);
 }
 
 TEST(JitChunk, DeepStackSpillsToFrame) {
@@ -199,7 +200,7 @@ TEST(JitChunk, DeepStackSpillsToFrame) {
   // Force right-heavy nesting too: (p0 + (p0 + (p0 + ...))) grows depth.
   auto deep = param(0);
   for (int i = 0; i < 20; ++i) deep = node(Op::Add, param(0), std::move(deep));
-  const Chunk ch = Compiler(CompileMode::Scalar).compile(*deep, 1);
+  const Chunk ch = Compiler::compile(*deep, 1);
   ASSERT_GT(ch.verify(1).max_stack, 4) << "expression no longer spills; deepen it";
   const std::int64_t params[] = {3};
   check_chunk(ch, 1, params);
@@ -268,18 +269,13 @@ TEST(JitEdgeCases, ShiftStrengthReductionWraps) {
   EXPECT_FALSE(ch.verify(0).ok);
 }
 
-TEST(JitEdgeCases, NestedShortCircuitJumpChains) {
-  // (p0 && (p1 || (p2 && p3))) || (p1 && p2): the scalar dialect compiles
-  // this to a chain of nested forward jumps landing on each other.
-  const auto make = [] {
-    return node(Op::Or,
-                node(Op::And, param(0),
-                     node(Op::Or, param(1), node(Op::And, param(2), param(3)))),
-                node(Op::And, param(1), param(2)));
-  };
-  const auto e = make();
-  const Chunk sc = Compiler(CompileMode::Scalar).compile(*e, 4);
-  ASSERT_TRUE(sc.has_jumps());
+TEST(JitEdgeCases, NestedLogicChains) {
+  // (p0 && (p1 || (p2 && p3))) || (p1 && p2): the AST oracle short-circuits
+  // every level; the chunk, jitted or not, evaluates every side eagerly.
+  const auto e = node(Op::Or,
+                      node(Op::And, param(0),
+                           node(Op::Or, param(1), node(Op::And, param(2), param(3)))),
+                      node(Op::And, param(1), param(2)));
   const std::int64_t vals[] = {0, 1, -1, kMin, kMax, 2};
   for (const std::int64_t a : vals) {
     for (const std::int64_t b : vals) {
@@ -480,18 +476,26 @@ TEST(JitProgram, ModeAutoHonorsEnvKillSwitch) {
 }
 
 TEST(JitProgram, CopyAndMoveKeepCodeCallable) {
-  const auto prog = CompiledSpecProgram::parse(kBinomial, JitMode::On);
-  const auto copy = prog;  // shares the exec page, rebinds chunk pointers
+  auto prog = std::make_unique<CompiledSpecProgram>(
+      CompiledSpecProgram::parse(kBinomial, JitMode::On));
+  const auto copy = *prog;  // shares the compiled method and the exec page
+  auto assigned = CompiledSpecProgram::parse(kFib, JitMode::On);
+  assigned = *prog;
   auto moved = CompiledSpecProgram::parse(kBinomial, JitMode::On);
   const auto moved2 = std::move(moved);
+  prog.reset();  // the copies keep the shared state alive
   const auto th = core::Thresholds::for_block_size(4, 128, 16);
   const std::vector roots{copy.make_root({19, 8})};
-  EXPECT_EQ((core::run_seq<core::SoaExec<CompiledSpecProgram>>(copy, roots, SeqPolicy::Restart,
-                                                               th)),
-            75582u);
-  EXPECT_EQ((core::run_seq<core::SoaExec<CompiledSpecProgram>>(moved2, roots,
-                                                               SeqPolicy::Restart, th)),
-            75582u);
+  const CompiledSpecProgram* const progs[] = {&copy, &assigned, &moved2};
+  for (const CompiledSpecProgram* p : progs) {
+    EXPECT_EQ(p->jit_active(), spec::jit::supported());
+    EXPECT_EQ((core::run_seq<core::SoaExec<CompiledSpecProgram>>(*p, roots,
+                                                                 SeqPolicy::Restart, th)),
+              75582u);
+    EXPECT_EQ((core::run_seq<core::SimdExec<CompiledSpecProgram>>(*p, roots,
+                                                                  SeqPolicy::Restart, th)),
+              75582u);
+  }
 }
 
 struct E2ECase {

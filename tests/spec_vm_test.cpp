@@ -1,12 +1,12 @@
 // Tests for the spec-language compiler pipeline: bytecode verifier,
 // AST→bytecode compilation (constant folding, algebraic simplification,
-// short-circuit vs eager logic), the scalar VM, the block VM, and the
-// CompiledSpecProgram end-to-end through every scheduler and layer.
+// eager logic), the interpreter, the block VM, and the CompiledSpecProgram
+// end-to-end through every scheduler and layer.
 //
 // The core property, checked on thousands of random expressions: the AST
-// interpreter, the scalar VM on both dialects, and the block VM agree
-// bit-for-bit on every input (the language's wrap-around/total arithmetic
-// makes this exact, not approximate).
+// interpreter (which short-circuits && and ||), the interpreter and the
+// block VM agree bit-for-bit on every input (the language's
+// wrap-around/total arithmetic makes this exact, not approximate).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "apps/binomial.hpp"
@@ -22,6 +23,7 @@
 #include "core/driver.hpp"
 #include "runtime/xoshiro.hpp"
 #include "spec/compiler.hpp"
+#include "spec/jit/jit_compiler.hpp"
 #include "spec/spec_lang.hpp"
 #include "spec/vm.hpp"
 #include "tests/support/harness.hpp"
@@ -32,7 +34,6 @@ using namespace tb;
 using core::SeqPolicy;
 using spec::Chunk;
 using spec::CompiledSpecProgram;
-using spec::CompileMode;
 using spec::Compiler;
 using spec::Expr;
 using spec::Op;
@@ -77,7 +78,7 @@ std::int64_t run_blocked_lane0(const Chunk& ch, std::span<const std::int64_t> pa
     p[i] = B::broadcast(params[i]);
     p[i].set(1, spec::wrap_add(params[i], 1));  // perturb other lanes
   }
-  return spec::eval_blocked<4>(ch, p, stack)[0];
+  return spec::run_chunk<B>(ch, p, stack)[0];
 }
 
 // ---- bytecode verifier -----------------------------------------------------------
@@ -137,11 +138,25 @@ TEST(BytecodeVerify, RejectsBadParamIndex) {
   EXPECT_TRUE(ch.verify(3).ok);
 }
 
-TEST(BytecodeVerify, RejectsJumpOutOfRange) {
+TEST(BytecodeVerify, RejectsUnknownOpcode) {
+  // A byte outside the opcode set has no stack effect to check, so it must
+  // be rejected rather than run as a no-op.
+  for (const int byte : {static_cast<int>(OpCode::Return) + 1, 99, 255}) {
+    Chunk ch;
+    ch.emit(OpCode::PushConst, ch.add_const(7));
+    ch.emit(static_cast<OpCode>(byte));
+    ch.emit(OpCode::Return);
+    const auto v = ch.verify(0);
+    EXPECT_FALSE(v.ok) << "op byte " << byte;
+    EXPECT_NE(v.error.find("unknown opcode"), std::string::npos) << v.error;
+  }
+}
+
+TEST(BytecodeVerify, RejectsEarlyReturn) {
   Chunk ch;
   ch.emit(OpCode::PushConst, ch.add_const(1));
-  ch.emit(OpCode::JumpIfZero, 100);
-  ch.emit(OpCode::PushConst, 0);
+  ch.emit(OpCode::Return);
+  ch.emit(OpCode::PushConst, ch.add_const(2));
   ch.emit(OpCode::Return);
   EXPECT_FALSE(ch.verify(0).ok);
 }
@@ -193,45 +208,45 @@ TEST(BytecodeDisassemble, ShowsMnemonicsAndOperands) {
 TEST(SpecCompiler, FoldsConstantExpressions) {
   // (2 + 3 * 4) == 14  =>  1
   auto e = node(Op::Eq, node(Op::Add, konst(2), node(Op::Mul, konst(3), konst(4))), konst(14));
-  const Chunk ch = Compiler(CompileMode::Scalar).compile(*e, 0);
+  const Chunk ch = Compiler::compile(*e, 0);
   EXPECT_EQ(ch.as_constant(), 1);
 }
 
 TEST(SpecCompiler, FoldsTotalDivisionByZero) {
   auto e = node(Op::Div, konst(5), konst(0));
-  EXPECT_EQ(Compiler(CompileMode::Scalar).compile(*e, 0).as_constant(), 0);
+  EXPECT_EQ(Compiler::compile(*e, 0).as_constant(), 0);
   auto m = node(Op::Mod, konst(5), konst(0));
-  EXPECT_EQ(Compiler(CompileMode::Scalar).compile(*m, 0).as_constant(), 0);
+  EXPECT_EQ(Compiler::compile(*m, 0).as_constant(), 0);
 }
 
 TEST(SpecCompiler, FoldsIntMinNegationByWrapping) {
   const std::int64_t int_min = std::numeric_limits<std::int64_t>::min();
   auto e = node(Op::Neg, konst(int_min));
-  EXPECT_EQ(Compiler(CompileMode::Scalar).compile(*e, 0).as_constant(), int_min);
+  EXPECT_EQ(Compiler::compile(*e, 0).as_constant(), int_min);
 }
 
 TEST(SpecCompiler, ElidesAdditiveIdentity) {
   auto e = node(Op::Add, param(0), konst(0));
-  const Chunk ch = Compiler(CompileMode::Scalar).compile(*e, 1);
+  const Chunk ch = Compiler::compile(*e, 1);
   ASSERT_EQ(ch.code().size(), 2u);  // push.param, ret — no add
   EXPECT_EQ(ch.code()[0].op, OpCode::PushParam);
 }
 
 TEST(SpecCompiler, ElidesMultiplicativeIdentity) {
   auto e = node(Op::Mul, konst(1), param(0));
-  const Chunk ch = Compiler(CompileMode::Scalar).compile(*e, 1);
+  const Chunk ch = Compiler::compile(*e, 1);
   ASSERT_EQ(ch.code().size(), 2u);
   EXPECT_EQ(ch.code()[0].op, OpCode::PushParam);
 }
 
 TEST(SpecCompiler, MulByZeroBecomesConstant) {
   auto e = node(Op::Mul, param(0), konst(0));
-  EXPECT_EQ(Compiler(CompileMode::Scalar).compile(*e, 1).as_constant(), 0);
+  EXPECT_EQ(Compiler::compile(*e, 1).as_constant(), 0);
 }
 
 TEST(SpecCompiler, StrengthReducesMulByPowerOfTwo) {
   auto e = node(Op::Mul, param(0), konst(8));
-  const Chunk ch = Compiler(CompileMode::Scalar).compile(*e, 1);
+  const Chunk ch = Compiler::compile(*e, 1);
   ASSERT_EQ(ch.code().size(), 3u);  // push.param, shl 3, ret
   EXPECT_EQ(ch.code()[1].op, OpCode::Shl);
   EXPECT_EQ(ch.code()[1].arg, 3);
@@ -241,7 +256,7 @@ TEST(SpecCompiler, StrengthReducesMulByPowerOfTwo) {
 
 TEST(SpecCompiler, DoubleNegationNormalizesToBool) {
   auto e = node(Op::Not, node(Op::Not, param(0)));
-  const Chunk ch = Compiler(CompileMode::Scalar).compile(*e, 1);
+  const Chunk ch = Compiler::compile(*e, 1);
   ASSERT_EQ(ch.code().size(), 3u);  // push.param, bool, ret
   EXPECT_EQ(ch.code()[1].op, OpCode::Bool);
   const std::int64_t p5[] = {5};
@@ -253,31 +268,33 @@ TEST(SpecCompiler, DoubleNegationNormalizesToBool) {
 TEST(SpecCompiler, ConstantLhsDecidesLogic) {
   // 0 && p0  =>  0 without evaluating p0
   auto e1 = node(Op::And, konst(0), param(0));
-  EXPECT_EQ(Compiler(CompileMode::Scalar).compile(*e1, 1).as_constant(), 0);
+  EXPECT_EQ(Compiler::compile(*e1, 1).as_constant(), 0);
   // 7 || p0  =>  1
   auto e2 = node(Op::Or, konst(7), param(0));
-  EXPECT_EQ(Compiler(CompileMode::Scalar).compile(*e2, 1).as_constant(), 1);
+  EXPECT_EQ(Compiler::compile(*e2, 1).as_constant(), 1);
   // 1 && p0  =>  bool(p0)
   auto e3 = node(Op::And, konst(1), param(0));
-  const Chunk ch = Compiler(CompileMode::Scalar).compile(*e3, 1);
-  EXPECT_FALSE(ch.has_jumps());
+  const Chunk ch = Compiler::compile(*e3, 1);
+  ASSERT_EQ(ch.code().size(), 3u);  // push.param, bool, ret
+  EXPECT_EQ(ch.code()[1].op, OpCode::Bool);
   const std::int64_t p[] = {-4};
   EXPECT_EQ(run_scalar(ch, p), 1);
 }
 
-TEST(SpecCompiler, ScalarDialectEmitsShortCircuitJumps) {
+TEST(SpecCompiler, LogicCompilesEager) {
+  // && evaluates both sides and combines them with one `and`: the chunk is
+  // straight-line, so every lane of a block runs the same instructions.
   auto e = node(Op::And, node(Op::Gt, param(0), konst(0)), node(Op::Lt, param(1), konst(9)));
-  const Chunk scalar = Compiler(CompileMode::Scalar).compile(*e, 2);
-  const Chunk blocked = Compiler(CompileMode::Blocked).compile(*e, 2);
-  EXPECT_TRUE(scalar.has_jumps());
-  EXPECT_FALSE(blocked.has_jumps());
+  const Chunk ch = Compiler::compile(*e, 2);
+  const auto& code = ch.code();
+  ASSERT_EQ(code.size(), 8u);  // p0 0 gt, p1 9 lt, and, ret
+  EXPECT_EQ(code[6].op, OpCode::LogicAnd);
   for (const std::int64_t a : {-1, 0, 1, 5}) {
     for (const std::int64_t b : {3, 9, 20}) {
       const std::int64_t p[] = {a, b};
       const std::int64_t expect = (a > 0 && b < 9) ? 1 : 0;
-      EXPECT_EQ(run_scalar(scalar, p), expect);
-      EXPECT_EQ(run_scalar(blocked, p), expect);
-      EXPECT_EQ(run_blocked_lane0(blocked, p), expect);
+      EXPECT_EQ(run_scalar(ch, p), expect);
+      EXPECT_EQ(run_blocked_lane0(ch, p), expect);
     }
   }
 }
@@ -285,7 +302,7 @@ TEST(SpecCompiler, ScalarDialectEmitsShortCircuitJumps) {
 TEST(SpecCompiler, OrShortCircuitNormalizesTakenValue) {
   // 2 is truthy but not 1: the || result must still be exactly 1.
   auto e = node(Op::Or, param(0), param(1));
-  const Chunk ch = Compiler(CompileMode::Scalar).compile(*e, 2);
+  const Chunk ch = Compiler::compile(*e, 2);
   const std::int64_t p[] = {2, 0};
   EXPECT_EQ(run_scalar(ch, p), 1);
 }
@@ -306,30 +323,21 @@ TEST(SpecCompiler, RejectsTooDeepExpressions) {
   EXPECT_THROW((void)CompiledSpecProgram(std::move(m)), spec::CompileError);
 }
 
-TEST(BytecodeVerify, RejectsBackwardJumps) {
-  // Forward-only jumps are what makes chunk execution obviously
-  // terminating; the verifier rejects negative offsets.
-  Chunk ch;
-  ch.emit(OpCode::PushConst, ch.add_const(1));
-  ch.emit(OpCode::JumpIfZero, -1);
-  ch.emit(OpCode::PushConst, ch.add_const(0));
-  ch.emit(OpCode::Return);
-  EXPECT_FALSE(ch.verify(0).ok);
-}
-
-// Mutation fuzzing: corrupt one instruction of a valid compiled chunk.  The
-// verifier must never crash; if it accepts the mutant, the scalar VM must
-// execute it without leaving the stack bounds the verifier computed.
+// Mutation fuzzing: corrupt one instruction of a valid compiled chunk, with
+// op bytes drawn from the whole uint8_t range.  The verifier must never
+// crash; if it accepts the mutant, every tier must run it within the stack
+// bound the verifier computed and agree on the result.
 class VerifierMutation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(VerifierMutation, CorruptedChunksAreRejectedOrStillSafe) {
   rt::Xoshiro256 rng(GetParam());
-  const Compiler scalar_c(CompileMode::Scalar);
-  for (int trial = 0; trial < 60; ++trial) {
+  const bool jit_on = spec::jit::supported() && spec::jit::runtime_enabled();
+  int accepted = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
     // Small random expression over 2 params.
     auto e = node(Op::Add, node(Op::Mul, param(0), konst(static_cast<std::int64_t>(rng()))),
                   node(Op::And, node(Op::Lt, param(1), konst(9)), param(0)));
-    Chunk ch = scalar_c.compile(*e, 2);
+    Chunk ch = Compiler::compile(*e, 2);
     ASSERT_TRUE(ch.verify(2).ok);
     // Mutate one instruction in place via a rebuilt chunk.
     const auto& code = ch.code();
@@ -340,10 +348,10 @@ TEST_P(VerifierMutation, CorruptedChunksAreRejectedOrStillSafe) {
       spec::Instr in = code[i];
       if (i == victim) {
         switch (rng.below(3)) {
-          case 0: in.op = static_cast<OpCode>(rng.below(22)); break;  // random opcode
+          case 0: in.op = static_cast<OpCode>(rng.below(256)); break;  // any op byte
           case 1: in.arg = static_cast<std::int32_t>(rng()) % 100 - 50; break;
           default:
-            in.op = static_cast<OpCode>(rng.below(22));
+            in.op = static_cast<OpCode>(rng.below(256));
             in.arg = static_cast<std::int32_t>(rng()) % 100 - 50;
         }
       }
@@ -351,11 +359,20 @@ TEST_P(VerifierMutation, CorruptedChunksAreRejectedOrStillSafe) {
     }
     const auto v = mutant.verify(2);
     if (!v.ok) continue;  // rejected: fine
+    ++accepted;
     // Accepted mutants must still execute within the verified stack bound.
     ASSERT_LE(v.max_stack, 64);
     const std::int64_t params[2] = {5, -3};
-    (void)run_scalar(mutant, params);  // must not crash / overrun
+    const std::int64_t expect = run_scalar(mutant, params);  // must not crash / overrun
+    ASSERT_EQ(run_blocked_lane0(mutant, params), expect) << mutant.disassemble("mutant");
+    const std::array<const Chunk*, 1> chunks{&mutant};
+    const auto jitted = spec::jit::compile_chunks(chunks, 2);
+    if (jit_on) {
+      ASSERT_NE(jitted.fn(0), nullptr) << mutant.disassemble("mutant");
+      ASSERT_EQ(jitted.fn(0)(params), expect) << mutant.disassemble("mutant");
+    }
   }
+  EXPECT_GT(accepted, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VerifierMutation, ::testing::Values(101u, 202u, 303u, 404u));
@@ -417,22 +434,16 @@ class RandomExprDifferential : public ::testing::TestWithParam<std::uint64_t> {}
 TEST_P(RandomExprDifferential, AstScalarVmAndBlockVmAgree) {
   const std::uint64_t seed = GetParam();
   ExprGen gen(seed, 4);
-  const Compiler scalar_c(CompileMode::Scalar);
-  const Compiler blocked_c(CompileMode::Blocked);
   for (int trial = 0; trial < 200; ++trial) {
     const auto e = gen.gen(5);
-    const Chunk sc = scalar_c.compile(*e, 4);
-    const Chunk bc = blocked_c.compile(*e, 4);
-    ASSERT_TRUE(sc.verify(4).ok);
-    ASSERT_TRUE(bc.verify(4).ok);
-    ASSERT_FALSE(bc.has_jumps());
+    const Chunk ch = Compiler::compile(*e, 4);
+    ASSERT_TRUE(ch.verify(4).ok);
     for (int pv = 0; pv < 4; ++pv) {
       const std::int64_t params[4] = {gen.pick_value(), gen.pick_value(), gen.pick_value(),
                                       gen.pick_value()};
       const std::int64_t expect = spec::eval(*e, params);
-      ASSERT_EQ(run_scalar(sc, params), expect) << "scalar dialect, trial " << trial;
-      ASSERT_EQ(run_scalar(bc, params), expect) << "blocked dialect, trial " << trial;
-      ASSERT_EQ(run_blocked_lane0(bc, params), expect) << "block VM, trial " << trial;
+      ASSERT_EQ(run_scalar(ch, params), expect) << "interpreter, trial " << trial;
+      ASSERT_EQ(run_blocked_lane0(ch, params), expect) << "block VM, trial " << trial;
     }
   }
 }
@@ -443,29 +454,27 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomExprDifferential,
 TEST(BlockVm, LanesAreIndependent) {
   // p0 % p1 with a zero divisor in exactly one lane: only that lane is 0.
   auto e = node(Op::Mod, param(0), param(1));
-  const Chunk ch = Compiler(CompileMode::Blocked).compile(*e, 2);
+  const Chunk ch = Compiler::compile(*e, 2);
   using B = spec::IBatch<4>;
   std::array<B, 64> stack;
   std::array<B, 4> params{B::zero(), B::zero(), B::zero(), B::zero()};
   params[0] = B::iota(10, 1);                    // 10 11 12 13
   params[1] = B{{3, 0, 5, 7}};                   // lane 1 divides by zero
-  const B r = spec::eval_blocked<4>(ch, params, stack);
+  const B r = spec::run_chunk<B>(ch, params, stack);
   EXPECT_EQ(r[0], 1);
   EXPECT_EQ(r[1], 0);
   EXPECT_EQ(r[2], 2);
   EXPECT_EQ(r[3], 6);
 }
 
-// ---- totality / wrap / jump-chain edge cases ---------------------------------------
+// ---- totality / wrap / nested-logic edge cases -------------------------------------
 
-// Assert AST eval, scalar VM (both dialects) and block VM lane 0 agree.
+// Assert AST eval, the interpreter and block VM lane 0 agree.
 void expect_tiers_agree(const Expr& e, int arity, std::span<const std::int64_t> params) {
   const std::int64_t expect = spec::eval(e, params);
-  const Chunk sc = Compiler(CompileMode::Scalar).compile(e, arity);
-  const Chunk bc = Compiler(CompileMode::Blocked).compile(e, arity);
-  ASSERT_EQ(run_scalar(sc, params), expect);
-  ASSERT_EQ(run_scalar(bc, params), expect);
-  ASSERT_EQ(run_blocked_lane0(bc, params), expect);
+  const Chunk ch = Compiler::compile(e, arity);
+  ASSERT_EQ(run_scalar(ch, params), expect);
+  ASSERT_EQ(run_blocked_lane0(ch, params), expect);
 }
 
 TEST(EdgeCases, DivModTotalityAcrossTiers) {
@@ -509,15 +518,13 @@ TEST(EdgeCases, ShlBeyondVerifierBoundIsRejected) {
   }
 }
 
-TEST(EdgeCases, NestedShortCircuitJumpChains) {
-  // (p0 && (p1 || (p2 && p3))) || (p1 && p2): the scalar dialect lowers this
-  // to nested forward jumps whose targets land on other jumps' targets.
+TEST(EdgeCases, NestedLogicChains) {
+  // (p0 && (p1 || (p2 && p3))) || (p1 && p2): the AST oracle short-circuits
+  // every level, the compiled chunk evaluates every side eagerly.
   const auto e = node(Op::Or,
                       node(Op::And, param(0),
                            node(Op::Or, param(1), node(Op::And, param(2), param(3)))),
                       node(Op::And, param(1), param(2)));
-  const Chunk sc = Compiler(CompileMode::Scalar).compile(*e, 4);
-  ASSERT_TRUE(sc.has_jumps());
   constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
   const std::int64_t vals[] = {0, 1, -1, kMin};
   for (const std::int64_t a : vals) {
@@ -560,26 +567,11 @@ constexpr const char* kParens = R"(
 
 TEST(CompiledMethod, DisassemblyListsAllChunks) {
   const auto prog = CompiledSpecProgram::parse(kParens);
-  const std::string text = prog.scalar_method().disassemble();
+  const std::string text = prog.method().disassemble();
   EXPECT_NE(text.find("paren.base:"), std::string::npos);
   EXPECT_NE(text.find("paren.reduce:"), std::string::npos);
   EXPECT_NE(text.find("paren.spawn0.guard:"), std::string::npos);
   EXPECT_NE(text.find("paren.spawn1.arg1:"), std::string::npos);
-}
-
-TEST(CompiledMethod, BlockedDialectIsJumpFreeEverywhere) {
-  for (const char* src : {kFib, kBinomial, kParens}) {
-    const auto prog = CompiledSpecProgram::parse(src);
-    const auto& m = prog.blocked_method();
-    EXPECT_FALSE(m.base.has_jumps());
-    EXPECT_FALSE(m.reduce.has_jumps());
-    for (const auto& s : m.spawns) {
-      if (s.has_guard) {
-        EXPECT_FALSE(s.guard.has_jumps());
-      }
-      for (const auto& a : s.args) EXPECT_FALSE(a.has_jumps());
-    }
-  }
 }
 
 TEST(CompiledProgram, TaskLevelSemanticsMatchAstProgram) {
