@@ -16,6 +16,7 @@
 #include "bench/support/report.hpp"
 
 #include "apps/fib.hpp"
+#include "core/driver.hpp"
 #include "core/program.hpp"
 #include "runtime/chase_lev_deque.hpp"
 #include "runtime/forkjoin.hpp"
@@ -128,8 +129,10 @@ BENCHMARK(BM_ExpandFibSimd);
 
 void BM_SpawnSyncOverhead(benchmark::State& state) {
   rt::ForkJoinPool pool(1);
+  const apps::FibProgram prog;
+  const apps::FibProgram::Task roots[] = {apps::FibProgram::root(12)};
   for (auto _ : state) {
-    const auto v = pool.run([&pool] { return apps::fib_cilk_rec(pool, 12); });
+    const auto v = core::run_cilk(pool, prog, roots);
     benchmark::DoNotOptimize(v);
   }
   state.SetItemsProcessed(state.iterations() * 465);  // fib(12) call-tree size

@@ -1,12 +1,13 @@
 // The benchmark suite of Table 1 (plus the minmaxdist traversal extension)
 // behind a uniform interface — 12 benchmarks.
 //
-// Each benchmark exposes: the plain sequential recursion (Ts), the
-// Cilk-style spawn version (T1/T16), and the blocked scheduler variants
-// (policy × execution layer × sequential-or-pool).  Every run returns a
-// digest string so the harnesses can verify that all variants computed the
-// same answer (k-NN's digest is the final neighbor lists, which are
-// schedule-independent even though its traversal counts are not).
+// Each benchmark exposes: the plain sequential recursion (Ts), the Cilk
+// baseline derived from its program (core::run_cilk; T1/TP), and the
+// blocked scheduler variants (policy × execution layer ×
+// sequential-or-pool).  Every run returns a digest string so the harnesses
+// can verify that all variants computed the same answer (k-NN's digest is
+// the final neighbor lists, which are schedule-independent even though its
+// traversal counts are not).
 //
 // Scales: "test" (seconds for the whole suite), "default" (the shipped
 // bench scale), "paper" (the paper's problem sizes — hours of sequential
@@ -156,7 +157,7 @@ public:
   tb::core::TreeInfo census() override { return tb::core::count_tree(prog_, roots_); }
   std::string run_sequential() override { return digest_of(tb::apps::fib_sequential(n_)); }
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
-    return digest_of(tb::apps::fib_cilk(pool, n_));
+    return digest_of(tb::core::run_cilk(pool, prog_, roots_));
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {
     return run_blocked_generic(prog_, roots_, cfg, st);
@@ -181,7 +182,7 @@ public:
     return digest_of(tb::apps::knapsack_sequential(inst_, 0, inst_.capacity, 0));
   }
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
-    return digest_of(tb::apps::knapsack_cilk(pool, inst_));
+    return digest_of(tb::core::run_cilk(pool, prog_, roots_));
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {
     return run_blocked_generic(prog_, roots_, cfg, st);
@@ -206,7 +207,7 @@ public:
     return digest_of(tb::apps::parentheses_sequential(pairs_, pairs_));
   }
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
-    return digest_of(tb::apps::parentheses_cilk(pool, pairs_));
+    return digest_of(tb::core::run_cilk(pool, prog_, roots_));
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {
     return run_blocked_generic(prog_, roots_, cfg, st);
@@ -230,7 +231,7 @@ public:
     return digest_of(tb::apps::nqueens_sequential(prog_.n, 0, 0, 0));
   }
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
-    return digest_of(tb::apps::nqueens_cilk(pool, prog_.n));
+    return digest_of(tb::core::run_cilk(pool, prog_, roots_));
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {
     return run_blocked_generic(prog_, roots_, cfg, st);
@@ -262,7 +263,7 @@ public:
     return digest_of(tb::apps::graphcol_sequential(inst_, tb::apps::GraphColProgram::root()));
   }
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
-    return digest_of(tb::apps::graphcol_cilk(pool, inst_));
+    return digest_of(tb::core::run_cilk(pool, prog_, roots_));
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {
     return run_blocked_generic(prog_, roots_, cfg, st);
@@ -285,7 +286,7 @@ public:
   tb::core::TreeInfo census() override { return tb::core::count_tree(prog_, roots_); }
   std::string run_sequential() override { return digest_of(tb::apps::uts_sequential_all(prog_)); }
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
-    return digest_of(tb::apps::uts_cilk(pool, prog_));
+    return digest_of(tb::core::run_cilk(pool, prog_, roots_));
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {
     return run_blocked_generic(prog_, roots_, cfg, st);
@@ -316,7 +317,7 @@ public:
     return digest_of(tb::apps::binomial_sequential(n_, k_));
   }
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
-    return digest_of(tb::apps::binomial_cilk(pool, n_, k_));
+    return digest_of(tb::core::run_cilk(pool, prog_, roots_));
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {
     return run_blocked_generic(prog_, roots_, cfg, st);
@@ -342,7 +343,7 @@ public:
     return digest_of(tb::apps::minmax_sequential(prog_, tb::apps::MinmaxProgram::root()));
   }
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
-    return digest_of(tb::apps::minmax_cilk(pool, prog_));
+    return digest_of(tb::core::run_cilk(pool, prog_, roots_));
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {
     return run_blocked_generic(prog_, roots_, cfg, st);
@@ -373,7 +374,7 @@ public:
   }
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
     reset();
-    return digest_of(tb::apps::barneshut_cilk(pool, prog_, theta_));
+    return digest_of(tb::core::run_cilk(pool, prog_, roots_));
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {
     reset();
@@ -421,7 +422,7 @@ public:
     return digest_of(tb::apps::pointcorr_sequential(prog_));
   }
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
-    return digest_of(tb::apps::pointcorr_cilk(pool, prog_));
+    return digest_of(tb::core::run_cilk(pool, prog_, roots_));
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {
     return run_blocked_generic(prog_, roots_, cfg, st);
@@ -470,7 +471,7 @@ public:
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
     tb::apps::KnnState state(points_.size(), k_);
     tb::apps::KnnProgram prog{&points_, &tree_, &state};
-    tb::apps::knn_cilk(pool, prog);
+    (void)tb::core::run_cilk(pool, prog, prog.roots());
     return digest_state(state);
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {
@@ -553,7 +554,7 @@ public:
   std::string run_cilk(tb::rt::ForkJoinPool& pool) override {
     tb::apps::MinmaxDistState state(points_.size());
     tb::apps::MinmaxDistProgram prog{&points_, &tree_, &state};
-    tb::apps::minmaxdist_cilk(pool, prog);
+    (void)tb::core::run_cilk(pool, prog, prog.roots());
     return tb::apps::minmaxdist_digest(state);
   }
   std::string run_blocked(const BlockedConfig& cfg, tb::core::ExecStats* st) override {

@@ -5,15 +5,27 @@
 // parallelism.
 //
 // Usage: ./nqueens_explorer [n] [block_size]
+//   n in 1..16 (one child slot per column), block_size >= 1; anything else
+//   prints the usage line and exits 2.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "apps/nqueens.hpp"
 #include "core/driver.hpp"
 
 namespace {
+
+// Parses all of `s` as a T: false on garbage, trailing characters or
+// values T cannot hold.
+template <class T>
+bool parse(const char* s, T& out) {
+  const char* end = s + std::strlen(s);
+  const auto [p, ec] = std::from_chars(s, end, out);
+  return ec == std::errc{} && p == end;
+}
 
 template <class Exec>
 void report(const char* layer, const tb::apps::NQueensProgram& prog,
@@ -40,14 +52,21 @@ void report(const char* layer, const tb::apps::NQueensProgram& prog,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 11;
-  const std::size_t block = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 512;
+  constexpr int kMaxN = tb::apps::NQueensProgram::max_children;
+  int n = 11;
+  long block = 512;
+  if ((argc > 1 && !parse(argv[1], n)) || (argc > 2 && !parse(argv[2], block)) || argc > 3 ||
+      n < 1 || n > kMaxN || block < 1) {
+    std::fprintf(stderr, "usage: %s [n in 1..%d] [block_size >= 1]\n", argv[0], kMaxN);
+    return 2;
+  }
 
   tb::apps::NQueensProgram prog{n};
   const std::vector roots{tb::apps::NQueensProgram::root()};
-  const auto th = tb::core::Thresholds::for_block_size(prog.simd_width, block);
+  const auto th =
+      tb::core::Thresholds::for_block_size(prog.simd_width, static_cast<std::size_t>(block));
 
-  std::printf("nqueens(%d), block=%zu, Q=%d\n", n, block, prog.simd_width);
+  std::printf("nqueens(%d), block=%ld, Q=%d\n", n, block, prog.simd_width);
   report<tb::core::AosExec<tb::apps::NQueensProgram>>("block", prog, roots, th);
   report<tb::core::SoaExec<tb::apps::NQueensProgram>>("soa", prog, roots, th);
   report<tb::core::SimdExec<tb::apps::NQueensProgram>>("simd", prog, roots, th);

@@ -5,15 +5,28 @@
 // and vector density pull in opposite directions.
 //
 // Usage: ./uts_explorer [b0] [m] [q] [workers]
+//   b0 >= 0 root children, m in 1..8 children per internal node, q >= 0
+//   with m*q < 1 (at m*q >= 1 the tree is infinite in expectation),
+//   workers >= 1; anything else prints the usage line and exits 2.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 
 #include "apps/uts.hpp"
 #include "core/driver.hpp"
 #include "core/ideal_restart.hpp"
 
 namespace {
+
+// Parses all of `s` as a T: false on garbage, trailing characters or
+// values T cannot hold.
+template <class T>
+bool parse(const char* s, T& out) {
+  const char* end = s + std::strlen(s);
+  const auto [p, ec] = std::from_chars(s, end, out);
+  return ec == std::errc{} && p == end;
+}
 
 template <class F>
 double timed(F&& fn) {
@@ -25,11 +38,17 @@ double timed(F&& fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  tb::apps::UtsParams params;
-  params.b0 = argc > 1 ? std::atoi(argv[1]) : 1000;
-  params.m = argc > 2 ? std::atoi(argv[2]) : 4;
-  params.q = argc > 3 ? std::atof(argv[3]) : 0.246;
-  const int workers = argc > 4 ? std::atoi(argv[4]) : 4;
+  constexpr int kMaxM = tb::apps::UtsProgram::max_children;
+  tb::apps::UtsParams params{1000, 4, 0.246};
+  int workers = 4;
+  if ((argc > 1 && !parse(argv[1], params.b0)) || (argc > 2 && !parse(argv[2], params.m)) ||
+      (argc > 3 && !parse(argv[3], params.q)) || (argc > 4 && !parse(argv[4], workers)) ||
+      argc > 5 || params.b0 < 0 || params.m < 1 || params.m > kMaxM ||
+      !(params.q >= 0.0 && params.m * params.q < 1.0) || workers < 1) {
+    std::fprintf(stderr, "usage: %s [b0 >= 0] [m in 1..%d] [q >= 0, m*q < 1] [workers >= 1]\n",
+                 argv[0], kMaxM);
+    return 2;
+  }
 
   tb::apps::UtsProgram prog(params);
   const auto roots = prog.roots();
@@ -47,7 +66,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(leaves));
 
   tb::rt::ForkJoinPool pool(workers);
-  t = timed([&] { leaves = tb::apps::uts_cilk(pool, prog); });
+  t = timed([&] { leaves = tb::core::run_cilk(pool, prog, roots); });
   std::printf("%-16s %9.4fs  leaves=%llu  steals=%llu\n", "cilk-scalar", t,
               static_cast<unsigned long long>(leaves),
               static_cast<unsigned long long>(pool.total_steals()));

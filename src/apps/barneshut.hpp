@@ -21,7 +21,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "apps/common.hpp"
 #include "core/program.hpp"
 #include "runtime/forkjoin.hpp"
 #include "simd/batch.hpp"
@@ -238,40 +237,6 @@ inline std::uint64_t barneshut_sequential(const BarnesHutProgram& prog, float th
   std::uint64_t total = 0;
   for (const auto& t : prog.roots(theta)) total += barneshut_sequential_body(prog, t);
   return total;
-}
-
-// Cilk-style: parallel over bodies AND over octants inside the traversal.
-inline std::uint64_t barneshut_cilk_rec(rt::ForkJoinPool& pool, const BarnesHutProgram& prog,
-                                        const BarnesHutProgram::Task& t) {
-  if (prog.is_base(t)) {
-    std::uint64_t r = 0;
-    prog.leaf(t, r);
-    return r;
-  }
-  std::array<BarnesHutProgram::Task, 8> kids;
-  int count = 0;
-  prog.expand(t, [&](int, const BarnesHutProgram::Task& c) {
-    kids[static_cast<std::size_t>(count++)] = c;
-  });
-  return spawn_map_reduce<std::uint64_t>(
-      pool, count,
-      [&pool, &prog, &kids](int i) {
-        return barneshut_cilk_rec(pool, prog, kids[static_cast<std::size_t>(i)]);
-      },
-      0ull, [](std::uint64_t& a, std::uint64_t b) { a += b; });
-}
-
-inline std::uint64_t barneshut_cilk(rt::ForkJoinPool& pool, const BarnesHutProgram& prog,
-                                    float theta) {
-  const auto roots = prog.roots(theta);
-  return pool.run([&] {
-    return spawn_map_reduce<std::uint64_t>(
-        pool, static_cast<int>(roots.size()),
-        [&pool, &prog, &roots](int i) {
-          return barneshut_cilk_rec(pool, prog, roots[static_cast<std::size_t>(i)]);
-        },
-        0ull, [](std::uint64_t& a, std::uint64_t b) { a += b; });
-  });
 }
 
 }  // namespace tb::apps

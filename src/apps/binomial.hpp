@@ -76,18 +76,4 @@ inline std::uint64_t binomial_sequential(int n, int k) {
   return binomial_sequential(n - 1, k - 1) + binomial_sequential(n - 1, k);
 }
 
-inline std::uint64_t binomial_cilk_rec(rt::ForkJoinPool& pool, int n, int k) {
-  if (k == 0 || k == n) return 1;
-  std::uint64_t a = 0;
-  rt::SpawnJob job([&pool, &a, n, k] { a = binomial_cilk_rec(pool, n - 1, k - 1); });
-  pool.push(job);
-  const std::uint64_t b = binomial_cilk_rec(pool, n - 1, k);
-  pool.sync(job);
-  return a + b;
-}
-
-inline std::uint64_t binomial_cilk(rt::ForkJoinPool& pool, int n, int k) {
-  return pool.run([&pool, n, k] { return binomial_cilk_rec(pool, n, k); });
-}
-
 }  // namespace tb::apps

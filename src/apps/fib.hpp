@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "core/program.hpp"
-#include "runtime/forkjoin.hpp"
 #include "simd/batch.hpp"
 #include "simd/soa.hpp"
 
@@ -72,22 +71,6 @@ struct FibProgram {
 inline std::uint64_t fib_sequential(int n) {
   if (n < 2) return static_cast<std::uint64_t>(n);
   return fib_sequential(n - 1) + fib_sequential(n - 2);
-}
-
-// Cilk-style version: spawn at every recursive call (the paper's input
-// program; T1/T16 baseline).
-inline std::uint64_t fib_cilk_rec(rt::ForkJoinPool& pool, int n) {
-  if (n < 2) return static_cast<std::uint64_t>(n);
-  std::uint64_t a = 0;
-  rt::SpawnJob job([&pool, &a, n] { a = fib_cilk_rec(pool, n - 1); });
-  pool.push(job);
-  const std::uint64_t b = fib_cilk_rec(pool, n - 2);
-  pool.sync(job);
-  return a + b;
-}
-
-inline std::uint64_t fib_cilk(rt::ForkJoinPool& pool, int n) {
-  return pool.run([&pool, n] { return fib_cilk_rec(pool, n); });
 }
 
 }  // namespace tb::apps

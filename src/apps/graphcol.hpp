@@ -14,9 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "apps/common.hpp"
 #include "core/program.hpp"
-#include "runtime/forkjoin.hpp"
 #include "runtime/xoshiro.hpp"
 #include "simd/batch.hpp"
 #include "simd/soa.hpp"
@@ -161,27 +159,6 @@ inline std::uint64_t graphcol_sequential(const GraphColInstance& g,
     total += graphcol_sequential(g, child);
   });
   return total;
-}
-
-inline std::uint64_t graphcol_cilk_rec(rt::ForkJoinPool& pool, const GraphColInstance& g,
-                                       const GraphColProgram::Task& t) {
-  GraphColProgram prog{&g};
-  if (prog.is_base(t)) return 1;
-  std::array<GraphColProgram::Task, 3> kids;
-  int count = 0;
-  prog.expand(t, [&](int, const GraphColProgram::Task& child) {
-    kids[static_cast<std::size_t>(count++)] = child;
-  });
-  return spawn_map_reduce<std::uint64_t>(
-      pool, count,
-      [&pool, &g, &kids](int i) {
-        return graphcol_cilk_rec(pool, g, kids[static_cast<std::size_t>(i)]);
-      },
-      0ull, [](std::uint64_t& a, std::uint64_t b) { a += b; });
-}
-
-inline std::uint64_t graphcol_cilk(rt::ForkJoinPool& pool, const GraphColInstance& g) {
-  return pool.run([&pool, &g] { return graphcol_cilk_rec(pool, g, GraphColProgram::root()); });
 }
 
 }  // namespace tb::apps

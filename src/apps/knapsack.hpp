@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/program.hpp"
-#include "runtime/forkjoin.hpp"
 #include "runtime/xoshiro.hpp"
 #include "simd/batch.hpp"
 #include "simd/soa.hpp"
@@ -147,31 +146,6 @@ inline KnapsackResult knapsack_sequential(const KnapsackInstance& inst, int item
   }
   KnapsackProgram::combine(r, knapsack_sequential(inst, item + 1, cap, val));
   return r;
-}
-
-inline KnapsackResult knapsack_cilk_rec(rt::ForkJoinPool& pool, const KnapsackInstance& inst,
-                                        int item, std::int32_t cap, std::int32_t val) {
-  if (item == inst.num_items()) return {1, val};
-  KnapsackResult incl{};
-  KnapsackResult excl{};
-  const auto i = static_cast<std::size_t>(item);
-  if (cap >= inst.weight[i]) {
-    rt::SpawnJob job([&, item, cap, val] {
-      incl = knapsack_cilk_rec(pool, inst, item + 1, cap - inst.weight[i], val + inst.value[i]);
-    });
-    pool.push(job);
-    excl = knapsack_cilk_rec(pool, inst, item + 1, cap, val);
-    pool.sync(job);
-  } else {
-    excl = knapsack_cilk_rec(pool, inst, item + 1, cap, val);
-  }
-  KnapsackProgram::combine(incl, excl);
-  return incl;
-}
-
-inline KnapsackResult knapsack_cilk(rt::ForkJoinPool& pool, const KnapsackInstance& inst) {
-  return pool.run(
-      [&pool, &inst] { return knapsack_cilk_rec(pool, inst, 0, inst.capacity, 0); });
 }
 
 }  // namespace tb::apps

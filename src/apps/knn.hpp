@@ -23,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "apps/common.hpp"
 #include "core/program.hpp"
 #include "runtime/forkjoin.hpp"
 #include "simd/batch.hpp"
@@ -254,40 +253,6 @@ inline std::vector<float> knn_bruteforce(const spatial::Bodies& pts, std::int32_
   d2.resize(static_cast<std::size_t>(
       std::min<std::size_t>(static_cast<std::size_t>(k), d2.size())));
   return d2;
-}
-
-inline void knn_cilk_rec(rt::ForkJoinPool& pool, const KnnProgram& prog,
-                         const KnnProgram::Task& t) {
-  if (prog.is_base(t)) {
-    KnnProgram::Result dummy = 0;
-    prog.leaf(t, dummy);
-    return;
-  }
-  std::array<KnnProgram::Task, 2> kids;
-  int count = 0;
-  prog.expand(t, [&](int, const KnnProgram::Task& c) {
-    kids[static_cast<std::size_t>(count++)] = c;
-  });
-  (void)spawn_map_reduce<int>(
-      pool, count,
-      [&pool, &prog, &kids](int i) {
-        knn_cilk_rec(pool, prog, kids[static_cast<std::size_t>(i)]);
-        return 0;
-      },
-      0, [](int&, int) {});
-}
-
-inline void knn_cilk(rt::ForkJoinPool& pool, const KnnProgram& prog) {
-  const auto roots = prog.roots();
-  pool.run([&] {
-    (void)spawn_map_reduce<int>(
-        pool, static_cast<int>(roots.size()),
-        [&pool, &prog, &roots](int i) {
-          knn_cilk_rec(pool, prog, roots[static_cast<std::size_t>(i)]);
-          return 0;
-        },
-        0, [](int&, int) {});
-  });
 }
 
 }  // namespace tb::apps

@@ -16,9 +16,7 @@
 #include <bit>
 #include <cstdint>
 
-#include "apps/common.hpp"
 #include "core/program.hpp"
-#include "runtime/forkjoin.hpp"
 #include "simd/batch.hpp"
 #include "simd/soa.hpp"
 
@@ -176,32 +174,6 @@ inline int minmax_value(const MinmaxProgram& prog, const MinmaxProgram::Task& t)
     best = x_to_move ? std::max(best, v) : std::min(best, v);
   });
   return best;
-}
-
-inline MinmaxResult minmax_cilk_rec(rt::ForkJoinPool& pool, const MinmaxProgram& prog,
-                                    const MinmaxProgram::Task& t) {
-  if (prog.is_base(t)) {
-    MinmaxResult r{};
-    prog.leaf(t, r);
-    return r;
-  }
-  std::array<MinmaxProgram::Task, 16> kids;
-  int count = 0;
-  prog.expand(t, [&](int, const MinmaxProgram::Task& c) {
-    kids[static_cast<std::size_t>(count++)] = c;
-  });
-  return spawn_map_reduce<MinmaxResult>(
-      pool, count,
-      [&pool, &prog, &kids](int i) {
-        return minmax_cilk_rec(pool, prog, kids[static_cast<std::size_t>(i)]);
-      },
-      MinmaxResult{},
-      [](MinmaxResult& a, const MinmaxResult& b) { MinmaxProgram::combine(a, b); });
-}
-
-inline MinmaxResult minmax_cilk(rt::ForkJoinPool& pool, const MinmaxProgram& prog) {
-  return pool.run(
-      [&pool, &prog] { return minmax_cilk_rec(pool, prog, MinmaxProgram::root()); });
 }
 
 }  // namespace tb::apps

@@ -32,9 +32,7 @@
 #include <utility>
 #include <vector>
 
-#include "apps/common.hpp"
 #include "core/program.hpp"
-#include "runtime/forkjoin.hpp"
 #include "simd/batch.hpp"
 #include "simd/soa.hpp"
 #include "spatial/bodies.hpp"
@@ -281,40 +279,6 @@ inline std::pair<float, float> minmaxdist_bruteforce(const spatial::Bodies& pts,
     mx = std::max(mx, d2);
   }
   return {mn, mx};
-}
-
-inline void minmaxdist_cilk_rec(rt::ForkJoinPool& pool, const MinmaxDistProgram& prog,
-                                const MinmaxDistProgram::Task& t) {
-  if (prog.is_base(t)) {
-    MinmaxDistProgram::Result dummy = 0;
-    prog.leaf(t, dummy);
-    return;
-  }
-  std::array<MinmaxDistProgram::Task, 2> kids;
-  int count = 0;
-  prog.expand(t, [&](int, const MinmaxDistProgram::Task& c) {
-    kids[static_cast<std::size_t>(count++)] = c;
-  });
-  (void)spawn_map_reduce<int>(
-      pool, count,
-      [&pool, &prog, &kids](int i) {
-        minmaxdist_cilk_rec(pool, prog, kids[static_cast<std::size_t>(i)]);
-        return 0;
-      },
-      0, [](int&, int) {});
-}
-
-inline void minmaxdist_cilk(rt::ForkJoinPool& pool, const MinmaxDistProgram& prog) {
-  const auto roots = prog.roots();
-  pool.run([&] {
-    (void)spawn_map_reduce<int>(
-        pool, static_cast<int>(roots.size()),
-        [&pool, &prog, &roots](int i) {
-          minmaxdist_cilk_rec(pool, prog, roots[static_cast<std::size_t>(i)]);
-          return 0;
-        },
-        0, [](int&, int) {});
-  });
 }
 
 }  // namespace tb::apps

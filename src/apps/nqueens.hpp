@@ -14,7 +14,6 @@
 #include <bit>
 #include <cstdint>
 
-#include "apps/common.hpp"
 #include "core/hybrid_taskblock.hpp"
 #include "core/program.hpp"
 #include "runtime/forkjoin.hpp"
@@ -108,34 +107,6 @@ inline std::uint64_t nqueens_sequential(int n, std::uint32_t cols, std::uint32_t
     total += nqueens_sequential(n, cols | bit, ((ld | bit) << 1) & all, (rd | bit) >> 1);
   }
   return total;
-}
-
-inline std::uint64_t nqueens_cilk_rec(rt::ForkJoinPool& pool, int n, std::uint32_t cols,
-                                      std::uint32_t ld, std::uint32_t rd) {
-  const std::uint32_t all = (1u << n) - 1u;
-  if (cols == all) return 1;
-  // Collect feasible columns (the paper's nested data-parallel loop), then
-  // spawn one task per column.
-  std::array<NQueensProgram::Task, 16> kids;
-  int count = 0;
-  std::uint32_t avail = ~(cols | ld | rd) & all;
-  while (avail != 0) {
-    const std::uint32_t bit = avail & (0u - avail);
-    avail &= avail - 1;
-    kids[static_cast<std::size_t>(count++)] =
-        NQueensProgram::Task{cols | bit, ((ld | bit) << 1) & all, (rd | bit) >> 1};
-  }
-  return spawn_map_reduce<std::uint64_t>(
-      pool, count,
-      [&pool, n, &kids](int i) {
-        const auto& k = kids[static_cast<std::size_t>(i)];
-        return nqueens_cilk_rec(pool, n, k.cols, k.ld, k.rd);
-      },
-      0ull, [](std::uint64_t& a, std::uint64_t b) { a += b; });
-}
-
-inline std::uint64_t nqueens_cilk(rt::ForkJoinPool& pool, int n) {
-  return pool.run([&pool, n] { return nqueens_cilk_rec(pool, n, 0, 0, 0); });
 }
 
 // Hybrid cores×lanes path (core/hybrid_taskblock.hpp): the single root is

@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "core/program.hpp"
-#include "runtime/forkjoin.hpp"
 #include "simd/batch.hpp"
 #include "simd/soa.hpp"
 
@@ -80,28 +79,6 @@ inline std::uint64_t parentheses_sequential(int open, int close) {
   if (open > 0) total += parentheses_sequential(open - 1, close);
   if (close > open) total += parentheses_sequential(open, close - 1);
   return total;
-}
-
-inline std::uint64_t parentheses_cilk_rec(rt::ForkJoinPool& pool, int open, int close) {
-  if (open == 0 && close == 0) return 1;
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  if (open > 0 && close > open) {
-    rt::SpawnJob job(
-        [&pool, &a, open, close] { a = parentheses_cilk_rec(pool, open - 1, close); });
-    pool.push(job);
-    b = parentheses_cilk_rec(pool, open, close - 1);
-    pool.sync(job);
-  } else if (open > 0) {
-    a = parentheses_cilk_rec(pool, open - 1, close);
-  } else {
-    b = parentheses_cilk_rec(pool, open, close - 1);
-  }
-  return a + b;
-}
-
-inline std::uint64_t parentheses_cilk(rt::ForkJoinPool& pool, int pairs) {
-  return pool.run([&pool, pairs] { return parentheses_cilk_rec(pool, pairs, pairs); });
 }
 
 }  // namespace tb::apps

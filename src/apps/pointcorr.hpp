@@ -13,9 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "apps/common.hpp"
 #include "core/program.hpp"
-#include "runtime/forkjoin.hpp"
 #include "simd/batch.hpp"
 #include "simd/soa.hpp"
 #include "spatial/bodies.hpp"
@@ -206,38 +204,6 @@ inline std::uint64_t pointcorr_bruteforce(const spatial::Bodies& pts, float rad2
     }
   }
   return total;
-}
-
-inline std::uint64_t pointcorr_cilk_rec(rt::ForkJoinPool& pool, const PointCorrProgram& prog,
-                                        const PointCorrProgram::Task& t) {
-  if (prog.is_base(t)) {
-    std::uint64_t r = 0;
-    prog.leaf(t, r);
-    return r;
-  }
-  std::array<PointCorrProgram::Task, 2> kids;
-  int count = 0;
-  prog.expand(t, [&](int, const PointCorrProgram::Task& c) {
-    kids[static_cast<std::size_t>(count++)] = c;
-  });
-  return spawn_map_reduce<std::uint64_t>(
-      pool, count,
-      [&pool, &prog, &kids](int i) {
-        return pointcorr_cilk_rec(pool, prog, kids[static_cast<std::size_t>(i)]);
-      },
-      0ull, [](std::uint64_t& a, std::uint64_t b) { a += b; });
-}
-
-inline std::uint64_t pointcorr_cilk(rt::ForkJoinPool& pool, const PointCorrProgram& prog) {
-  const auto roots = prog.roots();
-  return pool.run([&] {
-    return spawn_map_reduce<std::uint64_t>(
-        pool, static_cast<int>(roots.size()),
-        [&pool, &prog, &roots](int i) {
-          return pointcorr_cilk_rec(pool, prog, roots[static_cast<std::size_t>(i)]);
-        },
-        0ull, [](std::uint64_t& a, std::uint64_t b) { a += b; });
-  });
 }
 
 }  // namespace tb::apps

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "apps/common.hpp"
 #include "core/hybrid_taskblock.hpp"
 #include "core/program.hpp"
 #include "runtime/forkjoin.hpp"
@@ -134,22 +133,6 @@ inline std::uint64_t uts_sequential_all(const UtsProgram& prog) {
   return total;
 }
 
-inline std::uint64_t uts_cilk_rec(rt::ForkJoinPool& pool, const UtsProgram& prog,
-                                  const UtsProgram::Task& t) {
-  if (prog.is_base(t)) return 1;
-  std::array<UtsProgram::Task, 8> kids;
-  int count = 0;
-  prog.expand(t, [&](int, const UtsProgram::Task& c) {
-    kids[static_cast<std::size_t>(count++)] = c;
-  });
-  return spawn_map_reduce<std::uint64_t>(
-      pool, count,
-      [&pool, &prog, &kids](int i) {
-        return uts_cilk_rec(pool, prog, kids[static_cast<std::size_t>(i)]);
-      },
-      0ull, [](std::uint64_t& a, std::uint64_t b) { a += b; });
-}
-
 // Hybrid cores×lanes path (core/hybrid_taskblock.hpp): the b0 root
 // children — amplified a level deeper if the pool wants more slices — are
 // strip-mined into ranges on the pool, each range running the SIMD
@@ -162,18 +145,6 @@ inline std::uint64_t uts_hybrid(rt::ForkJoinPool& pool, const UtsProgram& prog,
   const auto roots = prog.roots();
   return core::hybrid_taskblock<core::SimdExec<UtsProgram>>(
       pool, prog, roots, core::SeqPolicy::Restart, th, opt, stats);
-}
-
-inline std::uint64_t uts_cilk(rt::ForkJoinPool& pool, const UtsProgram& prog) {
-  return pool.run([&pool, &prog] {
-    const auto roots = prog.roots();
-    return spawn_map_reduce<std::uint64_t>(
-        pool, static_cast<int>(roots.size()),
-        [&pool, &prog, &roots](int i) {
-          return uts_cilk_rec(pool, prog, roots[static_cast<std::size_t>(i)]);
-        },
-        0ull, [](std::uint64_t& a, std::uint64_t b) { a += b; });
-  });
 }
 
 }  // namespace tb::apps

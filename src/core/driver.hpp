@@ -4,11 +4,17 @@
 // loop contributes its iterations as root tasks; oversized root sets are
 // sliced into t_dfe-sized initial blocks handed to the scheduler one after
 // another); run_ideal_restart hands the §3.4 scheduler one root block.
-// Every driver adds its statistics into *stats, which may be null.
+// Every block driver adds its statistics into *stats, which may be null.
+// run_cilk is the scalar spawn/sync baseline every blocked variant is
+// scored against, derived from the same program.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -18,6 +24,7 @@
 #include "core/par_restart.hpp"
 #include "core/program.hpp"
 #include "core/seq_scheduler.hpp"
+#include "runtime/forkjoin.hpp"
 
 namespace tb::core {
 
@@ -111,6 +118,106 @@ typename Exec::Program::Result run_ideal_restart(
     const Thresholds& th, int workers, ExecStats* stats = nullptr) {
   IdealRestart<Exec> sched(p, th, workers);
   return sched.run(make_block<Exec>(roots), stats);
+}
+
+namespace detail {
+// The recursion behind run_cilk.  call() runs one task: a base case
+// reduces into a fresh result, any other task goes to spawn().  As each
+// child is emitted, spawn() pushes the one before it as a stack-resident
+// job, so children 0..n-2 are spawned in emit order; it runs the last
+// child inline (a single child gets no job), then syncs the jobs LIFO and
+// folds their results with Program::combine.  Jobs live in a fixed array
+// of max_children - 1 slots on the frame and are built only for spawned
+// children, so a task allocates nothing.
+template <TaskProgram P>
+struct Cilk {
+  using Task = typename P::Task;
+  using Result = typename P::Result;
+
+  rt::ForkJoinPool& pool;
+  const P& p;
+
+  // A spawned child.  Only its parent waits for it, polling in
+  // ForkJoinPool::sync, so it completes with the release store alone.
+  // rt::SpawnJob's finish() also notifies atomic waiters, which costs each
+  // task a read-modify-write on libstdc++'s shared waiter table, plus a
+  // futex wake whenever the job's address hashes to the slot that a caller
+  // of ForkJoinPool::run sleeps on; fine-grained runs were up to 5x slower.
+  struct Child : rt::JobBase {
+    Child(const Cilk* s, Task t) : self(s), task(t), out(P::identity()) { run_fn = &run; }
+    const Cilk* self;
+    Task task;
+    Result out;
+    static void run(rt::JobBase* base) {
+      auto* c = static_cast<Child*>(base);
+      c->out = c->self->call(c->task);
+      c->state.store(static_cast<std::uint8_t>(rt::JobState::Done), std::memory_order_release);
+    }
+  };
+  union Slot {
+    Slot() {}
+    ~Slot() {}
+    Child job;
+  };
+
+  // Inlined into every caller, so a base case costs no call.  Tasks pass
+  // by value, as in a hand-written recursion.
+  [[gnu::always_inline]] Result call(Task t) const {
+    if (!p.is_base(t)) return spawn(t);
+    Result r = P::identity();
+    p.leaf(t, r);
+    return r;
+  }
+
+  Result spawn(Task t) const {
+    std::array<Slot, static_cast<std::size_t>(P::max_children) - 1> slots;
+    std::size_t spawned = 0;
+    std::optional<Task> last;
+    p.expand(t, [&](int, const Task& c) {
+      if (last) {
+        assert(spawned < slots.size() && "more children than Program::max_children");
+        Child* job = std::construct_at(&slots[spawned++].job, this, *last);
+        pool.push(*job);
+      }
+      last = c;
+    });
+    if (!last) return P::identity();
+    Result r = call(*last);
+    while (spawned > 0) {
+      Child& job = slots[--spawned].job;
+      pool.sync(job);
+      P::combine(r, job.out);
+      std::destroy_at(&job);
+    }
+    return r;
+  }
+
+  // The cilk_for lowering of the root loop: spawn the first half, run the
+  // second inline, down to single roots.  Its roots.size() - 1 jobs are
+  // few enough to stay plain rt::SpawnJob.
+  Result range(std::span<const Task> roots) const {
+    if (roots.empty()) return P::identity();
+    if (roots.size() == 1) return call(roots.front());
+    Result first = P::identity();
+    rt::SpawnJob job([this, &first, lo = roots.first(roots.size() / 2)] { first = range(lo); });
+    pool.push(job);
+    Result r = range(roots.subspan(roots.size() / 2));
+    pool.sync(job);
+    P::combine(r, first);
+    return r;
+  }
+};
+}  // namespace detail
+
+// The Cilk baseline, derived from the program: its recursion with a spawn
+// at every call.  This is the paper's input program, the T1/T16 baseline
+// every blocked variant is scored against (Table 2's "scalar" column is
+// Ts/T_cilk).  Runs on `pool`, inline when called from one of its workers;
+// keeps no statistics.
+template <TaskProgram P>
+typename P::Result run_cilk(rt::ForkJoinPool& pool, const P& p,
+                            std::span<const typename P::Task> roots) {
+  return pool.run([&] { return detail::Cilk<P>{pool, p}.range(roots); });
 }
 
 }  // namespace tb::core

@@ -1,6 +1,6 @@
-// Per-benchmark correctness tests: every scheduler variant must match the
-// plain sequential recursion, and the Cilk-style versions must match under
-// any worker count.
+// Per-benchmark correctness tests: every scheduler variant, the Cilk
+// baseline included, must match the plain sequential recursion under any
+// worker count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,8 +42,9 @@ INSTANTIATE_TEST_SUITE_P(Boards, NQueensSchedTest, ::testing::Values(5, 6, 7, 8,
 
 TEST(NQueens, CilkMatchesSequential) {
   rt::ForkJoinPool pool(4);
-  EXPECT_EQ(apps::nqueens_cilk(pool, 8), 92u);
-  EXPECT_EQ(apps::nqueens_cilk(pool, 9), 352u);
+  const apps::NQueensProgram prog{8};
+  const auto roots = std::vector{apps::NQueensProgram::root()};
+  EXPECT_EQ(core::run_cilk(pool, prog, roots), 92u);
 }
 
 TEST(NQueens, ParallelSchedulersMatch) {
@@ -108,11 +109,9 @@ TEST(GraphCol, VertexAbove32UsesHighWord) {
 }
 
 TEST(GraphCol, CilkAndParallelMatch) {
-  rt::ForkJoinPool pool(3);
   const auto g = apps::GraphColInstance::random(12, 3.0, 5);
   apps::GraphColProgram prog{&g};
   const std::uint64_t expected = apps::graphcol_sequential(g, apps::GraphColProgram::root());
-  EXPECT_EQ(apps::graphcol_cilk(pool, g), expected);
   const auto roots = std::vector{apps::GraphColProgram::root()};
   tbtest::expect_par_matrix(prog, roots, Thresholds{4, 128, 64, 16}, expected);
 }
@@ -144,10 +143,8 @@ TEST_P(UtsSchedTest, AllLayersAllPolicies) {
 INSTANTIATE_TEST_SUITE_P(Seeds, UtsSchedTest, ::testing::Values(1, 2, 3, 4, 99));
 
 TEST(Uts, CilkAndParallelMatch) {
-  rt::ForkJoinPool pool(4);
   apps::UtsProgram prog(apps::UtsParams{32, 4, 0.21, 7});
   const std::uint64_t expected = apps::uts_sequential_all(prog);
-  EXPECT_EQ(apps::uts_cilk(pool, prog), expected);
   const auto roots = prog.roots();
   tbtest::expect_par_matrix(prog, roots, Thresholds{4, 128, 64, 16}, expected);
 }
@@ -183,10 +180,8 @@ TEST_P(MinmaxSchedTest, AllLayersAllPolicies) {
 INSTANTIATE_TEST_SUITE_P(PlyLimits, MinmaxSchedTest, ::testing::Values(3, 4, 5));
 
 TEST(Minmax, CilkAndParallelMatch) {
-  rt::ForkJoinPool pool(4);
   apps::MinmaxProgram prog{5};
   const auto expected = apps::minmax_sequential(prog, apps::MinmaxProgram::root());
-  EXPECT_EQ(apps::minmax_cilk(pool, prog), expected);
   const auto roots = std::vector{apps::MinmaxProgram::root()};
   tbtest::expect_par_matrix(prog, roots, Thresholds{8, 256, 128, 32}, expected);
 }

@@ -100,7 +100,7 @@ TEST(MinmaxDist, ParallelSchedulersMatchOracle) {
     {
       apps::MinmaxDistState state(inst.pts.size());
       apps::MinmaxDistProgram prog{&inst.pts, &inst.tree, &state};
-      apps::minmaxdist_cilk(pool, prog);
+      (void)core::run_cilk(pool, prog, prog.roots());
       EXPECT_EQ(apps::minmaxdist_digest(state), expected) << "cilk";
     }
   }

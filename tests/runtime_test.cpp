@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "apps/fib.hpp"
+#include "core/driver.hpp"
 #include "runtime/chase_lev_deque.hpp"
 #include "runtime/forkjoin.hpp"
 #include "runtime/reducer.hpp"
@@ -23,6 +24,12 @@ using tb::rt::ChaseLevDeque;
 using tb::rt::ForkJoinPool;
 using tb::rt::WaitGroup;
 using tb::rt::WorkerLocal;
+
+// fib(n) on the Cilk driver: a spawn at every call of the recursion.
+std::uint64_t cilk_fib(ForkJoinPool& pool, int n) {
+  const tb::apps::FibProgram::Task root[] = {tb::apps::FibProgram::root(n)};
+  return tb::core::run_cilk(pool, tb::apps::FibProgram{}, root);
+}
 
 TEST(ChaseLev, LifoForOwner) {
   ChaseLevDeque<int> dq;
@@ -127,7 +134,7 @@ class PoolFibTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PoolFibTest, RecursiveSpawnSyncMatchesSequential) {
   ForkJoinPool pool(GetParam());
-  EXPECT_EQ(tb::apps::fib_cilk(pool, 20), tb::apps::fib_sequential(20));
+  EXPECT_EQ(cilk_fib(pool, 20), tb::apps::fib_sequential(20));
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, PoolFibTest, ::testing::Values(1, 2, 3, 4, 8));
@@ -198,7 +205,7 @@ TEST(WorkerLocalReducer, ExternalThreadUsesOverflowSlot) {
 TEST(Pool, StealsHappenWithMultipleWorkers) {
   ForkJoinPool pool(4);
   // A deep recursion generates plenty of stealable jobs.
-  (void)tb::apps::fib_cilk(pool, 22);
+  (void)cilk_fib(pool, 22);
   // With 4 workers at least one steal is overwhelmingly likely; this also
   // sanity-checks the counter plumbing.
   EXPECT_GT(pool.total_steal_attempts(), 0u);

@@ -178,7 +178,7 @@ TEST(PointCorr, ParallelSchedulersMatch) {
             expected);
   EXPECT_EQ(core::run_par_restart<core::SimdExec<apps::PointCorrProgram>>(pool, prog, roots, th),
             expected);
-  EXPECT_EQ(apps::pointcorr_cilk(pool, prog), expected);
+  EXPECT_EQ(core::run_cilk(pool, prog, roots), expected);
 }
 
 // ---- Barnes-Hut -----------------------------------------------------------------
@@ -288,7 +288,7 @@ TEST(BarnesHut, ParallelSchedulersKeepFingerprint) {
       core::run_par_restart<core::SimdExec<apps::BarnesHutProgram>>(pool, s.prog, roots, th),
       expected);
   s.reset();
-  EXPECT_EQ(apps::barneshut_cilk(pool, s.prog, theta), expected);
+  EXPECT_EQ(core::run_cilk(pool, s.prog, roots), expected);
 }
 
 // ---- knn ------------------------------------------------------------------------
@@ -355,7 +355,7 @@ TEST(Knn, CilkVariantFindsTheNeighbors) {
   const auto t = spatial::KdTree::build(p, 8);
   apps::KnnState state(p.size(), 2);
   apps::KnnProgram prog{&p, &t, &state};
-  apps::knn_cilk(pool, prog);
+  (void)core::run_cilk(pool, prog, prog.roots());
   for (std::int32_t q = 0; q < static_cast<std::int32_t>(p.size()); q += 13) {
     const auto got = state.distances(q);
     const auto want = apps::knn_bruteforce(p, q, 2);

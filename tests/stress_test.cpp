@@ -21,6 +21,12 @@ namespace {
 using namespace tb;
 using core::SeqPolicy;
 
+// fib(n) on the Cilk driver: a spawn at every call of the recursion.
+std::uint64_t cilk_fib(rt::ForkJoinPool& pool, int n) {
+  const apps::FibProgram::Task root[] = {apps::FibProgram::root(n)};
+  return core::run_cilk(pool, apps::FibProgram{}, root);
+}
+
 // ---- pool stress ---------------------------------------------------------------------
 
 TEST(PoolStress, DetachedSpawnStorm) {
@@ -62,7 +68,7 @@ TEST(PoolStress, PoolLifecycleChurn) {
   // cleanly (no leaked threads, no stuck condition variables).
   for (int round = 0; round < 12; ++round) {
     rt::ForkJoinPool pool(1 + round % 4);
-    EXPECT_EQ(pool.run([&] { return apps::fib_cilk_rec(pool, 15); }), 610u);
+    EXPECT_EQ(cilk_fib(pool, 15), 610u);
   }
 }
 
@@ -70,15 +76,14 @@ TEST(PoolStress, OversubscribedWorkers) {
   // More workers than cores (this host has few): heavy interleaving.
   rt::ForkJoinPool pool(8);
   for (int round = 0; round < 5; ++round) {
-    EXPECT_EQ(pool.run([&] { return apps::fib_cilk_rec(pool, 20); }), 6765u);
+    EXPECT_EQ(cilk_fib(pool, 20), 6765u);
   }
 }
 
 TEST(PoolStress, AlternatingRunsFromExternalThread) {
   rt::ForkJoinPool pool(3);
   for (int i = 20; i <= 24; ++i) {
-    EXPECT_EQ(pool.run([&, i] { return apps::fib_cilk_rec(pool, i); }),
-              apps::fib_sequential(i));
+    EXPECT_EQ(cilk_fib(pool, i), apps::fib_sequential(i));
   }
 }
 

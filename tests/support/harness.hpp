@@ -158,10 +158,10 @@ void expect_seq_matrix(const Program& prog, std::span<const typename Program::Ta
   expect_seq_matrix(prog, roots, th, expected, layers, [] {});
 }
 
-// Every parallel scheduler — the two pool schedulers and the §3.4 ideal
-// restart — over every worker count must equal `expected`.  SIMD layer
-// only — run_cell covers the AoS/SoA parallel paths; use it directly when a
-// program needs per-layer parallel coverage.
+// Every parallel scheduler — the two pool schedulers, the §3.4 ideal
+// restart and the Cilk baseline — over every worker count must equal
+// `expected`.  SIMD layer only — run_cell covers the AoS/SoA parallel
+// paths; use it directly when a program needs per-layer parallel coverage.
 template <class Program, class Expected>
 void expect_par_matrix(const Program& prog, std::span<const typename Program::Task> roots,
                        const tb::core::Thresholds& th, const Expected& expected) {
@@ -173,6 +173,7 @@ void expect_par_matrix(const Program& prog, std::span<const typename Program::Ta
     EXPECT_EQ((core::run_par_reexp<Exec>(pool, prog, roots, th)), expected);
     EXPECT_EQ((core::run_par_restart<Exec>(pool, prog, roots, th)), expected);
     EXPECT_EQ((core::run_ideal_restart<Exec>(prog, roots, th, workers)), expected);
+    EXPECT_EQ(core::run_cilk(pool, prog, roots), expected);
   }
 }
 
