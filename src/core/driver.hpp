@@ -137,27 +137,17 @@ struct Cilk {
   rt::ForkJoinPool& pool;
   const P& p;
 
-  // A spawned child.  Only its parent waits for it, polling in
-  // ForkJoinPool::sync, so it completes with the release store alone.
-  // rt::SpawnJob's finish() also notifies atomic waiters, which costs each
-  // task a read-modify-write on libstdc++'s shared waiter table, plus a
-  // futex wake whenever the job's address hashes to the slot that a caller
-  // of ForkJoinPool::run sleeps on; fine-grained runs were up to 5x slower.
-  struct Child : rt::JobBase {
-    Child(const Cilk* s, Task t) : self(s), task(t), out(P::identity()) { run_fn = &run; }
+  // A spawned child's body: runs its task into `out`.
+  struct Call {
     const Cilk* self;
     Task task;
     Result out;
-    static void run(rt::JobBase* base) {
-      auto* c = static_cast<Child*>(base);
-      c->out = c->self->call(c->task);
-      c->state.store(static_cast<std::uint8_t>(rt::JobState::Done), std::memory_order_release);
-    }
+    void operator()() { out = self->call(task); }
   };
   union Slot {
     Slot() {}
     ~Slot() {}
-    Child job;
+    rt::SpawnJob<Call> job;
   };
 
   // Inlined into every caller, so a base case costs no call.  Tasks pass
@@ -176,25 +166,23 @@ struct Cilk {
     p.expand(t, [&](int, const Task& c) {
       if (last) {
         assert(spawned < slots.size() && "more children than Program::max_children");
-        Child* job = std::construct_at(&slots[spawned++].job, this, *last);
-        pool.push(*job);
+        pool.push(*std::construct_at(&slots[spawned++].job, Call{this, *last, P::identity()}));
       }
       last = c;
     });
     if (!last) return P::identity();
     Result r = call(*last);
     while (spawned > 0) {
-      Child& job = slots[--spawned].job;
+      rt::SpawnJob<Call>& job = slots[--spawned].job;
       pool.sync(job);
-      P::combine(r, job.out);
+      P::combine(r, job.fn.out);
       std::destroy_at(&job);
     }
     return r;
   }
 
   // The cilk_for lowering of the root loop: spawn the first half, run the
-  // second inline, down to single roots.  Its roots.size() - 1 jobs are
-  // few enough to stay plain rt::SpawnJob.
+  // second inline, down to single roots.
   Result range(std::span<const Task> roots) const {
     if (roots.empty()) return P::identity();
     if (roots.size() == 1) return call(roots.front());

@@ -11,6 +11,12 @@
 // Lifetime protocol: a job object lives in its spawner's frame, and the
 // spawner never leaves that frame before the job is Done, so thieves always
 // dereference live memory.
+//
+// Completion protocol: a job completes with a release store of Done.  The
+// only thread that waits for a pushed job is its spawner, and it polls in
+// sync() while helping, so sync() must never block.  The one job a thread
+// sleeps on is run()'s root (submit_root), and only it also notifies
+// (ForkJoinPool::RootJob).
 #pragma once
 
 #include <atomic>
@@ -49,9 +55,12 @@ struct JobBase {
                                          static_cast<std::uint8_t>(JobState::Executing),
                                          std::memory_order_acq_rel);
   }
+  // The release store alone (see the completion protocol above): a
+  // notify_all would cost every job a seq_cst read-modify-write on the
+  // standard library's shared atomic-wait table, plus a futex wake whenever
+  // the job's address hashes to the slot a run() caller sleeps on.
   void finish() {
     state.store(static_cast<std::uint8_t>(JobState::Done), std::memory_order_release);
-    state.notify_all();
   }
   bool done() const {
     return state.load(std::memory_order_acquire) ==
@@ -148,12 +157,12 @@ public:
     }
     using R = std::invoke_result_t<F&>;
     if constexpr (std::is_void_v<R>) {
-      SpawnJob job{[&f] { std::invoke(f); }};
+      RootJob job{[&f] { std::invoke(f); }};
       submit_root(job);
       return;
     } else {
       std::optional<R> result;
-      SpawnJob job{[&f, &result] { result.emplace(std::invoke(f)); }};
+      RootJob job{[&f, &result] { result.emplace(std::invoke(f)); }};
       submit_root(job);
       return std::move(*result);
     }
@@ -205,7 +214,8 @@ public:
     if (job->try_acquire()) job->run_fn(job);
   }
 
-  // Wait for one structured child, helping with any available work.
+  // Wait for one structured child, helping with any available work.  It
+  // polls: a pushed job completes without a notify.
   void sync(JobBase& job) {
     while (!job.done()) {
       if (!help_once()) relax();
@@ -262,6 +272,21 @@ private:
     Xoshiro256 rng;
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> steal_attempts{0};
+  };
+
+  // run()'s root job.  Its submitter sleeps in atomic::wait on the state
+  // (submit_root), so unlike a pushed job it notifies on completion.
+  template <class F>
+  struct RootJob : JobBase {
+    explicit RootJob(F f) : fn(std::move(f)) {
+      run_fn = [](JobBase* base) {
+        auto* self = static_cast<RootJob*>(base);
+        self->fn();
+        self->finish();
+        self->state.notify_all();
+      };
+    }
+    F fn;
   };
 
   struct Tls {
