@@ -22,7 +22,6 @@
 #include <cstdint>
 
 #include "core/program.hpp"
-#include "runtime/forkjoin.hpp"
 #include "simd/batch.hpp"
 #include "simd/soa.hpp"
 #include "spatial/bodies.hpp"

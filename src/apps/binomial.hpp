@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "core/program.hpp"
-#include "runtime/forkjoin.hpp"
 #include "simd/batch.hpp"
 #include "simd/soa.hpp"
 

@@ -15,18 +15,15 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
 
-#include "core/program.hpp"
-#include "runtime/forkjoin.hpp"
+#include "apps/kdquery.hpp"
+#include "simd/aligned.hpp"
 #include "simd/batch.hpp"
-#include "simd/soa.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 
@@ -97,22 +94,8 @@ private:
   std::unique_ptr<std::atomic<std::uint8_t>[]> lock_;
 };
 
-struct KnnProgram {
-  struct Task {
-    std::int32_t query;
-    std::int32_t node;
-  };
-  using Result = std::uint64_t;  // leaf visits (work metric; schedule-dependent)
-  static constexpr int max_children = 2;
-
-  const spatial::Bodies* points = nullptr;
-  const spatial::KdTree* tree = nullptr;
+struct KnnProgram : KdQuery<KnnProgram> {
   KnnState* state = nullptr;
-
-  static Result identity() { return 0; }
-  static void combine(Result& a, const Result& b) { a += b; }
-
-  bool is_base(const Task& t) const { return tree->is_leaf(t.node); }
 
   void leaf(const Task& t, Result& r) const {
     r += 1;
@@ -130,112 +113,25 @@ struct KnnProgram {
     }
   }
 
-  template <class Emit>
-  void expand(const Task& t, Emit&& emit) const {
-    const auto q = static_cast<std::size_t>(t.query);
-    const float qx = points->x[q], qy = points->y[q], qz = points->z[q];
-    const auto n = static_cast<std::size_t>(t.node);
-    const float bound = state->bound(t.query);
-    const std::int32_t kids[2] = {tree->left[n], tree->right[n]};
-    for (int s = 0; s < 2; ++s) {
-      if (kids[s] != spatial::KdTree::kNoChild &&
-          tree->box_dist2(kids[s], qx, qy, qz) < bound) {
-        emit(s, Task{t.query, kids[s]});
-      }
-    }
+  // The query's current k-th best distance (it shrinks concurrently).
+  template <class V, class I>
+  V bounds(const I& query) const {
+    return simd::per_lane<V>(query, [this](std::int32_t q) { return state->bound(q); });
   }
 
-  // ---- SoA layer -------------------------------------------------------------
-  using Block = simd::SoaBlock<std::int32_t, std::int32_t>;
-  static Task task_at(const Block& b, std::size_t i) {
-    const auto [q, n] = b.row(i);
-    return Task{q, n};
-  }
-  static void append_task(Block& b, const Task& t) { b.push_back(t.query, t.node); }
-
-  // ---- SIMD layer ------------------------------------------------------------
-  static constexpr int simd_width = simd::natural_width<float>;
-
-  using BF = simd::batch<float, simd_width>;
-  using BI = simd::batch<std::int32_t, simd_width>;
-
-  // Vectorized "box within pruning bound" test; the per-lane bound is read
-  // through atomic_refs (it shrinks concurrently).
-  std::uint32_t within_bound_mask(const BI& node, const BF& qx, const BF& qy, const BF& qz,
-                                  const BF& bound) const {
-    const BF zero = BF::zero();
-    const BF lox = simd::gather(tree->min_x.data(), node) - qx;
-    const BF hix = qx - simd::gather(tree->max_x.data(), node);
-    const BF loy = simd::gather(tree->min_y.data(), node) - qy;
-    const BF hiy = qy - simd::gather(tree->max_y.data(), node);
-    const BF loz = simd::gather(tree->min_z.data(), node) - qz;
-    const BF hiz = qz - simd::gather(tree->max_z.data(), node);
-    const BF dx = BF::max(BF::max(lox, hix), zero);
-    const BF dy = BF::max(BF::max(loy, hiy), zero);
-    const BF dz = BF::max(BF::max(loz, hiz), zero);
-    return simd::cmp_lt(dx * dx + dy * dy + dz * dz, bound);
-  }
-
-  void expand_simd(const Block& in, std::size_t begin, std::size_t end,
-                   const std::array<Block*, 2>& outs, Result& r, std::uint64_t& leaves) const {
-    const std::int32_t* query_p = in.data<0>();
-    const std::int32_t* node_p = in.data<1>();
-    constexpr std::uint32_t full = simd::mask_all<simd_width>;
-    std::uint64_t leaf_tasks = 0;
-    for (std::size_t i = begin; i < end; i += simd_width) {
-      const BI query = BI::loadu(query_p + i);
-      const BI node = BI::loadu(node_p + i);
-      const BI lb = simd::gather(tree->leaf_begin.data(), node);
-      const std::uint32_t leafy = simd::cmp_ge(lb, BI::zero()) & full;
-      leaf_tasks += std::popcount(leafy);
-      std::uint32_t mset = leafy;
-      while (mset != 0) {
-        const int l = std::countr_zero(mset);
-        mset &= mset - 1;
-        Task t{query[l], node[l]};
-        Result dummy = 0;
-        leaf(t, dummy);
-      }
-      const std::uint32_t rec = ~leafy & full;
-      if (rec == 0) continue;
-      const BF qx = simd::gather(points->x.data(), query);
-      const BF qy = simd::gather(points->y.data(), query);
-      const BF qz = simd::gather(points->z.data(), query);
-      BF bound;
-      for (int l = 0; l < simd_width; ++l) bound.set(l, state->bound(query[l]));
-      const BI lkid = simd::gather(tree->left.data(), node);
-      const BI rkid = simd::gather(tree->right.data(), node);
-      const std::uint32_t lmask = rec & within_bound_mask(lkid, qx, qy, qz, bound);
-      const std::uint32_t rmask = rec & within_bound_mask(rkid, qx, qy, qz, bound);
-      if (lmask != 0) outs[0]->append_compact(lmask, query, lkid);
-      if (rmask != 0) outs[1]->append_compact(rmask, query, rkid);
-    }
-    r += leaf_tasks;
-    leaves += leaf_tasks;
-  }
-
-  std::vector<Task> roots() const {
-    std::vector<Task> out;
-    out.reserve(points->size());
-    for (std::size_t q = 0; q < points->size(); ++q) {
-      out.push_back(Task{static_cast<std::int32_t>(q), tree->root});
-    }
-    return out;
+  // Descend while the box could hold a point nearer than the k-th best.
+  template <class V>
+  [[gnu::always_inline]] static std::uint32_t descends(const spatial::Box<V>& box,
+                                                       const spatial::Point<V>& q, const V& kth) {
+    return simd::cmp_lt(spatial::near_dist2(box, q), kth);
   }
 };
 
 inline void knn_sequential_one(const KnnProgram& prog, const KnnProgram::Task& t) {
-  if (prog.is_base(t)) {
-    KnnProgram::Result dummy = 0;
-    prog.leaf(t, dummy);
-    return;
-  }
-  prog.expand(t, [&](int, const KnnProgram::Task& c) { knn_sequential_one(prog, c); });
+  (void)prog.sequential(t);
 }
 
-inline void knn_sequential(const KnnProgram& prog) {
-  for (const auto& t : prog.roots()) knn_sequential_one(prog, t);
-}
+inline void knn_sequential(const KnnProgram& prog) { (void)prog.sequential(); }
 
 // Brute-force k-NN distances for one query (sorted ascending).
 inline std::vector<float> knn_bruteforce(const spatial::Bodies& pts, std::int32_t query,

@@ -4,12 +4,12 @@
 //
 // The workload extends the traversal family (pointcorr, knn, Barnes-Hut)
 // with a different divergence profile: a subtree is descended only when its
-// bounding box could still *improve* either extreme — box_dist2 below the
-// query's current minimum (knn-style lower-bound pruning) or box_maxdist2
-// above its current maximum (the mirrored upper-bound test).  Early in the
-// traversal almost everything descends; once both bounds tighten, lanes
-// prune on different sides of the tree, which is exactly the divergence the
-// blocked re-expansion engine compacts away.
+// bounding box could still *improve* either extreme — its nearest point
+// below the query's current minimum (knn-style lower-bound pruning) or its
+// farthest corner above its current maximum (the mirrored upper-bound
+// test).  Early in the traversal almost everything descends; once both
+// bounds tighten, lanes prune on different sides of the tree, which is
+// exactly the divergence the blocked re-expansion engine compacts away.
 //
 // Nesting matches the paper's three levels: a data-parallel outer loop over
 // queries (one root task per point), a task-parallel recursive descent, and
@@ -23,7 +23,7 @@
 // visit counts are schedule-dependent.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -32,9 +32,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/program.hpp"
+#include "apps/kdquery.hpp"
 #include "simd/batch.hpp"
-#include "simd/soa.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 
@@ -99,22 +98,8 @@ inline std::string minmaxdist_digest(const MinmaxDistState& state) {
   return std::to_string(h);
 }
 
-struct MinmaxDistProgram {
-  struct Task {
-    std::int32_t query;
-    std::int32_t node;
-  };
-  using Result = std::uint64_t;  // leaf visits (work metric; schedule-dependent)
-  static constexpr int max_children = 2;
-
-  const spatial::Bodies* points = nullptr;
-  const spatial::KdTree* tree = nullptr;
+struct MinmaxDistProgram : KdQuery<MinmaxDistProgram> {
   MinmaxDistState* state = nullptr;
-
-  static Result identity() { return 0; }
-  static void combine(Result& a, const Result& b) { a += b; }
-
-  bool is_base(const Task& t) const { return tree->is_leaf(t.node); }
 
   void leaf(const Task& t, Result& r) const {
     r += 1;
@@ -131,138 +116,34 @@ struct MinmaxDistProgram {
     }
   }
 
-  // Descend only where the box could improve one of the two bounds.
-  bool improves(std::int32_t node, float qx, float qy, float qz, float cur_min,
-                float cur_max) const {
-    return tree->box_dist2(node, qx, qy, qz) < cur_min ||
-           tree->box_maxdist2(node, qx, qy, qz) > cur_max;
+  template <class V>
+  struct Extremes {
+    V min, max;
+  };
+
+  // The query's current nearest and farthest squared distances.
+  template <class V, class I>
+  Extremes<V> bounds(const I& query) const {
+    return {simd::per_lane<V>(query, [this](std::int32_t q) { return state->min_bound(q); }),
+            simd::per_lane<V>(query, [this](std::int32_t q) { return state->max_bound(q); })};
   }
 
-  template <class Emit>
-  void expand(const Task& t, Emit&& emit) const {
-    const auto q = static_cast<std::size_t>(t.query);
-    const float qx = points->x[q], qy = points->y[q], qz = points->z[q];
-    const auto n = static_cast<std::size_t>(t.node);
-    const float cur_min = state->min_bound(t.query);
-    const float cur_max = state->max_bound(t.query);
-    const std::int32_t kids[2] = {tree->left[n], tree->right[n]};
-    for (int s = 0; s < 2; ++s) {
-      if (kids[s] != spatial::KdTree::kNoChild &&
-          improves(kids[s], qx, qy, qz, cur_min, cur_max)) {
-        emit(s, Task{t.query, kids[s]});
-      }
-    }
-  }
-
-  // ---- SoA layer -------------------------------------------------------------
-  using Block = simd::SoaBlock<std::int32_t, std::int32_t>;
-  static Task task_at(const Block& b, std::size_t i) {
-    const auto [q, n] = b.row(i);
-    return Task{q, n};
-  }
-  static void append_task(Block& b, const Task& t) { b.push_back(t.query, t.node); }
-
-  // ---- SIMD layer ------------------------------------------------------------
-  static constexpr int simd_width = simd::natural_width<float>;
-
-  using BF = simd::batch<float, simd_width>;
-  using BI = simd::batch<std::int32_t, simd_width>;
-
-  // Vectorized dual-bound test: bit i set when node i's box could improve
-  // lane i's min (box min-distance below it) or max (box max-distance above).
-  std::uint32_t improves_mask(const BI& node, const BF& qx, const BF& qy, const BF& qz,
-                              const BF& cur_min, const BF& cur_max) const {
-    const BF zero = BF::zero();
-    const BF lox = simd::gather(tree->min_x.data(), node) - qx;
-    const BF hix = qx - simd::gather(tree->max_x.data(), node);
-    const BF loy = simd::gather(tree->min_y.data(), node) - qy;
-    const BF hiy = qy - simd::gather(tree->max_y.data(), node);
-    const BF loz = simd::gather(tree->min_z.data(), node) - qz;
-    const BF hiz = qz - simd::gather(tree->max_z.data(), node);
-    const BF dx = BF::max(BF::max(lox, hix), zero);
-    const BF dy = BF::max(BF::max(loy, hiy), zero);
-    const BF dz = BF::max(BF::max(loz, hiz), zero);
-    const std::uint32_t near_gain =
-        simd::cmp_lt(dx * dx + dy * dy + dz * dz, cur_min);
-    // Farthest corner: per-dim the larger of the two one-sided offsets
-    // (-lox = qx - min_x, -hix = max_x - qx).
-    const BF fx = BF::max(-lox, -hix);
-    const BF fy = BF::max(-loy, -hiy);
-    const BF fz = BF::max(-loz, -hiz);
-    const std::uint32_t far_gain =
-        simd::cmp_gt(fx * fx + fy * fy + fz * fz, cur_max);
-    return near_gain | far_gain;
-  }
-
-  void expand_simd(const Block& in, std::size_t begin, std::size_t end,
-                   const std::array<Block*, 2>& outs, Result& r, std::uint64_t& leaves) const {
-    const std::int32_t* query_p = in.data<0>();
-    const std::int32_t* node_p = in.data<1>();
-    constexpr std::uint32_t full = simd::mask_all<simd_width>;
-    std::uint64_t leaf_tasks = 0;
-    for (std::size_t i = begin; i < end; i += simd_width) {
-      const BI query = BI::loadu(query_p + i);
-      const BI node = BI::loadu(node_p + i);
-      const BI lb = simd::gather(tree->leaf_begin.data(), node);
-      const std::uint32_t leafy = simd::cmp_ge(lb, BI::zero()) & full;
-      leaf_tasks += std::popcount(leafy);
-      std::uint32_t mset = leafy;
-      while (mset != 0) {
-        const int l = std::countr_zero(mset);
-        mset &= mset - 1;
-        Task t{query[l], node[l]};
-        Result dummy = 0;
-        leaf(t, dummy);
-      }
-      const std::uint32_t rec = ~leafy & full;
-      if (rec == 0) continue;
-      const BF qx = simd::gather(points->x.data(), query);
-      const BF qy = simd::gather(points->y.data(), query);
-      const BF qz = simd::gather(points->z.data(), query);
-      BF cur_min, cur_max;
-      for (int l = 0; l < simd_width; ++l) {
-        cur_min.set(l, state->min_bound(query[l]));
-        cur_max.set(l, state->max_bound(query[l]));
-      }
-      const BI lkid = simd::gather(tree->left.data(), node);
-      const BI rkid = simd::gather(tree->right.data(), node);
-      const std::uint32_t lmask =
-          rec & improves_mask(lkid, qx, qy, qz, cur_min, cur_max);
-      const std::uint32_t rmask =
-          rec & improves_mask(rkid, qx, qy, qz, cur_min, cur_max);
-      if (lmask != 0) outs[0]->append_compact(lmask, query, lkid);
-      if (rmask != 0) outs[1]->append_compact(rmask, query, rkid);
-    }
-    r += leaf_tasks;
-    leaves += leaf_tasks;
-  }
-
-  // One root task per query point (§5 data-parallel outer loop).
-  std::vector<Task> roots() const {
-    std::vector<Task> out;
-    out.reserve(points->size());
-    for (std::size_t q = 0; q < points->size(); ++q) {
-      out.push_back(Task{static_cast<std::int32_t>(q), tree->root});
-    }
-    return out;
+  // Descend only where the box could improve one of the two extremes.
+  template <class V>
+  [[gnu::always_inline]] static std::uint32_t descends(const spatial::Box<V>& box,
+                                                       const spatial::Point<V>& q,
+                                                       const Extremes<V>& e) {
+    return simd::cmp_lt(spatial::near_dist2(box, q), e.min) |
+           simd::cmp_gt(spatial::far_dist2(box, q), e.max);
   }
 };
 
 inline void minmaxdist_sequential_one(const MinmaxDistProgram& prog,
                                       const MinmaxDistProgram::Task& t) {
-  if (prog.is_base(t)) {
-    MinmaxDistProgram::Result dummy = 0;
-    prog.leaf(t, dummy);
-    return;
-  }
-  prog.expand(t, [&](int, const MinmaxDistProgram::Task& c) {
-    minmaxdist_sequential_one(prog, c);
-  });
+  (void)prog.sequential(t);
 }
 
-inline void minmaxdist_sequential(const MinmaxDistProgram& prog) {
-  for (const auto& t : prog.roots()) minmaxdist_sequential_one(prog, t);
-}
+inline void minmaxdist_sequential(const MinmaxDistProgram& prog) { (void)prog.sequential(); }
 
 // Brute-force extremes for one query: {min_d2, max_d2} over all other points.
 inline std::pair<float, float> minmaxdist_bruteforce(const spatial::Bodies& pts,

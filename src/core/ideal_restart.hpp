@@ -45,9 +45,6 @@ public:
   using Result = typename Program::Result;
   static constexpr std::size_t C = static_cast<std::size_t>(Exec::out_degree);
 
-  // §3.4: a sparse stolen block gets "a constant number of BFE actions".
-  static constexpr int kBfeAfterSteal = 2;
-
   IdealRestart(const Program& p, Thresholds th, int workers)
       : prog_(p), th_(th.clamped()), workers_(static_cast<std::size_t>(std::max(1, workers))) {}
 

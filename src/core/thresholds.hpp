@@ -14,6 +14,11 @@
 
 namespace tb::core {
 
+// §3.4: a sparse stolen block gets "a constant number of BFE actions" to
+// regrow before it may be parked — in the real scheduler (ideal_restart.hpp)
+// and in the §4 simulator (sim/par_sim.hpp) alike.
+inline constexpr int kBfeAfterSteal = 2;
+
 struct Thresholds {
   int q = 8;
   std::size_t t_dfe = 1u << 12;

@@ -6,10 +6,12 @@
 //
 // One query per lane, one shared tree walk: the node is uniform across
 // lanes, so node data is broadcast against the lanes' query state.  Final
-// results are schedule-independent — the pruning criterion per (query,
-// node) pair is the same in every model, and knn/minmaxdist leaves run the
-// program's scalar base case, so their states are bit-identical to the
-// sequential recursion; only visit counts depend on the schedule.
+// results are schedule-independent — the kd-tree kernels prune with the
+// program's own rule (apps/kdquery.hpp), the one the task-block layers'
+// expand and expand_simd call, so a (query, node) pair prunes the same way
+// in every model; knn/minmaxdist leaves run the program's scalar base case,
+// so their states are bit-identical to the sequential recursion; only visit
+// counts depend on the schedule.
 #pragma once
 
 #include <bit>
@@ -27,168 +29,92 @@
 
 namespace tb::lockstep {
 
-// Shared half of the kd-tree kernels (knn, pointcorr, minmaxdist): the
-// points are the queries, their coordinates are the State, and every one of
-// them prunes with the broadcast box distance.
-template <int W>
+// The kd-tree kernels (knn, pointcorr, minmaxdist): the points are the
+// queries and their coordinates the State.  A lane stays live at `node`
+// while the program's own pruning rule (apps/kdquery.hpp) passes for the
+// node's box, broadcast across lanes, against the lane's query and bounds —
+// the bounds reloaded at every node, so a lane benefits from its own earlier
+// leaf visits exactly as the recursive traversal does.  At a leaf, every
+// live lane runs the program's scalar base case.
+template <int W, class Program>
 struct KdTreeKernel {
   using BF = simd::batch<float, W>;
   using BI = simd::batch<std::int32_t, W>;
   using Payload = char;
+  using State = spatial::Point<BF>;
   static constexpr int width = W;
 
-  struct State {
-    BF qx, qy, qz;
-  };
+  const Program* prog;
 
-  const spatial::Bodies* points;
-  const spatial::KdTree* tree;
+  explicit KdTreeKernel(const Program& p) : prog(&p) {}
 
-  std::int32_t root() const { return tree->root; }
-  std::int32_t queries() const { return static_cast<std::int32_t>(points->size()); }
+  std::int32_t root() const { return prog->tree->root; }
+  std::int32_t queries() const { return static_cast<std::int32_t>(prog->points->size()); }
   static Payload root_payload() { return 0; }
   static Payload descend(Payload p) { return p; }
 
   int children(std::int32_t node, std::int32_t* out) const {
+    const spatial::KdTree& tree = *prog->tree;
     const auto nn = static_cast<std::size_t>(node);
     int c = 0;
-    if (tree->left[nn] != spatial::KdTree::kNoChild) out[c++] = tree->left[nn];
-    if (tree->right[nn] != spatial::KdTree::kNoChild) out[c++] = tree->right[nn];
+    if (tree.left[nn] != spatial::KdTree::kNoChild) out[c++] = tree.left[nn];
+    if (tree.right[nn] != spatial::KdTree::kNoChild) out[c++] = tree.right[nn];
     return c;
   }
 
-  State load(const BI& qid) const {
-    return {simd::gather(points->x.data(), qid), simd::gather(points->y.data(), qid),
-            simd::gather(points->z.data(), qid)};
-  }
+  State load(const BI& qid) const { return prog->point(qid); }
   static void flush(const BI&, State&, std::uint32_t) {}
 
-  // Squared distance from each lane's query to `node`'s box, its bounds
-  // broadcast across lanes (0 inside the box).  `far2`, when given,
-  // receives the squared distance to the box's farthest corner.  The
-  // gather-form twins for node vectors live in the apps' SIMD layers.
-  BF box_dist2(std::int32_t node, const State& s, BF* far2 = nullptr) const {
-    const auto nn = static_cast<std::size_t>(node);
-    const BF lox = BF::broadcast(tree->min_x[nn]) - s.qx;
-    const BF hix = s.qx - BF::broadcast(tree->max_x[nn]);
-    const BF loy = BF::broadcast(tree->min_y[nn]) - s.qy;
-    const BF hiy = s.qy - BF::broadcast(tree->max_y[nn]);
-    const BF loz = BF::broadcast(tree->min_z[nn]) - s.qz;
-    const BF hiz = s.qz - BF::broadcast(tree->max_z[nn]);
-    if (far2 != nullptr) {
-      // Per dimension the larger one-sided offset (-lox = qx - min_x,
-      // -hix = max_x - qx).
-      const BF fx = BF::max(-lox, -hix);
-      const BF fy = BF::max(-loy, -hiy);
-      const BF fz = BF::max(-loz, -hiz);
-      *far2 = fx * fx + fy * fy + fz * fz;
-    }
-    const BF zero = BF::zero();
-    const BF dx = BF::max(BF::max(lox, hix), zero);
-    const BF dy = BF::max(BF::max(loy, hiy), zero);
-    const BF dz = BF::max(BF::max(loz, hiz), zero);
-    return dx * dx + dy * dy + dz * dz;
+  // The lanes of `mask` whose query descends into `node`.
+  std::uint32_t live_at(std::int32_t node, const BI& qid, const State& s,
+                        std::uint32_t mask) const {
+    return mask &
+           prog->descends(prog->tree->template box<BF>(node), s, prog->template bounds<BF>(qid));
   }
-
-  // The program's scalar base case for every live lane at leaf `node`.
-  template <class Program>
-  static void leaf_lanes(const Program& prog, std::int32_t node, const BI& qid,
-                         std::uint32_t live) {
-    while (live != 0) {
-      const int l = std::countr_zero(live);
-      live &= live - 1;
-      typename Program::Result dummy = 0;
-      prog.leaf(typename Program::Task{qid[l], node}, dummy);
-    }
-  }
-};
-
-// k-nearest neighbours: each lane's pruning bound (its current k-th best
-// distance) shrinks as leaves are offered, so it is reloaded at every node
-// and a lane benefits from its own earlier leaf visits exactly as the
-// recursive traversal does.
-template <int W>
-struct KnnKernel : KdTreeKernel<W> {
-  using typename KdTreeKernel<W>::BF;
-  using typename KdTreeKernel<W>::BI;
-  using typename KdTreeKernel<W>::State;
-
-  const apps::KnnProgram* prog;
-
-  explicit KnnKernel(const apps::KnnProgram& p) : KdTreeKernel<W>{p.points, p.tree}, prog(&p) {}
 
   std::uint32_t step(std::int32_t node, const BI& qid, State& s, std::uint32_t mask,
                      char) const {
-    BF bound;
-    for (int l = 0; l < W; ++l) bound.set(l, prog->state->bound(qid[l]));
-    const std::uint32_t live = mask & simd::cmp_lt(this->box_dist2(node, s), bound);
-    if (live == 0 || !this->tree->is_leaf(node)) return live;
-    this->leaf_lanes(*prog, node, qid, live);
+    std::uint32_t m = live_at(node, qid, s, mask);
+    if (m == 0 || !prog->tree->is_leaf(node)) return m;
+    for (; m != 0; m &= m - 1) {
+      typename Program::Result dummy = 0;
+      prog->leaf(typename Program::Task{qid[std::countr_zero(m)], node}, dummy);
+    }
     return 0;
   }
 };
 
-// Point correlation: counts the (query, point) pairs within the radius; a
+template <int W>
+using KnnKernel = KdTreeKernel<W, apps::KnnProgram>;
+
+template <int W>
+using MinmaxDistKernel = KdTreeKernel<W, apps::MinmaxDistProgram>;
+
+// Point correlation counts the (query, point) pairs within the radius; a
 // leaf's points stream against all live lanes at once.
 template <int W>
-struct PointCorrKernel : KdTreeKernel<W> {
-  using typename KdTreeKernel<W>::BF;
-  using typename KdTreeKernel<W>::BI;
-  using typename KdTreeKernel<W>::State;
+struct PointCorrKernel : KdTreeKernel<W, apps::PointCorrProgram> {
+  using Base = KdTreeKernel<W, apps::PointCorrProgram>;
+  using typename Base::BF;
+  using typename Base::BI;
+  using typename Base::State;
+  using Base::Base;
 
-  const apps::PointCorrProgram* prog;
   std::uint64_t result = 0;
 
-  explicit PointCorrKernel(const apps::PointCorrProgram& p)
-      : KdTreeKernel<W>{p.points, p.tree}, prog(&p) {}
-
-  std::uint32_t step(std::int32_t node, const BI&, State& s, std::uint32_t mask, char) {
-    const BF r2 = BF::broadcast(prog->rad2);
-    const std::uint32_t live = mask & simd::cmp_le(this->box_dist2(node, s), r2);
-    if (live == 0 || !this->tree->is_leaf(node)) return live;
-    const spatial::KdTree& tree = *this->tree;
+  std::uint32_t step(std::int32_t node, const BI& qid, State& s, std::uint32_t mask, char) {
+    const std::uint32_t live = this->live_at(node, qid, s, mask);
+    const spatial::KdTree& tree = *this->prog->tree;
+    if (live == 0 || !tree.is_leaf(node)) return live;
+    const BF r2 = BF::broadcast(this->prog->rad2);
     const auto nn = static_cast<std::size_t>(node);
     for (std::int32_t j = tree.leaf_begin[nn]; j < tree.leaf_end[nn]; ++j) {
       const auto jj = static_cast<std::size_t>(j);
-      const BF dx = BF::broadcast(tree.px[jj]) - s.qx;
-      const BF dy = BF::broadcast(tree.py[jj]) - s.qy;
-      const BF dz = BF::broadcast(tree.pz[jj]) - s.qz;
+      const BF dx = BF::broadcast(tree.px[jj]) - s.x;
+      const BF dy = BF::broadcast(tree.py[jj]) - s.y;
+      const BF dz = BF::broadcast(tree.pz[jj]) - s.z;
       result += std::popcount(live & simd::cmp_le(dx * dx + dy * dy + dz * dz, r2));
     }
-    return 0;
-  }
-};
-
-// min/max-extent search (apps/minmaxdist.hpp): each lane carries two
-// monotone bounds (nearest-so-far shrinks, farthest-so-far grows), reloaded
-// at every node; a lane descends only while the node's box could improve
-// one of them.  Early on every lane descends everywhere; late in the walk
-// the min-bound prunes near the query while the max-bound prunes the middle
-// of the tree — a different divergence shape from pointcorr and knn.
-template <int W>
-struct MinmaxDistKernel : KdTreeKernel<W> {
-  using typename KdTreeKernel<W>::BF;
-  using typename KdTreeKernel<W>::BI;
-  using typename KdTreeKernel<W>::State;
-
-  const apps::MinmaxDistProgram* prog;
-
-  explicit MinmaxDistKernel(const apps::MinmaxDistProgram& p)
-      : KdTreeKernel<W>{p.points, p.tree}, prog(&p) {}
-
-  std::uint32_t step(std::int32_t node, const BI& qid, State& s, std::uint32_t mask,
-                     char) const {
-    BF cur_min, cur_max;
-    for (int l = 0; l < W; ++l) {
-      cur_min.set(l, prog->state->min_bound(qid[l]));
-      cur_max.set(l, prog->state->max_bound(qid[l]));
-    }
-    BF far2;
-    const BF near2 = this->box_dist2(node, s, &far2);
-    const std::uint32_t live =
-        mask & (simd::cmp_lt(near2, cur_min) | simd::cmp_gt(far2, cur_max));
-    if (live == 0 || !this->tree->is_leaf(node)) return live;
-    this->leaf_lanes(*prog, node, qid, live);
     return 0;
   }
 };

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/thresholds.hpp"
 #include "runtime/xoshiro.hpp"
 #include "sim/comp_tree.hpp"
 #include "sim/trace.hpp"
@@ -50,7 +51,6 @@ struct SimConfig {
   std::size_t t_restart = 32;
   SimPolicy policy = SimPolicy::Restart;
   std::uint64_t seed = 1;
-  int bfe_after_steal = 2;  // §3.4: "a constant number of BFE actions"
   // §4.3: "the proof can be generalized so that a steal attempt takes c
   // time for any constant c" — the simulated cost of one steal attempt.
   std::uint64_t steal_cost = 1;
@@ -417,7 +417,7 @@ private:
             } else {
               w.bfe_mode = true;  // §3.4: regrow with a bounded number of BFEs
               w.growing = false;
-              w.bfe_budget = cfg_.bfe_after_steal;
+              w.bfe_budget = core::kBfeAfterSteal;
             }
           } else if (cfg_.trace) {
             cfg_.trace->record(t, cfg_.steal_cost, self, TraceKind::StealAttempt, -1, 0);

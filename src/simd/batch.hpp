@@ -350,6 +350,42 @@ inline Acc reduce_add_masked(std::uint32_t mask, const batch<T, W>& v) {
   return acc;
 }
 
+// ---- one lane ------------------------------------------------------------------
+// The scalar spellings of the operations above, so a rule written once over
+// V = float or V = batch<float, W> runs per task and per lane alike: a
+// float is one lane, and its mask is bit 0.  `max` is forced inline: the
+// kd-tree box distance calls it six times per node, and GCC left some of
+// those calls out of line, returning W-lane batches through memory.
+template <class V>
+inline V splat(float x) {
+  if constexpr (std::is_same_v<V, float>) {
+    return x;
+  } else {
+    return V::broadcast(x);
+  }
+}
+[[gnu::always_inline]] inline float max(float a, float b) { return std::max(a, b); }
+template <class T, int W>
+[[gnu::always_inline]] inline batch<T, W> max(const batch<T, W>& a, const batch<T, W>& b) {
+  return batch<T, W>::max(a, b);
+}
+inline std::uint32_t cmp_lt(float a, float b) { return a < b ? 1u : 0u; }
+inline std::uint32_t cmp_gt(float a, float b) { return cmp_lt(b, a); }
+inline std::uint32_t cmp_le(float a, float b) { return a <= b ? 1u : 0u; }
+
+// f(i) per index: one float for an int32 index, lane l = f(idx[l]) for a
+// batch of indices.
+template <class V, class I, class F>
+inline V per_lane(const I& idx, F&& f) {
+  if constexpr (std::is_same_v<V, float>) {
+    return f(idx);
+  } else {
+    V r;
+    for (int l = 0; l < V::width; ++l) r.set(l, f(idx[l]));
+    return r;
+  }
+}
+
 // Natural vector width for a lane type on the compiled-for ISA: how many
 // lanes of T fit in the widest available vector register (256-bit with AVX2,
 // 128-bit baseline).  This is the Q the paper parameterizes schedulers with.

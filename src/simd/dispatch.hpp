@@ -14,7 +14,9 @@
 // Adding a traversal workload: write one Kernel<W> in lockstep/kernels.hpp
 // (the interface is in lockstep/blocked.hpp), add its fields below, and
 // bind each field to its driver in simd/dispatch_table.ipp — one line per
-// field, no per-workload body.
+// field, no per-workload body.  A kd-tree query writes no kernel: its
+// program derives from apps::KdQuery (apps/kdquery.hpp), whose pruning rule
+// every layer calls, and its Kernel<W> is KdTreeKernel<W, Program>.
 //
 // ODR discipline (why this stays correct under one definition rule):
 //   * Width-disjoint instantiation — the sse2 TU instantiates only W=4

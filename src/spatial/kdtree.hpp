@@ -1,8 +1,13 @@
-// Balanced kd-tree over 3-D points for the point-correlation and k-NN
-// traversal benchmarks.  Median splits on the widest axis; nodes carry
-// bounding boxes (for ball-overlap pruning) in flat SoA columns, and leaf
+// Balanced kd-tree over 3-D points for the point-correlation, k-NN and
+// min/max-distance traversal benchmarks.  Median splits on the widest axis;
+// nodes carry bounding boxes (for pruning) in flat SoA columns, and leaf
 // points are stored permuted and contiguous so the data-parallel base case
 // is a dense loop.
+//
+// The box distances the traversals prune with are written once, over
+// V = float (one query against one node) and V = simd::batch<float, W> (W
+// lanes, each box gathered per lane or one node broadcast to all), so every
+// execution layer runs the same IEEE op sequence per (query, node) pair.
 #pragma once
 
 #include <algorithm>
@@ -12,9 +17,43 @@
 #include <vector>
 
 #include "simd/aligned.hpp"
+#include "simd/batch.hpp"
 #include "spatial/bodies.hpp"
 
 namespace tb::spatial {
+
+template <class V>
+struct Point {
+  V x, y, z;
+};
+
+template <class V>
+struct Box {
+  Point<V> lo, hi;
+};
+
+// The box loaders (KdTree::box) and both distances are forced inline: out
+// of line, every lockstep node step passes a W-lane box through memory, and
+// the scalar recursion pays a call per child.
+//
+// Squared distance from p to the nearest point of b (0 when p is inside).
+template <class V>
+[[gnu::always_inline]] inline V near_dist2(const Box<V>& b, const Point<V>& p) {
+  const V zero = simd::splat<V>(0.0f);
+  const V dx = simd::max(simd::max(b.lo.x - p.x, zero), p.x - b.hi.x);
+  const V dy = simd::max(simd::max(b.lo.y - p.y, zero), p.y - b.hi.y);
+  const V dz = simd::max(simd::max(b.lo.z - p.z, zero), p.z - b.hi.z);
+  return dx * dx + dy * dy + dz * dz;
+}
+
+// Squared distance from p to the farthest corner of b.
+template <class V>
+[[gnu::always_inline]] inline V far_dist2(const Box<V>& b, const Point<V>& p) {
+  const V dx = simd::max(p.x - b.lo.x, b.hi.x - p.x);
+  const V dy = simd::max(p.y - b.lo.y, b.hi.y - p.y);
+  const V dz = simd::max(p.z - b.lo.z, b.hi.z - p.z);
+  return dx * dx + dy * dy + dz * dz;
+}
 
 class KdTree {
 public:
@@ -34,25 +73,23 @@ public:
     return leaf_begin[static_cast<std::size_t>(node)] >= 0;
   }
 
-  // Squared distance from (x,y,z) to the node's bounding box.
-  float box_dist2(std::int32_t node, float x, float y, float z) const {
+  // The node's box: its bounds as floats, or broadcast to every lane when V
+  // is a simd::batch.
+  template <class V = float>
+  [[gnu::always_inline]] Box<V> box(std::int32_t node) const {
     const auto i = static_cast<std::size_t>(node);
-    const float dx = std::max({min_x[i] - x, 0.0f, x - max_x[i]});
-    const float dy = std::max({min_y[i] - y, 0.0f, y - max_y[i]});
-    const float dz = std::max({min_z[i] - z, 0.0f, z - max_z[i]});
-    return dx * dx + dy * dy + dz * dz;
+    return {{simd::splat<V>(min_x[i]), simd::splat<V>(min_y[i]), simd::splat<V>(min_z[i])},
+            {simd::splat<V>(max_x[i]), simd::splat<V>(max_y[i]), simd::splat<V>(max_z[i])}};
   }
 
-  // Squared distance from (x,y,z) to the farthest corner of the node's
-  // bounding box — the upper-bound companion of box_dist2, used by the
-  // min/max-extent traversal (apps/minmaxdist.hpp) to prune subtrees that
-  // cannot improve a query's farthest-point bound.
-  float box_maxdist2(std::int32_t node, float x, float y, float z) const {
-    const auto i = static_cast<std::size_t>(node);
-    const float dx = std::max(x - min_x[i], max_x[i] - x);
-    const float dy = std::max(y - min_y[i], max_y[i] - y);
-    const float dz = std::max(z - min_z[i], max_z[i] - z);
-    return dx * dx + dy * dy + dz * dz;
+  // One node's box per lane.
+  template <int W>
+  [[gnu::always_inline]] Box<simd::batch<float, W>> box(
+      const simd::batch<std::int32_t, W>& node) const {
+    return {{simd::gather(min_x.data(), node), simd::gather(min_y.data(), node),
+             simd::gather(min_z.data(), node)},
+            {simd::gather(max_x.data(), node), simd::gather(max_y.data(), node),
+             simd::gather(max_z.data(), node)}};
   }
 
   static KdTree build(const Bodies& pts, int leaf_capacity = 16) {

@@ -143,9 +143,9 @@ TEST(KdTree, BoundingBoxesContainTheirPoints) {
 TEST(KdTree, BoxDistZeroInsideBox) {
   const auto p = spatial::Bodies::uniform_cube(100, 10);
   const auto t = spatial::KdTree::build(p, 8);
-  EXPECT_FLOAT_EQ(t.box_dist2(t.root, 0.0f, 0.0f, 0.0f), 0.0f);
+  EXPECT_FLOAT_EQ(spatial::near_dist2(t.box(t.root), {0.0f, 0.0f, 0.0f}), 0.0f);
   // A faraway point has a positive distance to the root box.
-  EXPECT_GT(t.box_dist2(t.root, 100.0f, 0.0f, 0.0f), 0.0f);
+  EXPECT_GT(spatial::near_dist2(t.box(t.root), {100.0f, 0.0f, 0.0f}), 0.0f);
 }
 
 // ---- point correlation -----------------------------------------------------------
