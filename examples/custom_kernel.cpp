@@ -2,103 +2,83 @@
 //
 // The walkthrough implements subset-sum counting — how many subsets of a
 // multiset of weights sum exactly to a target — as a brand-new program (it
-// is not one of the paper's 11 benchmarks), in the three layers the
-// framework understands:
+// is not one of the paper's 11 benchmarks).  A program states its recursive
+// method once, on apps::TaskRule (src/apps/task_rule.hpp), as three rules
+// over a task row of W lanes:
 //
-//   1. the *task program*: Task state + is_base/leaf/expand   (required)
-//   2. the *SoA layer*: a column-per-field block + row codecs (optional —
-//      enables the auto-vectorizable loops and is required by 3)
-//   3. the *SIMD layer*: a hand-vectorized expand over batches (optional —
-//      the paper's "SIMD" rung; masked compare + streaming compaction)
+//   base    which lanes are base cases            (the spec's `base`)
+//   reduce  what the base-case lanes add up to    (the spec's `reduce`)
+//   spawn   each child, under the lanes that spawn it (the spec's `spawn`)
 //
-// then runs it through the sequential policies, the auto-tuner, and the
-// multicore pool, verifying everything against a plain recursion.
+// At W = 1 the row is one task of scalars; at W > 1 each field is a
+// simd::batch of W tasks.  TaskRule derives all three execution layers from
+// those rules: the scalar task program (is_base/leaf/expand), the SoA block
+// and the vectorized expand_simd (masked compare + streaming compaction), so
+// the layers cannot disagree.  The program is then run through the
+// sequential policies, the auto-tuner and the multicore pool, verifying
+// everything against a plain recursion.
 //
 // Usage: ./custom_kernel [num-weights]
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <tuple>
 #include <vector>
 
+#include "apps/task_rule.hpp"
 #include "core/autotune.hpp"
 #include "core/driver.hpp"
 #include "runtime/forkjoin.hpp"
-#include "simd/batch.hpp"
-#include "simd/soa.hpp"
 
 namespace {
 
-// ---- 1. the task program ---------------------------------------------------------
-//
+namespace simd = tb::simd;
+
 // A task is a suspended call f(item, remaining): "count subsets of
-// weights[item..] that sum to exactly `remaining`".  Tasks at the same
-// depth share `item`, so per-level state stays uniform — the property that
-// makes blocks SIMD-friendly.
-struct SubsetSumProgram {
-  struct Task {
-    std::int32_t item;
-    std::int32_t remaining;
-  };
-  using Result = std::uint64_t;       // number of exact-sum subsets
+// weights[item..] that sum to exactly `remaining`".  The row lists its
+// fields once, as W lanes each; fields() gives the SoA column order.
+template <int W>
+struct SubsetSumRow {
+  simd::lanes<std::int32_t, W> item;
+  simd::lanes<std::int32_t, W> remaining;
+  auto fields() const { return std::tie(item, remaining); }
+};
+
+struct SubsetSumProgram : tb::apps::TaskRule<SubsetSumProgram, SubsetSumRow> {
+  using Result = std::uint64_t;  // number of exact-sum subsets
   static constexpr int max_children = 2;
 
   const std::vector<std::int32_t>* weights = nullptr;
 
+  explicit SubsetSumProgram(const std::vector<std::int32_t>* w) : weights(w) {}
+
   static Result identity() { return 0; }
   static void combine(Result& a, const Result& b) { a += b; }
 
-  bool is_base(const Task& t) const {
-    return t.remaining == 0 || t.item == static_cast<std::int32_t>(weights->size());
+  // Masks are lane bitmasks (bit l = lane l; one task is bit 0).  Rules are
+  // forced inline and take rows by const reference (task_rule.hpp says why).
+  //
+  // A base case is an exact hit (remaining == 0) or a miss (no items left).
+  template <int W>
+  [[gnu::always_inline]] std::uint32_t base(const Row<W>& t) const {
+    return simd::cmp_eq(t.remaining, 0) |
+           simd::cmp_eq(t.item, static_cast<std::int32_t>(weights->size()));
   }
-  void leaf(const Task& t, Result& r) const { r += (t.remaining == 0) ? 1 : 0; }
-
-  template <class Emit>
-  void expand(const Task& t, Emit&& emit) const {
-    const std::int32_t w = (*weights)[static_cast<std::size_t>(t.item)];
-    if (t.remaining >= w) emit(0, Task{t.item + 1, t.remaining - w});  // take
-    emit(1, Task{t.item + 1, t.remaining});                            // skip
+  // Only the hits count.
+  template <int W>
+  [[gnu::always_inline]] void reduce(const Row<W>& t, std::uint32_t m, Result& r) const {
+    r += static_cast<Result>(std::popcount(m & simd::cmp_eq(t.remaining, 0)));
   }
-
-  // ---- 2. the SoA layer ------------------------------------------------------
-  using Block = tb::simd::SoaBlock<std::int32_t, std::int32_t>;
-  static Task task_at(const Block& b, std::size_t i) {
-    const auto [item, remaining] = b.row(i);
-    return Task{item, remaining};
-  }
-  static void append_task(Block& b, const Task& t) { b.push_back(t.item, t.remaining); }
-
-  // ---- 3. the SIMD layer -----------------------------------------------------
-  static constexpr int simd_width = tb::simd::natural_width<std::int32_t>;
-
-  void expand_simd(const Block& in, std::size_t begin, std::size_t end,
-                   const std::array<Block*, 2>& outs, Result& r,
-                   std::uint64_t& leaves) const {
-    using B = tb::simd::batch<std::int32_t, simd_width>;
-    const std::int32_t* items = in.data<0>();
-    const std::int32_t* rems = in.data<1>();
-    const auto n_items = static_cast<std::int32_t>(weights->size());
-    const B zero = B::zero();
-    std::uint64_t found = 0, leaf_count = 0;
-    for (std::size_t i = begin; i < end; i += simd_width) {
-      const B item = B::loadu(items + i);
-      const B rem = B::loadu(rems + i);
-      // Base lanes: remaining == 0 (counts 1) or items exhausted (counts 0).
-      const std::uint32_t done = tb::simd::cmp_eq(rem, zero);
-      const std::uint32_t exhausted = tb::simd::cmp_eq(item, B::broadcast(n_items));
-      const std::uint32_t base = done | exhausted;
-      found += std::popcount(done);
-      leaf_count += std::popcount(base);
-      const std::uint32_t rec = ~base & tb::simd::mask_all<simd_width>;
-      if (rec == 0) continue;
-      // `item` is uniform within a level, so the weight broadcasts.
-      const B w = B::broadcast((*weights)[static_cast<std::size_t>(items[i])]);
-      const B next = item + B::broadcast(1);
-      const std::uint32_t take = rec & tb::simd::cmp_ge(rem, w);
-      outs[0]->append_compact(take, next, rem - w);  // streaming compaction
-      outs[1]->append_compact(rec, next, rem);
+  // Slot 0 takes the item where it fits, slot 1 skips it.  Tasks at one
+  // depth share `item`, so its weight is read once from lane 0.
+  template <int W, class Emit>
+  [[gnu::always_inline]] void spawn(const Row<W>& t, std::uint32_t live, Emit&& emit) const {
+    const std::int32_t w = (*weights)[static_cast<std::size_t>(simd::first_lane(t.item))];
+    if (const std::uint32_t m = live & simd::cmp_ge(t.remaining, w)) {
+      emit(0, m, Row<W>{t.item + 1, t.remaining - w});
     }
-    r += found;
-    leaves += leaf_count;
+    emit(1, live, Row<W>{t.item + 1, t.remaining});
   }
 };
 
@@ -124,7 +104,7 @@ int main(int argc, char** argv) {
   }
   const std::int32_t target = total / 3;
 
-  SubsetSumProgram prog{&weights};
+  const SubsetSumProgram prog{&weights};
   const std::vector<SubsetSumProgram::Task> roots{{0, target}};
   const std::uint64_t expected = subset_sum_recursive(weights, 0, target);
   std::printf("subset-sum: %d weights, target %d -> %llu subsets (oracle)\n", n, target,

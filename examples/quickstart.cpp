@@ -4,8 +4,9 @@
 // The program counts the subsets of {1..n} whose sum is at most `budget` —
 // a tiny branch-and-bound: each task decides whether element `next` joins
 // the subset.  Tasks are plain PODs; the SoA block layout plus a scalar
-// `expand` is all the framework needs (a hand-vectorized kernel is
-// optional — see src/apps/*.hpp for examples of those).
+// `expand` is all the framework needs (for a SIMD layer derived from the
+// same rule, see apps::TaskRule in src/apps/task_rule.hpp and the
+// custom_kernel example).
 //
 // Build & run:  ./quickstart [n] [budget]
 #include <cstdio>

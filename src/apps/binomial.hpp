@@ -5,66 +5,40 @@
 // of depth n.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
+#include <tuple>
 
-#include "core/program.hpp"
-#include "simd/batch.hpp"
-#include "simd/soa.hpp"
+#include "apps/task_rule.hpp"
 
 namespace tb::apps {
 
-struct BinomialProgram {
-  struct Task {
-    std::int32_t n;
-    std::int32_t k;
-  };
+template <int W>
+struct BinomialRow {
+  simd::lanes<std::int32_t, W> n;
+  simd::lanes<std::int32_t, W> k;
+  auto fields() const { return std::tie(n, k); }
+};
+
+struct BinomialProgram : TaskRule<BinomialProgram, BinomialRow> {
   using Result = std::uint64_t;
   static constexpr int max_children = 2;
 
   static Result identity() { return 0; }
   static void combine(Result& a, const Result& b) { a += b; }
 
-  bool is_base(const Task& t) const { return t.k == 0 || t.k == t.n; }
-  void leaf(const Task&, Result& r) const { r += 1; }
-
-  template <class Emit>
-  void expand(const Task& t, Emit&& emit) const {
-    emit(0, Task{t.n - 1, t.k - 1});
-    emit(1, Task{t.n - 1, t.k});
+  template <int W>
+  [[gnu::always_inline]] std::uint32_t base(const Row<W>& t) const {
+    return simd::cmp_eq(t.k, 0) | simd::cmp_eq(t.k, t.n);
   }
-
-  // ---- SoA layer -------------------------------------------------------------
-  using Block = simd::SoaBlock<std::int32_t, std::int32_t>;
-  static Task task_at(const Block& b, std::size_t i) {
-    const auto [n, k] = b.row(i);
-    return Task{n, k};
+  template <int W>
+  [[gnu::always_inline]] void reduce(const Row<W>&, std::uint32_t m, Result& r) const {
+    r += static_cast<Result>(std::popcount(m));
   }
-  static void append_task(Block& b, const Task& t) { b.push_back(t.n, t.k); }
-
-  // ---- SIMD layer ------------------------------------------------------------
-  static constexpr int simd_width = simd::natural_width<std::int32_t>;
-
-  void expand_simd(const Block& in, std::size_t begin, std::size_t end,
-                   const std::array<Block*, 2>& outs, Result& r, std::uint64_t& leaves) const {
-    using B = simd::batch<std::int32_t, simd_width>;
-    const std::int32_t* ns = in.data<0>();
-    const std::int32_t* ks = in.data<1>();
-    const B one = B::broadcast(1);
-    const B zero = B::zero();
-    std::uint64_t leaf_count = 0;
-    for (std::size_t i = begin; i < end; i += simd_width) {
-      const B n = B::loadu(ns + i);
-      const B k = B::loadu(ks + i);
-      const std::uint32_t base = simd::cmp_eq(k, zero) | simd::cmp_eq(k, n);
-      leaf_count += std::popcount(base);
-      const std::uint32_t rec = base ^ simd::mask_all<simd_width>;
-      outs[0]->append_compact(rec, n - one, k - one);
-      outs[1]->append_compact(rec, n - one, k);
-    }
-    r += leaf_count;
-    leaves += leaf_count;
+  template <int W, class Emit>
+  [[gnu::always_inline]] void spawn(const Row<W>& t, std::uint32_t live, Emit&& emit) const {
+    emit(0, live, Row<W>{t.n - 1, t.k - 1});
+    emit(1, live, Row<W>{t.n - 1, t.k});
   }
 
   static Task root(int n, int k) { return Task{n, k}; }

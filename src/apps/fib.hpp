@@ -2,66 +2,42 @@
 //
 // fib(n) spawns fib(n-1) and fib(n-2); the leaf values (n < 2) sum to
 // fib(n), so the program reduces a 64-bit sum at base cases.  The task
-// state is a single i32, so the SoA block is one column and the SIMD kernel
+// state is a single i32, so the SoA block is one column and the SIMD layer
 // is a pure arithmetic mask/compact loop.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cstdint>
+#include <tuple>
 
-#include "core/program.hpp"
-#include "simd/batch.hpp"
-#include "simd/soa.hpp"
+#include "apps/task_rule.hpp"
 
 namespace tb::apps {
 
-struct FibProgram {
-  struct Task {
-    std::int32_t n;
-  };
+template <int W>
+struct FibRow {
+  simd::lanes<std::int32_t, W> n;
+  auto fields() const { return std::tie(n); }
+};
+
+struct FibProgram : TaskRule<FibProgram, FibRow> {
   using Result = std::uint64_t;
   static constexpr int max_children = 2;
 
   static Result identity() { return 0; }
   static void combine(Result& a, const Result& b) { a += b; }
 
-  bool is_base(const Task& t) const { return t.n < 2; }
-  void leaf(const Task& t, Result& r) const { r += static_cast<Result>(t.n); }
-
-  template <class Emit>
-  void expand(const Task& t, Emit&& emit) const {
-    emit(0, Task{t.n - 1});
-    emit(1, Task{t.n - 2});
+  template <int W>
+  [[gnu::always_inline]] std::uint32_t base(const Row<W>& t) const {
+    return simd::cmp_lt(t.n, 2);
   }
-
-  // ---- SoA layer -------------------------------------------------------------
-  using Block = simd::SoaBlock<std::int32_t>;
-  static Task task_at(const Block& b, std::size_t i) { return Task{std::get<0>(b.row(i))}; }
-  static void append_task(Block& b, const Task& t) { b.push_back(t.n); }
-
-  // ---- SIMD layer ------------------------------------------------------------
-  static constexpr int simd_width = simd::natural_width<std::int32_t>;
-
-  void expand_simd(const Block& in, std::size_t begin, std::size_t end,
-                   const std::array<Block*, 2>& outs, Result& r, std::uint64_t& leaves) const {
-    using B = simd::batch<std::int32_t, simd_width>;
-    const std::int32_t* ns = in.data<0>();
-    const B one = B::broadcast(1);
-    const B two = B::broadcast(2);
-    Result sum = 0;
-    std::uint64_t leaf_count = 0;
-    for (std::size_t i = begin; i < end; i += simd_width) {
-      const B n = B::loadu(ns + i);
-      const std::uint32_t base = simd::cmp_lt(n, two);
-      sum += simd::reduce_add_masked<Result>(base, n);
-      leaf_count += std::popcount(base);
-      const std::uint32_t rec = base ^ simd::mask_all<simd_width>;
-      outs[0]->append_compact(rec, n - one);
-      outs[1]->append_compact(rec, n - two);
-    }
-    r += sum;
-    leaves += leaf_count;
+  template <int W>
+  [[gnu::always_inline]] void reduce(const Row<W>& t, std::uint32_t m, Result& r) const {
+    r += simd::reduce_add_masked<Result>(m, t.n);
+  }
+  template <int W, class Emit>
+  [[gnu::always_inline]] void spawn(const Row<W>& t, std::uint32_t live, Emit&& emit) const {
+    emit(0, live, Row<W>{t.n - 1});
+    emit(1, live, Row<W>{t.n - 2});
   }
 
   static Task root(int n) { return Task{n}; }

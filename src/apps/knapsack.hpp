@@ -8,21 +8,18 @@
 // base cases on the last level, matching the paper's characterization.
 //
 // Because every task in a block sits at the same tree level, the item index
-// is uniform across a block — the SIMD kernel broadcasts w[item]/v[item]
+// is uniform across a block — the rule reads w[item]/v[item] once per row
 // instead of gathering.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <cassert>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
-#include "core/program.hpp"
+#include "apps/task_rule.hpp"
 #include "runtime/xoshiro.hpp"
-#include "simd/batch.hpp"
-#include "simd/soa.hpp"
 
 namespace tb::apps {
 
@@ -57,16 +54,21 @@ struct KnapsackResult {
   std::int64_t best = 0;
 };
 
-struct KnapsackProgram {
-  struct Task {
-    std::int32_t item;
-    std::int32_t cap;
-    std::int32_t val;
-  };
+template <int W>
+struct KnapsackRow {
+  simd::lanes<std::int32_t, W> item;
+  simd::lanes<std::int32_t, W> cap;
+  simd::lanes<std::int32_t, W> val;
+  auto fields() const { return std::tie(item, cap, val); }
+};
+
+struct KnapsackProgram : TaskRule<KnapsackProgram, KnapsackRow> {
   using Result = KnapsackResult;
   static constexpr int max_children = 2;
 
   const KnapsackInstance* inst = nullptr;
+
+  explicit KnapsackProgram(const KnapsackInstance* instance = nullptr) : inst(instance) {}
 
   static Result identity() { return {}; }
   static void combine(Result& a, const Result& b) {
@@ -74,62 +76,24 @@ struct KnapsackProgram {
     a.best = std::max(a.best, b.best);
   }
 
-  bool is_base(const Task& t) const { return t.item == inst->num_items(); }
-  void leaf(const Task& t, Result& r) const {
-    r.leaves += 1;
-    r.best = std::max(r.best, static_cast<std::int64_t>(t.val));
+  template <int W>
+  [[gnu::always_inline]] std::uint32_t base(const Row<W>& t) const {
+    return simd::cmp_eq(t.item, inst->num_items());
   }
-
-  template <class Emit>
-  void expand(const Task& t, Emit&& emit) const {
-    const auto i = static_cast<std::size_t>(t.item);
+  template <int W>
+  [[gnu::always_inline]] void reduce(const Row<W>& t, std::uint32_t m, Result& r) const {
+    r.leaves += static_cast<std::uint64_t>(std::popcount(m));
+    r.best = simd::reduce_max_masked(m, t.val, r.best);
+  }
+  template <int W, class Emit>
+  [[gnu::always_inline]] void spawn(const Row<W>& t, std::uint32_t live, Emit&& emit) const {
+    const auto i = static_cast<std::size_t>(simd::first_lane(t.item));  // uniform per level
     const std::int32_t w = inst->weight[i];
     const std::int32_t v = inst->value[i];
-    if (t.cap >= w) emit(0, Task{t.item + 1, t.cap - w, t.val + v});
-    emit(1, Task{t.item + 1, t.cap, t.val});
-  }
-
-  // ---- SoA layer -------------------------------------------------------------
-  using Block = simd::SoaBlock<std::int32_t, std::int32_t, std::int32_t>;
-  static Task task_at(const Block& b, std::size_t i) {
-    const auto [item, cap, val] = b.row(i);
-    return Task{item, cap, val};
-  }
-  static void append_task(Block& b, const Task& t) { b.push_back(t.item, t.cap, t.val); }
-
-  // ---- SIMD layer ------------------------------------------------------------
-  static constexpr int simd_width = simd::natural_width<std::int32_t>;
-
-  void expand_simd(const Block& in, std::size_t begin, std::size_t end,
-                   const std::array<Block*, 2>& outs, Result& r, std::uint64_t& leaves) const {
-    using B = simd::batch<std::int32_t, simd_width>;
-    const std::int32_t* items = in.data<0>();
-    const std::int32_t* caps = in.data<1>();
-    const std::int32_t* vals = in.data<2>();
-    const std::int32_t n_items = inst->num_items();
-    std::uint64_t leaf_count = 0;
-    std::int64_t best = r.best;
-    for (std::size_t i = begin; i < end; i += simd_width) {
-      [[maybe_unused]] const B item = B::loadu(items + i);
-      const B cap = B::loadu(caps + i);
-      const B val = B::loadu(vals + i);
-      const std::int32_t item0 = items[i];  // uniform per level
-      assert(simd::cmp_eq(item, B::broadcast(item0)) == simd::mask_all<simd_width>);
-      if (item0 == n_items) {
-        leaf_count += simd_width;
-        best = std::max(best, static_cast<std::int64_t>(simd::reduce_max(val)));
-        continue;
-      }
-      const B w = B::broadcast(inst->weight[static_cast<std::size_t>(item0)]);
-      const B v = B::broadcast(inst->value[static_cast<std::size_t>(item0)]);
-      const B next = B::broadcast(item0 + 1);
-      const std::uint32_t fits = simd::cmp_ge(cap, w);
-      outs[0]->append_compact(fits, next, cap - w, val + v);
-      outs[1]->append_compact(simd::mask_all<simd_width>, next, cap, val);
+    if (const std::uint32_t m = live & simd::cmp_ge(t.cap, w)) {
+      emit(0, m, Row<W>{t.item + 1, t.cap - w, t.val + v});
     }
-    r.best = best;
-    r.leaves += leaf_count;
-    leaves += leaf_count;
+    emit(1, live, Row<W>{t.item + 1, t.cap, t.val});
   }
 
   Task root() const { return Task{0, inst->capacity, 0}; }

@@ -12,13 +12,13 @@
 // full minimax tree.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <tuple>
 
-#include "core/program.hpp"
-#include "simd/batch.hpp"
-#include "simd/soa.hpp"
+#include "apps/task_rule.hpp"
 
 namespace tb::apps {
 
@@ -31,16 +31,21 @@ struct MinmaxResult {
   friend bool operator==(const MinmaxResult&, const MinmaxResult&) = default;
 };
 
-struct MinmaxProgram {
-  struct Task {
-    std::uint32_t x;  // X's stones, one bit per cell
-    std::uint32_t o;  // O's stones
-  };
+template <int W>
+struct MinmaxRow {
+  simd::lanes<std::uint32_t, W> x;  // X's stones, one bit per cell
+  simd::lanes<std::uint32_t, W> o;  // O's stones
+  auto fields() const { return std::tie(x, o); }
+};
+
+struct MinmaxProgram : TaskRule<MinmaxProgram, MinmaxRow> {
   using Result = MinmaxResult;
   static constexpr int max_children = 16;
   static constexpr int board_cells = 16;
 
   int ply_limit = 9;  // cut off the search at this many stones
+
+  explicit MinmaxProgram(int plies = 9) : ply_limit(plies) {}
 
   // 4-in-a-row lines on the 4x4 board: 4 rows, 4 columns, 2 diagonals.
   static constexpr std::array<std::uint32_t, 10> kLines = {
@@ -57,91 +62,38 @@ struct MinmaxProgram {
     a.score_sum += b.score_sum;
   }
 
-  static bool won(std::uint32_t board) {
-    for (const std::uint32_t line : kLines) {
-      if ((board & line) == line) return true;
-    }
-    return false;
+  // The lanes whose board holds a full line (nonzero: the board is won).
+  template <class V>
+  [[gnu::always_inline]] static std::uint32_t won(V board) {
+    std::uint32_t m = 0;
+    for (const std::uint32_t line : kLines) m |= simd::cmp_eq(board & line, line);
+    return m;
   }
 
-  bool is_base(const Task& t) const {
-    const int filled = std::popcount(t.x | t.o);
-    return won(t.x) || won(t.o) || filled >= board_cells || filled >= ply_limit;
+  // The ply (stones on the board) is the tree level: lane 0 speaks for all.
+  template <int W>
+  [[gnu::always_inline]] std::uint32_t base(const Row<W>& t) const {
+    const int filled = std::popcount(simd::first_lane(t.x | t.o));
+    if (filled >= board_cells || filled >= ply_limit) return ~0u;
+    return won(t.x) | won(t.o);
   }
-
-  void leaf(const Task& t, Result& r) const {
-    r.leaves += 1;
-    if (won(t.x)) {
-      r.x_wins += 1;
-      r.score_sum += 1;
-    } else if (won(t.o)) {
-      r.o_wins += 1;
-      r.score_sum -= 1;
-    }
+  template <int W>
+  [[gnu::always_inline]] void reduce(const Row<W>& t, std::uint32_t m, Result& r) const {
+    const std::uint32_t xwin = won(t.x) & m;
+    const std::uint32_t owin = won(t.o) & m & ~xwin;  // one winner; X is checked first
+    r.leaves += static_cast<std::uint64_t>(std::popcount(m));
+    r.x_wins += static_cast<std::uint64_t>(std::popcount(xwin));
+    r.o_wins += static_cast<std::uint64_t>(std::popcount(owin));
+    r.score_sum += std::popcount(xwin) - std::popcount(owin);
   }
-
-  template <class Emit>
-  void expand(const Task& t, Emit&& emit) const {
-    const std::uint32_t occ = t.x | t.o;
-    const bool x_to_move = (std::popcount(occ) & 1) == 0;
+  template <int W, class Emit>
+  [[gnu::always_inline]] void spawn(const Row<W>& t, std::uint32_t live, Emit&& emit) const {
+    const auto occ = t.x | t.o;
+    const bool x_to_move = (std::popcount(simd::first_lane(occ)) & 1) == 0;
     for (int cell = 0; cell < board_cells; ++cell) {
       const std::uint32_t bit = 1u << cell;
-      if (occ & bit) continue;
-      emit(cell, x_to_move ? Task{t.x | bit, t.o} : Task{t.x, t.o | bit});
-    }
-  }
-
-  // ---- SoA layer -------------------------------------------------------------
-  using Block = simd::SoaBlock<std::uint32_t, std::uint32_t>;
-  static Task task_at(const Block& b, std::size_t i) {
-    const auto [x, o] = b.row(i);
-    return Task{x, o};
-  }
-  static void append_task(Block& b, const Task& t) { b.push_back(t.x, t.o); }
-
-  // ---- SIMD layer ------------------------------------------------------------
-  static constexpr int simd_width = simd::natural_width<std::uint32_t>;
-
-  void expand_simd(const Block& in, std::size_t begin, std::size_t end,
-                   const std::array<Block*, 16>& outs, Result& r, std::uint64_t& leaves) const {
-    using B = simd::batch<std::uint32_t, simd_width>;
-    const std::uint32_t* xs = in.data<0>();
-    const std::uint32_t* os = in.data<1>();
-    constexpr std::uint32_t full = simd::mask_all<simd_width>;
-    for (std::size_t i = begin; i < end; i += simd_width) {
-      const B x = B::loadu(xs + i);
-      const B o = B::loadu(os + i);
-      const B occ = x | o;
-      // Ply is uniform across the block.
-      const int filled = std::popcount(xs[i] | os[i]);
-      const bool cutoff = filled >= board_cells || filled >= ply_limit;
-      std::uint32_t xwin = 0;
-      std::uint32_t owin = 0;
-      for (const std::uint32_t line : kLines) {
-        const B lv = B::broadcast(line);
-        xwin |= simd::cmp_eq(x & lv, lv);
-        owin |= simd::cmp_eq(o & lv, lv);
-      }
-      owin &= ~xwin;  // a position cannot have two winners; X checked first
-      const std::uint32_t base = cutoff ? full : ((xwin | owin) & full);
-      r.leaves += std::popcount(base);
-      r.x_wins += std::popcount(xwin & base);
-      r.o_wins += std::popcount(owin & base);
-      r.score_sum += std::popcount(xwin & base) - std::popcount(owin & base);
-      leaves += std::popcount(base);
-      const std::uint32_t live = ~base & full;
-      if (live == 0) continue;
-      const bool x_to_move = (filled & 1) == 0;
-      for (int cell = 0; cell < board_cells; ++cell) {
-        const B bit = B::broadcast(1u << cell);
-        const std::uint32_t empty =
-            simd::cmp_eq(occ & bit, B::zero()) & live;
-        if (empty == 0) continue;
-        if (x_to_move) {
-          outs[static_cast<std::size_t>(cell)]->append_compact(empty, x | bit, o);
-        } else {
-          outs[static_cast<std::size_t>(cell)]->append_compact(empty, x, o | bit);
-        }
+      if (const std::uint32_t m = live & simd::cmp_eq(occ & bit, 0u)) {
+        emit(cell, m, x_to_move ? Row<W>{t.x | bit, t.o} : Row<W>{t.x, t.o | bit});
       }
     }
   }

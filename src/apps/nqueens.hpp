@@ -6,90 +6,65 @@
 // task tries every column of the next row) appears here as the spawn-slot
 // loop: slot s = "place the next queen in column s", giving out-degree n.
 //
-// The SIMD kernel vectorizes across tasks: for each column slot it tests
+// The SIMD layer vectorizes across tasks: for each column slot it tests
 // `avail & bit` over Q tasks at once and left-packs the spawning lanes.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <tuple>
 
+#include "apps/task_rule.hpp"
 #include "core/hybrid_taskblock.hpp"
-#include "core/program.hpp"
 #include "runtime/forkjoin.hpp"
-#include "simd/batch.hpp"
-#include "simd/soa.hpp"
 
 namespace tb::apps {
 
-struct NQueensProgram {
-  struct Task {
-    std::uint32_t cols;  // occupied columns
-    std::uint32_t ld;    // left-diagonal attacks, shifted per row
-    std::uint32_t rd;    // right-diagonal attacks
-  };
+template <int W>
+struct NQueensRow {
+  simd::lanes<std::uint32_t, W> cols;  // occupied columns
+  simd::lanes<std::uint32_t, W> ld;    // left-diagonal attacks, shifted per row
+  simd::lanes<std::uint32_t, W> rd;    // right-diagonal attacks
+  auto fields() const { return std::tie(cols, ld, rd); }
+};
+
+struct NQueensProgram : TaskRule<NQueensProgram, NQueensRow> {
   using Result = std::uint64_t;
   static constexpr int max_children = 16;  // supports boards up to n = 16
 
   int n = 8;
 
+  explicit NQueensProgram(int board = 8) : n(board) {
+    if (n < 1 || n > max_children) {
+      throw std::invalid_argument("NQueensProgram: n must be in 1..16");
+    }
+  }
+
   static Result identity() { return 0; }
   static void combine(Result& a, const Result& b) { a += b; }
 
-  std::uint32_t all_mask() const { return (n >= 32) ? ~0u : ((1u << n) - 1u); }
+  std::uint32_t all_mask() const { return (1u << n) - 1u; }
 
-  bool is_base(const Task& t) const { return t.cols == all_mask(); }
-  void leaf(const Task&, Result& r) const { r += 1; }
-
-  template <class Emit>
-  void expand(const Task& t, Emit&& emit) const {
-    std::uint32_t avail = ~(t.cols | t.ld | t.rd) & all_mask();
-    while (avail != 0) {
-      const int s = std::countr_zero(avail);
+  template <int W>
+  [[gnu::always_inline]] std::uint32_t base(const Row<W>& t) const {
+    return simd::cmp_eq(t.cols, all_mask());
+  }
+  template <int W>
+  [[gnu::always_inline]] void reduce(const Row<W>&, std::uint32_t m, Result& r) const {
+    r += static_cast<Result>(std::popcount(m));
+  }
+  // Slot s places the next queen in column s.
+  template <int W, class Emit>
+  [[gnu::always_inline]] void spawn(const Row<W>& t, std::uint32_t live, Emit&& emit) const {
+    const std::uint32_t all = all_mask();
+    const auto avail = ~(t.cols | t.ld | t.rd) & all;
+    for (int s = 0; s < n; ++s) {
       const std::uint32_t bit = 1u << s;
-      avail &= avail - 1;
-      emit(s, Task{t.cols | bit, ((t.ld | bit) << 1) & all_mask(), (t.rd | bit) >> 1});
-    }
-  }
-
-  // ---- SoA layer -------------------------------------------------------------
-  using Block = simd::SoaBlock<std::uint32_t, std::uint32_t, std::uint32_t>;
-  static Task task_at(const Block& b, std::size_t i) {
-    const auto [cols, ld, rd] = b.row(i);
-    return Task{cols, ld, rd};
-  }
-  static void append_task(Block& b, const Task& t) { b.push_back(t.cols, t.ld, t.rd); }
-
-  // ---- SIMD layer ------------------------------------------------------------
-  static constexpr int simd_width = simd::natural_width<std::uint32_t>;
-
-  void expand_simd(const Block& in, std::size_t begin, std::size_t end,
-                   const std::array<Block*, 16>& outs, Result& r, std::uint64_t& leaves) const {
-    using B = simd::batch<std::uint32_t, simd_width>;
-    const std::uint32_t* cols_p = in.data<0>();
-    const std::uint32_t* ld_p = in.data<1>();
-    const std::uint32_t* rd_p = in.data<2>();
-    const B all = B::broadcast(all_mask());
-    const B zero = B::zero();
-    std::uint64_t leaf_count = 0;
-    for (std::size_t i = begin; i < end; i += simd_width) {
-      const B cols = B::loadu(cols_p + i);
-      const B ld = B::loadu(ld_p + i);
-      const B rd = B::loadu(rd_p + i);
-      const std::uint32_t base = simd::cmp_eq(cols, all);
-      leaf_count += std::popcount(base);
-      const B avail = ~(cols | ld | rd) & all;
-      for (int s = 0; s < n; ++s) {
-        const B bit = B::broadcast(1u << s);
-        const std::uint32_t spawn = ~simd::cmp_eq(avail & bit, zero) & ~base &
-                                    simd::mask_all<simd_width>;
-        if (spawn == 0) continue;
-        outs[static_cast<std::size_t>(s)]->append_compact(
-            spawn, cols | bit, ((ld | bit) << 1) & all, (rd | bit) >> 1);
+      if (const std::uint32_t m = live & ~simd::cmp_eq(avail & bit, 0u)) {
+        emit(s, m, Row<W>{t.cols | bit, ((t.ld | bit) << 1) & all, (t.rd | bit) >> 1});
       }
     }
-    r += leaf_count;
-    leaves += leaf_count;
   }
 
   static Task root() { return Task{0, 0, 0}; }

@@ -7,67 +7,44 @@
 // unbalanced binary tree of 2n+1 levels with variable out-degree 1–2.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
+#include <tuple>
 
-#include "core/program.hpp"
-#include "simd/batch.hpp"
-#include "simd/soa.hpp"
+#include "apps/task_rule.hpp"
 
 namespace tb::apps {
 
-struct ParenthesesProgram {
-  struct Task {
-    std::int32_t open;
-    std::int32_t close;
-  };
+template <int W>
+struct ParenthesesRow {
+  simd::lanes<std::int32_t, W> open;
+  simd::lanes<std::int32_t, W> close;
+  auto fields() const { return std::tie(open, close); }
+};
+
+struct ParenthesesProgram : TaskRule<ParenthesesProgram, ParenthesesRow> {
   using Result = std::uint64_t;
   static constexpr int max_children = 2;
 
   static Result identity() { return 0; }
   static void combine(Result& a, const Result& b) { a += b; }
 
-  bool is_base(const Task& t) const { return t.open == 0 && t.close == 0; }
-  void leaf(const Task&, Result& r) const { r += 1; }
-
-  template <class Emit>
-  void expand(const Task& t, Emit&& emit) const {
-    if (t.open > 0) emit(0, Task{t.open - 1, t.close});
-    if (t.close > t.open) emit(1, Task{t.open, t.close - 1});
+  template <int W>
+  [[gnu::always_inline]] std::uint32_t base(const Row<W>& t) const {
+    return simd::cmp_eq(t.open, 0) & simd::cmp_eq(t.close, 0);
   }
-
-  // ---- SoA layer -------------------------------------------------------------
-  using Block = simd::SoaBlock<std::int32_t, std::int32_t>;
-  static Task task_at(const Block& b, std::size_t i) {
-    const auto [open, close] = b.row(i);
-    return Task{open, close};
+  template <int W>
+  [[gnu::always_inline]] void reduce(const Row<W>&, std::uint32_t m, Result& r) const {
+    r += static_cast<Result>(std::popcount(m));
   }
-  static void append_task(Block& b, const Task& t) { b.push_back(t.open, t.close); }
-
-  // ---- SIMD layer ------------------------------------------------------------
-  static constexpr int simd_width = simd::natural_width<std::int32_t>;
-
-  void expand_simd(const Block& in, std::size_t begin, std::size_t end,
-                   const std::array<Block*, 2>& outs, Result& r, std::uint64_t& leaves) const {
-    using B = simd::batch<std::int32_t, simd_width>;
-    const std::int32_t* opens = in.data<0>();
-    const std::int32_t* closes = in.data<1>();
-    const B one = B::broadcast(1);
-    const B zero = B::zero();
-    std::uint64_t leaf_count = 0;
-    for (std::size_t i = begin; i < end; i += simd_width) {
-      const B open = B::loadu(opens + i);
-      const B close = B::loadu(closes + i);
-      const std::uint32_t base = simd::cmp_eq(open, zero) & simd::cmp_eq(close, zero);
-      leaf_count += std::popcount(base);
-      const std::uint32_t can_open = simd::cmp_gt(open, zero);
-      const std::uint32_t can_close = simd::cmp_gt(close, open) & ~base;
-      outs[0]->append_compact(can_open, open - one, close);
-      outs[1]->append_compact(can_close, open, close - one);
+  template <int W, class Emit>
+  [[gnu::always_inline]] void spawn(const Row<W>& t, std::uint32_t live, Emit&& emit) const {
+    if (const std::uint32_t m = live & simd::cmp_gt(t.open, 0)) {
+      emit(0, m, Row<W>{t.open - 1, t.close});
     }
-    r += leaf_count;
-    leaves += leaf_count;
+    if (const std::uint32_t m = live & simd::cmp_gt(t.close, t.open)) {
+      emit(1, m, Row<W>{t.open, t.close - 1});
+    }
   }
 
   static Task root(int pairs) { return Task{pairs, pairs}; }

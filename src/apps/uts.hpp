@@ -10,17 +10,15 @@
 // initial task set.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
+#include "apps/task_rule.hpp"
 #include "core/hybrid_taskblock.hpp"
-#include "core/program.hpp"
 #include "runtime/forkjoin.hpp"
-#include "runtime/xoshiro.hpp"
-#include "simd/batch.hpp"
-#include "simd/soa.hpp"
 
 namespace tb::apps {
 
@@ -36,77 +34,54 @@ struct UtsParams {
   }
 };
 
-struct UtsProgram {
-  struct Task {
-    std::uint64_t rng;
-  };
+template <int W>
+struct UtsRow {
+  simd::lanes<std::uint64_t, W> rng;
+  auto fields() const { return std::tie(rng); }
+};
+
+struct UtsProgram : TaskRule<UtsProgram, UtsRow> {
   using Result = std::uint64_t;  // number of leaves
   static constexpr int max_children = 8;
 
   UtsParams params;
   std::uint64_t thresh = 0;
 
-  explicit UtsProgram(UtsParams p = {}) : params(p), thresh(p.threshold()) {}
+  explicit UtsProgram(UtsParams p = {}) : params(p), thresh(p.threshold()) {
+    if (p.m < 1 || p.m > max_children) {
+      throw std::invalid_argument("UtsProgram: m must be in 1..8");
+    }
+  }
 
   static Result identity() { return 0; }
   static void combine(Result& a, const Result& b) { a += b; }
 
-  // The node's branch decision reuses its state through one extra mix so it
-  // is decorrelated from the child-state derivation below.
-  static std::uint64_t decision_hash(std::uint64_t rng) { return rt::splitmix64(rng); }
-  static std::uint64_t child_state(std::uint64_t rng, int i) {
-    return rt::splitmix64(rng ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1)));
-  }
-
-  bool is_base(const Task& t) const { return decision_hash(t.rng) >= thresh; }
-  void leaf(const Task&, Result& r) const { r += 1; }
-
-  template <class Emit>
-  void expand(const Task& t, Emit&& emit) const {
-    for (int i = 0; i < params.m; ++i) emit(i, Task{child_state(t.rng, i)});
-  }
-
-  // ---- SoA layer -------------------------------------------------------------
-  using Block = simd::SoaBlock<std::uint64_t>;
-  static Task task_at(const Block& b, std::size_t i) { return Task{std::get<0>(b.row(i))}; }
-  static void append_task(Block& b, const Task& t) { b.push_back(t.rng); }
-
-  // ---- SIMD layer ------------------------------------------------------------
-  static constexpr int simd_width = simd::natural_width<std::uint64_t>;
-
-  using B64 = simd::batch<std::uint64_t, simd_width>;
-
-  static B64 splitmix_batch(B64 x) {
-    x = x + B64::broadcast(0x9e3779b97f4a7c15ull);
-    x = (x ^ (x >> 30)) * B64::broadcast(0xbf58476d1ce4e5b9ull);
-    x = (x ^ (x >> 27)) * B64::broadcast(0x94d049bb133111ebull);
+  // splitmix64 over one state or W lanes; equals rt::splitmix64 for one.
+  template <class V>
+  [[gnu::always_inline]] static V mix(V x) {
+    x = x + 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
   }
+  template <class V>
+  [[gnu::always_inline]] static V child_state(V rng, int i) {
+    return mix(rng ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1)));
+  }
 
-  void expand_simd(const Block& in, std::size_t begin, std::size_t end,
-                   const std::array<Block*, 8>& outs, Result& r, std::uint64_t& leaves) const {
-    const std::uint64_t* rngs = in.data<0>();
-    const B64 th = B64::broadcast(thresh);
-    std::uint64_t leaf_count = 0;
-    for (std::size_t i = begin; i < end; i += simd_width) {
-      const B64 state = B64::loadu(rngs + i);
-      const B64 h = splitmix_batch(state);
-      // Unsigned 64-bit "h < thresh" per lane.
-      std::uint32_t internal = 0;
-      for (int l = 0; l < simd_width; ++l) {
-        internal |= static_cast<std::uint32_t>(h[l] < th[l]) << l;
-      }
-      leaf_count += simd_width - std::popcount(internal);
-      if (internal == 0) continue;
-      for (int c = 0; c < params.m; ++c) {
-        const B64 salt =
-            B64::broadcast(0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(c + 1));
-        outs[static_cast<std::size_t>(c)]->append_compact(internal,
-                                                          splitmix_batch(state ^ salt));
-      }
-    }
-    r += leaf_count;
-    leaves += leaf_count;
+  // The node's branch decision reuses its state through one extra mix so it
+  // is decorrelated from the child-state derivation.
+  template <int W>
+  [[gnu::always_inline]] std::uint32_t base(const Row<W>& t) const {
+    return simd::cmp_ge(mix(t.rng), thresh);
+  }
+  template <int W>
+  [[gnu::always_inline]] void reduce(const Row<W>&, std::uint32_t m, Result& r) const {
+    r += static_cast<Result>(std::popcount(m));
+  }
+  template <int W, class Emit>
+  [[gnu::always_inline]] void spawn(const Row<W>& t, std::uint32_t live, Emit&& emit) const {
+    for (int i = 0; i < params.m; ++i) emit(i, live, Row<W>{child_state(t.rng, i)});
   }
 
   // The b0 root children that seed the computation.
@@ -114,7 +89,7 @@ struct UtsProgram {
     std::vector<Task> r;
     r.reserve(static_cast<std::size_t>(params.b0));
     for (int i = 0; i < params.b0; ++i) {
-      r.push_back(Task{child_state(rt::splitmix64(params.seed), i + 1000003)});
+      r.push_back(Task{child_state(mix(params.seed), i + 1000003)});
     }
     return r;
   }

@@ -10,12 +10,16 @@
 //   AosExec  — scalar loop over an array-of-structs block (Table 2 "Block")
 //   SoaExec  — scalar loop over a structure-of-arrays block ("SOA";
 //              auto-vectorizer candidate)
-//   SimdExec — the program's hand-vectorized kernel over SoA columns with
-//              masked execution and streaming compaction ("SIMD")
+//   SimdExec — the program's vectorized kernel (expand_simd) over SoA
+//              columns with masked execution and streaming compaction
+//              ("SIMD"); apps::TaskRule and apps::KdQuery derive it from
+//              the same rule as the scalar expand
 //
 // Children are emitted through a slot index in [0, max_children): BFE maps
 // every slot to one next-level block, DFE maps slot s to child block s
-// (point blocking, Fig. 1c).
+// (point blocking, Fig. 1c).  The layers index slots unchecked; a program
+// whose fan-out is a parameter rejects values its slots cannot hold when
+// it is constructed, and TaskRule asserts every slot it emits.
 #pragma once
 
 #include <array>

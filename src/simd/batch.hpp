@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -349,6 +350,17 @@ inline Acc reduce_add_masked(std::uint32_t mask, const batch<T, W>& v) {
     if ((mask >> i) & 1u) acc += static_cast<Acc>(v.lane[i]);
   return acc;
 }
+// Masked horizontal max: the largest of `init` and the lanes whose mask
+// bit is set.
+template <class Acc, class T, int W>
+inline Acc reduce_max_masked(std::uint32_t mask, const batch<T, W>& v, Acc init) {
+  if ((mask & mask_all<W>) == mask_all<W>) {
+    return std::max(init, static_cast<Acc>(reduce_max(v)));
+  }
+  for (int i = 0; i < W; ++i)
+    if ((mask >> i) & 1u) init = std::max(init, static_cast<Acc>(v.lane[i]));
+  return init;
+}
 
 // ---- one lane ------------------------------------------------------------------
 // The scalar spellings of the operations above, so a rule written once over
@@ -372,6 +384,92 @@ template <class T, int W>
 inline std::uint32_t cmp_lt(float a, float b) { return a < b ? 1u : 0u; }
 inline std::uint32_t cmp_gt(float a, float b) { return cmp_lt(b, a); }
 inline std::uint32_t cmp_le(float a, float b) { return a <= b ? 1u : 0u; }
+
+// The integer spellings a task rule (apps/task_rule.hpp) needs: a field of
+// W lanes is lanes<T, W> (T itself for one lane), an integer compare of one
+// lane is bit 0, a scalar operand of a batch operation stands for its
+// broadcast, and first_lane(v) reads lane 0, where a rule finds what every
+// task of a block shares (its tree level).
+template <class T, int W>
+using lanes = std::conditional_t<W == 1, T, batch<T, W>>;
+
+template <std::integral T>
+[[gnu::always_inline]] inline std::uint32_t cmp_eq(T a, std::type_identity_t<T> b) {
+  return a == b ? 1u : 0u;
+}
+template <std::integral T>
+[[gnu::always_inline]] inline std::uint32_t cmp_lt(T a, std::type_identity_t<T> b) {
+  return a < b ? 1u : 0u;
+}
+template <std::integral T>
+[[gnu::always_inline]] inline std::uint32_t cmp_gt(T a, std::type_identity_t<T> b) {
+  return cmp_lt(b, a);
+}
+template <std::integral T>
+[[gnu::always_inline]] inline std::uint32_t cmp_ge(T a, std::type_identity_t<T> b) {
+  return cmp_lt(a, b) ^ 1u;
+}
+template <class T, int W>
+[[gnu::always_inline]] inline std::uint32_t cmp_eq(const batch<T, W>& a,
+                                                   std::type_identity_t<T> b) {
+  return cmp_eq(a, a.broadcast(b));
+}
+template <class T, int W>
+[[gnu::always_inline]] inline std::uint32_t cmp_lt(const batch<T, W>& a,
+                                                   std::type_identity_t<T> b) {
+  return cmp_lt(a, a.broadcast(b));
+}
+template <class T, int W>
+[[gnu::always_inline]] inline std::uint32_t cmp_gt(const batch<T, W>& a,
+                                                   std::type_identity_t<T> b) {
+  return cmp_gt(a, a.broadcast(b));
+}
+template <class T, int W>
+[[gnu::always_inline]] inline std::uint32_t cmp_ge(const batch<T, W>& a,
+                                                   std::type_identity_t<T> b) {
+  return cmp_ge(a, a.broadcast(b));
+}
+template <class T, int W>
+[[gnu::always_inline]] inline auto operator+(batch<T, W> a, std::type_identity_t<T> b) {
+  return a + a.broadcast(b);
+}
+template <class T, int W>
+[[gnu::always_inline]] inline auto operator-(batch<T, W> a, std::type_identity_t<T> b) {
+  return a - a.broadcast(b);
+}
+template <class T, int W>
+[[gnu::always_inline]] inline auto operator*(batch<T, W> a, std::type_identity_t<T> b) {
+  return a * a.broadcast(b);
+}
+template <class T, int W>
+[[gnu::always_inline]] inline auto operator&(batch<T, W> a, std::type_identity_t<T> b) {
+  return a & a.broadcast(b);
+}
+template <class T, int W>
+[[gnu::always_inline]] inline auto operator|(batch<T, W> a, std::type_identity_t<T> b) {
+  return a | a.broadcast(b);
+}
+template <class T, int W>
+[[gnu::always_inline]] inline auto operator^(batch<T, W> a, std::type_identity_t<T> b) {
+  return a ^ a.broadcast(b);
+}
+
+template <std::integral T>
+[[gnu::always_inline]] inline T first_lane(T x) {
+  return x;
+}
+template <class T, int W>
+[[gnu::always_inline]] inline T first_lane(const batch<T, W>& v) {
+  return v[0];
+}
+template <class Acc, std::integral T>
+[[gnu::always_inline]] inline Acc reduce_add_masked(std::uint32_t mask, T v) {
+  return (mask & 1u) != 0 ? static_cast<Acc>(v) : Acc{};
+}
+template <class Acc, std::integral T>
+[[gnu::always_inline]] inline Acc reduce_max_masked(std::uint32_t mask, T v, Acc init) {
+  return (mask & 1u) != 0 ? std::max(init, static_cast<Acc>(v)) : init;
+}
 
 // f(i) per index: one float for an int32 index, lane l = f(idx[l]) for a
 // batch of indices.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "apps/graphcol.hpp"
@@ -51,6 +52,52 @@ TEST(NQueens, ParallelSchedulersMatch) {
   apps::NQueensProgram prog{9};
   const auto roots = std::vector{apps::NQueensProgram::root()};
   tbtest::expect_par_matrix(prog, roots, Thresholds{8, 128, 64, 16}, std::uint64_t{352});
+}
+
+// ---- fan-out bounds ------------------------------------------------------------
+// A program whose children would not fit its spawn slots (or, for graphcol,
+// its two color words) is rejected when it is built.
+
+TEST(FanOut, NQueensBoardsUpToSixteen) {
+  EXPECT_THROW(apps::NQueensProgram{0}, std::invalid_argument);
+  EXPECT_THROW(apps::NQueensProgram{17}, std::invalid_argument);
+  EXPECT_NO_THROW(apps::NQueensProgram{1});
+  const apps::NQueensProgram prog{16};
+  EXPECT_EQ(prog.n, 16);
+}
+
+TEST(FanOut, UtsUpToEightChildren) {
+  EXPECT_THROW(apps::UtsProgram(apps::UtsParams{64, 9, 0.1, 3}), std::invalid_argument);
+  EXPECT_THROW(apps::UtsProgram(apps::UtsParams{64, 0, 0.1, 3}), std::invalid_argument);
+  const apps::UtsProgram prog(apps::UtsParams{64, 8, 0.1, 3});
+  EXPECT_EQ(prog.params.m, 8);
+}
+
+// A chain where v is adjacent to v-1 and v-2 has exactly 3! colorings.
+apps::GraphColInstance chain_graph(int vertices) {
+  apps::GraphColInstance g;
+  g.num_vertices = vertices;
+  g.lower_adj.resize(static_cast<std::size_t>(vertices));
+  for (int v = 1; v < vertices; ++v) {
+    auto& adj = g.lower_adj[static_cast<std::size_t>(v)];
+    adj.push_back(v - 1);
+    if (v >= 2) adj.push_back(v - 2);
+  }
+  return g;
+}
+
+TEST(FanOut, GraphColUpToSixtyFourVertices) {
+  const auto g70 = chain_graph(70);
+  EXPECT_THROW(apps::GraphColProgram{&g70}, std::invalid_argument);
+  const auto g65 = chain_graph(65);
+  EXPECT_THROW(apps::GraphColProgram{&g65}, std::invalid_argument);
+  const auto g64 = chain_graph(64);
+  const apps::GraphColProgram prog{&g64};
+  EXPECT_EQ(apps::graphcol_sequential(g64, apps::GraphColProgram::root()), 6u);
+  const auto roots = std::vector{apps::GraphColProgram::root()};
+  EXPECT_EQ((core::run_seq<core::SimdExec<apps::GraphColProgram>>(
+                prog, roots, SeqPolicy::Restart, Thresholds{8, 64, 32, 8})),
+            6u);
 }
 
 // ---- graphcol ------------------------------------------------------------------
