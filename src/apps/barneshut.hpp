@@ -13,12 +13,18 @@
 // "update p using reduction" of Fig. 2); the monoid result counts terminal
 // interactions, which is schedule-independent and exact — the tests use it
 // as a cross-variant fingerprint.
+//
+// Every interaction — the leaf's direct sum, a far cell's center of mass,
+// the SIMD layer's far-field kick and both lockstep kernel sites
+// (lockstep/kernels.hpp) — evaluates the one force law, `pull`, written
+// once over float and simd::batch<float, W>.  Its square root and divide
+// are correctly rounded at every width, so a lane computes the same bits as
+// the scalar interaction.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "core/program.hpp"
@@ -66,6 +72,16 @@ struct BarnesHutProgram {
     return tree->is_leaf(t.node) || dist2(t) >= t.d2;
   }
 
+  // The force law: the pull toward mass m at squared distance d2, softened
+  // by eps2, per unit of displacement (the force is pull · (dx, dy, dz)):
+  // ((m · inv) · inv) · inv with inv = 1 / sqrt(d2 + eps2).  V is float for
+  // one interaction or simd::batch<float, W> for one per lane.
+  template <class V>
+  [[gnu::always_inline]] V pull(const V& m, const V& d2) const {
+    const V inv = simd::splat<V>(1.0f) / simd::sqrt(d2 + eps2);
+    return m * inv * inv * inv;
+  }
+
   void add_force(std::int32_t body, float fx, float fy, float fz) const {
     std::atomic_ref<float>(acc_x[body]).fetch_add(fx, std::memory_order_relaxed);
     std::atomic_ref<float>(acc_y[body]).fetch_add(fy, std::memory_order_relaxed);
@@ -85,9 +101,7 @@ struct BarnesHutProgram {
       const float dx = bodies->x[bj] - qx;
       const float dy = bodies->y[bj] - qy;
       const float dz = bodies->z[bj] - qz;
-      const float r2 = dx * dx + dy * dy + dz * dz + eps2;
-      const float inv = 1.0f / std::sqrt(r2);
-      const float f = bodies->mass[bj] * inv * inv * inv;
+      const float f = pull(bodies->mass[bj], dx * dx + dy * dy + dz * dz);
       fx += f * dx;
       fy += f * dy;
       fz += f * dz;
@@ -105,9 +119,7 @@ struct BarnesHutProgram {
       const float dx = tree->com_x[n] - bodies->x[b];
       const float dy = tree->com_y[n] - bodies->y[b];
       const float dz = tree->com_z[n] - bodies->z[b];
-      const float r2 = dr2 + eps2;
-      const float inv = 1.0f / std::sqrt(r2);
-      const float f = tree->mass[n] * inv * inv * inv;
+      const float f = pull(tree->mass[n], dr2);
       add_force(t.body, f * dx, f * dy, f * dz);
     } else {
       direct_sum(t.body, t.node);
@@ -169,11 +181,7 @@ struct BarnesHutProgram {
       if ((far & full) != 0) {
         // Vectorized far-field kick; scalar scatter-add (two lanes may share
         // a body).
-        const BF m = simd::gather(tree->mass.data(), node);
-        const BF r2v = dr2 + BF::broadcast(eps2);
-        BF inv;
-        for (int l = 0; l < simd_width; ++l) inv.set(l, 1.0f / std::sqrt(r2v[l]));
-        const BF f = m * inv * inv * inv;
+        const BF f = pull(simd::gather(tree->mass.data(), node), dr2);
         const BF fx = f * dx, fy = f * dy, fz = f * dz;
         std::uint32_t mset = far & full;
         while (mset != 0) {

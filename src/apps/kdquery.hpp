@@ -6,8 +6,16 @@
 //
 // A program derives from KdQuery<Program> and adds its state (after the
 // `points` and `tree` members, so `Program{points, tree, state}` still
-// initializes it positionally) and three members:
+// initializes it positionally) and four members:
 //   leaf(t, r)            the scalar base case;
+//   lane_leaf(node, query, q, live, r)
+//                         the same base case for the `live` lanes of a
+//                         W-lane query batch (ids `query`, coordinates `q`)
+//                         at one leaf, the lockstep kernels' leaf: it
+//                         streams the leaf's points against every live lane
+//                         and leaves each query's state, and `r`, as `leaf`
+//                         run lane by lane would (tests/kdquery_test.cpp pins
+//                         the two); defined in-class and forced inline;
 //   bounds<V>(query)      the query's pruning bounds as V: for one task
 //                         (V = float, an int32 id) or for W lanes
 //                         (V = simd::batch<float, W>, a batch of ids), read

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -79,14 +80,19 @@ public:
   }
 
   // Sorted squared distances of a query's current k-best list.
-  std::vector<float> distances(std::int32_t query) const {
-    const auto q = static_cast<std::size_t>(query);
-    return {best_d2_.begin() + static_cast<std::ptrdiff_t>(q * static_cast<std::size_t>(k_)),
-            best_d2_.begin() +
-                static_cast<std::ptrdiff_t>((q + 1) * static_cast<std::size_t>(k_))};
-  }
+  std::vector<float> distances(std::int32_t query) const { return row(best_d2_, query); }
+
+  // The point ids of a query's current k-best list, in distances() order
+  // (-1 where the list is not yet full).
+  std::vector<std::int32_t> ids(std::int32_t query) const { return row(best_id_, query); }
 
 private:
+  template <class V>
+  std::vector<typename V::value_type> row(const V& v, std::int32_t query) const {
+    const auto begin = v.begin() + static_cast<std::ptrdiff_t>(query) * k_;
+    return {begin, begin + k_};
+  }
+
   int k_;
   simd::aligned_vector<float> best_d2_;
   std::vector<std::int32_t> best_id_;
@@ -110,6 +116,36 @@ struct KnnProgram : KdQuery<KnnProgram> {
       const float dy = tree->py[jj] - qy;
       const float dz = tree->pz[jj] - qz;
       state->offer(t.query, id, dx * dx + dy * dy + dz * dz);
+    }
+  }
+
+  // The same base case for the live lanes of a query batch at one leaf: a
+  // lane is offered a point only when the point beats the lane's cached
+  // k-th bound, in leaf order, and the bound is re-read after each offer.
+  // The cache never sits below the shared bound, which only shrinks, so
+  // each query sees exactly the offers `leaf` would make, in its order.
+  template <int W>
+  [[gnu::always_inline]] void lane_leaf(std::int32_t node,
+                                        const simd::batch<std::int32_t, W>& query,
+                                        const spatial::Point<simd::batch<float, W>>& q,
+                                        std::uint32_t live, Result& r) const {
+    using V = simd::batch<float, W>;
+    r += static_cast<Result>(std::popcount(live));
+    V kth = bounds<V>(query);
+    const auto n = static_cast<std::size_t>(node);
+    for (std::int32_t j = tree->leaf_begin[n]; j < tree->leaf_end[n]; ++j) {
+      const auto jj = static_cast<std::size_t>(j);
+      const std::int32_t id = tree->point_index[jj];
+      const V dx = V::broadcast(tree->px[jj]) - q.x;
+      const V dy = V::broadcast(tree->py[jj]) - q.y;
+      const V dz = V::broadcast(tree->pz[jj]) - q.z;
+      const V d2 = dx * dx + dy * dy + dz * dz;
+      std::uint32_t m = live & simd::cmp_lt(d2, kth) & ~simd::cmp_eq(query, id);
+      for (; m != 0; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        state->offer(query[l], id, d2[l]);
+        kth.set(l, state->bound(query[l]));
+      }
     }
   }
 

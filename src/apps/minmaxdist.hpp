@@ -60,20 +60,23 @@ public:
         .load(std::memory_order_relaxed);
   }
 
-  // Offer a candidate squared distance (the caller already excluded self).
-  void offer(std::int32_t query, float d2) {
+  // Offer candidate squared distances (the caller already excluded self):
+  // the minimum drops to `lo` and the maximum rises to `hi` where they
+  // improve.  One candidate offers its distance as both.
+  void offer(std::int32_t query, float lo, float hi) {
     const auto q = static_cast<std::size_t>(query);
     std::atomic_ref<float> mn(min_d2_[q]);
     float cur = mn.load(std::memory_order_relaxed);
-    while (d2 < cur &&
-           !mn.compare_exchange_weak(cur, d2, std::memory_order_relaxed)) {
+    while (lo < cur &&
+           !mn.compare_exchange_weak(cur, lo, std::memory_order_relaxed)) {
     }
     std::atomic_ref<float> mx(max_d2_[q]);
     cur = mx.load(std::memory_order_relaxed);
-    while (d2 > cur &&
-           !mx.compare_exchange_weak(cur, d2, std::memory_order_relaxed)) {
+    while (hi > cur &&
+           !mx.compare_exchange_weak(cur, hi, std::memory_order_relaxed)) {
     }
   }
+  void offer(std::int32_t query, float d2) { offer(query, d2, d2); }
 
   std::size_t queries() const { return min_d2_.size(); }
 
@@ -113,6 +116,38 @@ struct MinmaxDistProgram : KdQuery<MinmaxDistProgram> {
       const float dy = tree->py[jj] - qy;
       const float dz = tree->pz[jj] - qz;
       state->offer(t.query, dx * dx + dy * dy + dz * dz);
+    }
+  }
+
+  // The same base case for the live lanes of a query batch at one leaf:
+  // each lane's running extremes start at its bounds and stay in registers,
+  // and a lane that improved on either offers both once, at the end.  Min
+  // and max over the same candidates are what `leaf`'s per-point offers
+  // reach.
+  template <int W>
+  [[gnu::always_inline]] void lane_leaf(std::int32_t node,
+                                        const simd::batch<std::int32_t, W>& query,
+                                        const spatial::Point<simd::batch<float, W>>& q,
+                                        std::uint32_t live, Result& r) const {
+    using V = simd::batch<float, W>;
+    r += static_cast<Result>(std::popcount(live));
+    const Extremes<V> b = bounds<V>(query);
+    V lo = b.min, hi = b.max;
+    const auto n = static_cast<std::size_t>(node);
+    for (std::int32_t j = tree->leaf_begin[n]; j < tree->leaf_end[n]; ++j) {
+      const auto jj = static_cast<std::size_t>(j);
+      const std::uint32_t other = live & ~simd::cmp_eq(query, tree->point_index[jj]);
+      const V dx = V::broadcast(tree->px[jj]) - q.x;
+      const V dy = V::broadcast(tree->py[jj]) - q.y;
+      const V dz = V::broadcast(tree->pz[jj]) - q.z;
+      const V d2 = dx * dx + dy * dy + dz * dz;
+      lo = simd::select(other & simd::cmp_lt(d2, lo), d2, lo);
+      hi = simd::select(other & simd::cmp_gt(d2, hi), d2, hi);
+    }
+    std::uint32_t m = live & (simd::cmp_lt(lo, b.min) | simd::cmp_gt(hi, b.max));
+    for (; m != 0; m &= m - 1) {
+      const int l = std::countr_zero(m);
+      state->offer(query[l], lo[l], hi[l]);
     }
   }
 

@@ -65,6 +65,25 @@ struct PointCorrProgram : KdQuery<PointCorrProgram> {
     r += count;
   }
 
+  // The count for the live lanes of a query batch at one leaf: the leaf's
+  // points stream against every live lane at once.
+  template <int W>
+  [[gnu::always_inline]] void lane_leaf(std::int32_t node, const simd::batch<std::int32_t, W>&,
+                                        const spatial::Point<simd::batch<float, W>>& q,
+                                        std::uint32_t live, Result& r) const {
+    using V = simd::batch<float, W>;
+    const V r2 = V::broadcast(rad2);
+    const auto n = static_cast<std::size_t>(node);
+    for (std::int32_t j = tree->leaf_begin[n]; j < tree->leaf_end[n]; ++j) {
+      const auto jj = static_cast<std::size_t>(j);
+      const V dx = V::broadcast(tree->px[jj]) - q.x;
+      const V dy = V::broadcast(tree->py[jj]) - q.y;
+      const V dz = V::broadcast(tree->pz[jj]) - q.z;
+      const V d2 = dx * dx + dy * dy + dz * dz;
+      r += static_cast<Result>(std::popcount(live & simd::cmp_le(d2, r2)));
+    }
+  }
+
   // The squared radius, the same for every query.
   template <class V, class I>
   V bounds(const I&) const {

@@ -5,17 +5,18 @@
 // binds those drivers per ISA width.
 //
 // One query per lane, one shared tree walk: the node is uniform across
-// lanes, so node data is broadcast against the lanes' query state.  Final
+// lanes, so node data is broadcast against the lanes' query state, and a
+// step costs one vector operation where a scalar traversal costs W.  Final
 // results are schedule-independent — the kd-tree kernels prune with the
 // program's own rule (apps/kdquery.hpp), the one the task-block layers'
 // expand and expand_simd call, so a (query, node) pair prunes the same way
-// in every model; knn/minmaxdist leaves run the program's scalar base case,
-// so their states are bit-identical to the sequential recursion; only visit
-// counts depend on the schedule.
+// in every model; at a leaf they run the program's lane leaf, which streams
+// the leaf's points against every live lane and leaves each query's state
+// bit-identical to the sequential recursion's; only visit counts depend on
+// the schedule.
 #pragma once
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "apps/barneshut.hpp"
@@ -34,8 +35,9 @@ namespace tb::lockstep {
 // while the program's own pruning rule (apps/kdquery.hpp) passes for the
 // node's box, broadcast across lanes, against the lane's query and bounds —
 // the bounds reloaded at every node, so a lane benefits from its own earlier
-// leaf visits exactly as the recursive traversal does.  At a leaf, every
-// live lane runs the program's scalar base case.
+// leaf visits exactly as the recursive traversal does.  At a leaf, the
+// program's lane leaf streams the leaf's points against all live lanes at
+// once.
 template <int W, class Program>
 struct KdTreeKernel {
   using BF = simd::batch<float, W>;
@@ -72,14 +74,20 @@ struct KdTreeKernel {
            prog->descends(prog->tree->template box<BF>(node), s, prog->template bounds<BF>(qid));
   }
 
+  // knn and minmaxdist count leaf visits in their Result; nothing reads them.
   std::uint32_t step(std::int32_t node, const BI& qid, State& s, std::uint32_t mask,
                      char) const {
-    std::uint32_t m = live_at(node, qid, s, mask);
+    typename Program::Result visits = 0;
+    return visit(node, qid, s, mask, visits);
+  }
+
+  // The lanes of `mask` that descend below `node`; at a leaf, the live
+  // lanes' lane leaf, which adds to `r`.
+  std::uint32_t visit(std::int32_t node, const BI& qid, const State& s, std::uint32_t mask,
+                      typename Program::Result& r) const {
+    const std::uint32_t m = live_at(node, qid, s, mask);
     if (m == 0 || !prog->tree->is_leaf(node)) return m;
-    for (; m != 0; m &= m - 1) {
-      typename Program::Result dummy = 0;
-      prog->leaf(typename Program::Task{qid[std::countr_zero(m)], node}, dummy);
-    }
+    prog->lane_leaf(node, qid, s, m, r);
     return 0;
   }
 };
@@ -90,42 +98,29 @@ using KnnKernel = KdTreeKernel<W, apps::KnnProgram>;
 template <int W>
 using MinmaxDistKernel = KdTreeKernel<W, apps::MinmaxDistProgram>;
 
-// Point correlation counts the (query, point) pairs within the radius; a
-// leaf's points stream against all live lanes at once.
+// Point correlation counts the (query, point) pairs within the radius: its
+// kernel keeps the lane leaves' counts as its result.
 template <int W>
 struct PointCorrKernel : KdTreeKernel<W, apps::PointCorrProgram> {
   using Base = KdTreeKernel<W, apps::PointCorrProgram>;
-  using typename Base::BF;
-  using typename Base::BI;
-  using typename Base::State;
   using Base::Base;
 
   std::uint64_t result = 0;
 
-  std::uint32_t step(std::int32_t node, const BI& qid, State& s, std::uint32_t mask, char) {
-    const std::uint32_t live = this->live_at(node, qid, s, mask);
-    const spatial::KdTree& tree = *this->prog->tree;
-    if (live == 0 || !tree.is_leaf(node)) return live;
-    const BF r2 = BF::broadcast(this->prog->rad2);
-    const auto nn = static_cast<std::size_t>(node);
-    for (std::int32_t j = tree.leaf_begin[nn]; j < tree.leaf_end[nn]; ++j) {
-      const auto jj = static_cast<std::size_t>(j);
-      const BF dx = BF::broadcast(tree.px[jj]) - s.x;
-      const BF dy = BF::broadcast(tree.py[jj]) - s.y;
-      const BF dz = BF::broadcast(tree.pz[jj]) - s.z;
-      result += std::popcount(live & simd::cmp_le(dx * dx + dy * dy + dz * dz, r2));
-    }
-    return 0;
+  std::uint32_t step(std::int32_t node, const typename Base::BI& qid, typename Base::State& s,
+                     std::uint32_t mask, char) {
+    return this->visit(node, qid, s, mask, result);
   }
 };
 
 // Barnes-Hut forces: one body per lane over the octree; the payload is the
 // opening threshold d², which divides by 4 per level.  At each cell, lanes
 // far enough for the center-of-mass approximation take it and leave the
-// subtree; near lanes descend, and at a leaf direct-sum its bodies.  Forces
-// accumulate in State and scatter in flush.  The terminal-interaction count
-// (`result`) is bit-identical to the recursive formulation; forces agree to
-// reassociation tolerance, since the summation order differs.
+// subtree; near lanes descend, and at a leaf direct-sum its bodies.  Every
+// interaction is the program's force law (`pull`) over all W lanes at once.
+// Forces accumulate in State and scatter in flush.  The terminal-interaction
+// count (`result`) is bit-identical to the recursive formulation; forces
+// agree to reassociation tolerance, since the summation order differs.
 template <int W>
 struct BarnesHutKernel {
   using BF = simd::batch<float, W>;
@@ -173,7 +168,6 @@ struct BarnesHutKernel {
                      float d2) {
     const spatial::Octree& tree = *prog->tree;
     const spatial::Bodies& bodies = *prog->bodies;
-    const BF eps2 = BF::broadcast(prog->eps2);
     const BF zero = BF::zero();
     const auto nn = static_cast<std::size_t>(node);
     const BF dx = BF::broadcast(tree.com_x[nn]) - s.qx;
@@ -184,15 +178,9 @@ struct BarnesHutKernel {
     if (far != 0) {
       // Far lanes: one interaction with the cell's center of mass.
       result += std::popcount(far);
-      const BF r2 = dr2 + eps2;
-      BF f;
-      for (int l = 0; l < W; ++l) {
-        const float inv = 1.0f / std::sqrt(r2[l]);
-        f.set(l, tree.mass[nn] * inv * inv * inv);
-      }
       // The other lanes add 0·d = ±0, which leaves their sums unchanged;
       // one blend instead of three (a blend is a lane loop below W=16).
-      f = simd::select(far, f, zero);
+      const BF f = simd::select(far, prog->pull(BF::broadcast(tree.mass[nn]), dr2), zero);
       s.fx += f * dx;
       s.fy += f * dy;
       s.fz += f * dz;
@@ -210,19 +198,18 @@ struct BarnesHutKernel {
       const BF bx = BF::broadcast(bodies.x[bj]) - s.qx;
       const BF by = BF::broadcast(bodies.y[bj]) - s.qy;
       const BF bz = BF::broadcast(bodies.z[bj]) - s.qz;
-      const BF r2 = bx * bx + by * by + bz * bz + eps2;
       // Mask out the self lane (a body never attracts itself).
       const std::uint32_t m =
           near_lanes & ~simd::cmp_eq(qid, BI::broadcast(static_cast<std::int32_t>(bj)));
       if (m == 0) continue;
-      BF f;
-      for (int l = 0; l < W; ++l) {
-        const float inv = 1.0f / std::sqrt(r2[l]);
-        f.set(l, bodies.mass[bj] * inv * inv * inv);
-      }
-      fx += simd::select(m, f * bx, zero);
-      fy += simd::select(m, f * by, zero);
-      fz += simd::select(m, f * bz, zero);
+      const BF f = prog->pull(BF::broadcast(bodies.mass[bj]), bx * bx + by * by + bz * bz);
+      // The other lanes keep their sums, as adding +0 would (a sum that
+      // starts at +0 is never -0).  Blending the sum, not the addend, keeps
+      // it in one register at W=16, where GCC splits the running sum of a
+      // blended addend into 16 scalar adds.
+      fx = simd::select(m, fx + f * bx, fx);
+      fy = simd::select(m, fy + f * by, fy);
+      fz = simd::select(m, fz + f * bz, fz);
     }
     s.fx = fx;
     s.fy = fy;

@@ -3,22 +3,29 @@
 // `batch<T, W>` models W lanes of T stored in an addressable, aligned array.
 // Arithmetic is written as plain fixed-trip-count loops, which GCC/Clang
 // compile to single vector instructions at -O3; the operations a compiler
-// cannot derive on its own — lane-mask extraction, masked blends and
-// gathers — carry explicit AVX2 fast paths.  Lane masks are plain
-// `uint32_t` bitmasks (bit i == lane i), which is what the streaming
-// compaction in compact.hpp consumes.
+// cannot derive on its own — lane-mask extraction, masked blends, gathers,
+// float division and square root — carry explicit intrinsics.  Lane masks
+// are plain `uint32_t` bitmasks (bit i == lane i), which is what the
+// streaming compaction in compact.hpp consumes.
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <type_traits>
 
-#if defined(__AVX2__)
+#if defined(__SSE2__)
 #include <immintrin.h>
+#define TB_HAVE_SSE2 1
+#else
+#define TB_HAVE_SSE2 0
+#endif
+
+#if defined(__AVX2__)
 #define TB_HAVE_AVX2 1
 #else
 #define TB_HAVE_AVX2 0
@@ -121,6 +128,31 @@ struct batch {
   friend batch operator-(batch a) {
     batch r;
     for (int i = 0; i < W; ++i) r.lane[i] = static_cast<T>(-a.lane[i]);
+    return r;
+  }
+  // Float division, correctly rounded like the scalar `/`, so every width
+  // divides alike.  Explicit at W = 4, 8 and 16: GCC leaves part of the
+  // plain loop scalar below W = 16.
+  friend batch operator/(batch a, batch b) requires std::is_same_v<T, float> {
+#if TB_HAVE_AVX512
+    if constexpr (W == 16) {
+      return std::bit_cast<batch>(
+          _mm512_div_ps(std::bit_cast<__m512>(a), std::bit_cast<__m512>(b)));
+    }
+#endif
+#if TB_HAVE_AVX2
+    if constexpr (W == 8) {
+      return std::bit_cast<batch>(
+          _mm256_div_ps(std::bit_cast<__m256>(a), std::bit_cast<__m256>(b)));
+    }
+#endif
+#if TB_HAVE_SSE2
+    if constexpr (W == 4) {
+      return std::bit_cast<batch>(_mm_div_ps(std::bit_cast<__m128>(a), std::bit_cast<__m128>(b)));
+    }
+#endif
+    batch r;
+    for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] / b.lane[i];
     return r;
   }
   batch& operator+=(batch o) { return *this = *this + o; }
@@ -284,6 +316,35 @@ inline batch<T, W> select(std::uint32_t mask, const batch<T, W>& ifset,
   return r;
 }
 
+// ---- square root --------------------------------------------------------------
+// IEEE square root per lane.  It is correctly rounded, so lane l equals
+// std::sqrt(a[l]) bit for bit at every width; explicit at W = 4, 8 and 16,
+// because GCC does not vectorize std::sqrt while it may set errno.
+template <int W>
+[[gnu::always_inline]] inline batch<float, W> sqrt(const batch<float, W>& a) {
+#if TB_HAVE_AVX512
+  // The all-ones-mask form, for the reason gather gives below.
+  if constexpr (W == 16) {
+    const auto v = std::bit_cast<__m512>(a);
+    return std::bit_cast<batch<float, W>>(
+        _mm512_mask_sqrt_ps(v, static_cast<__mmask16>(0xffff), v));
+  }
+#endif
+#if TB_HAVE_AVX2
+  if constexpr (W == 8) {
+    return std::bit_cast<batch<float, W>>(_mm256_sqrt_ps(std::bit_cast<__m256>(a)));
+  }
+#endif
+#if TB_HAVE_SSE2
+  if constexpr (W == 4) {
+    return std::bit_cast<batch<float, W>>(_mm_sqrt_ps(std::bit_cast<__m128>(a)));
+  }
+#endif
+  batch<float, W> r;
+  for (int i = 0; i < W; ++i) r.lane[i] = std::sqrt(a.lane[i]);
+  return r;
+}
+
 // ---- gathers ----------------------------------------------------------------
 // r.lane[i] = base[idx.lane[i]].  AVX2 provides hardware gathers for 4-byte
 // elements with 4-byte indices; everything else uses the scalar loop.
@@ -377,6 +438,7 @@ inline V splat(float x) {
   }
 }
 [[gnu::always_inline]] inline float max(float a, float b) { return std::max(a, b); }
+[[gnu::always_inline]] inline float sqrt(float x) { return std::sqrt(x); }
 template <class T, int W>
 [[gnu::always_inline]] inline batch<T, W> max(const batch<T, W>& a, const batch<T, W>& b) {
   return batch<T, W>::max(a, b);

@@ -6,7 +6,9 @@
 // The whole suite re-runs under TB_SIMD_ISA=sse2 and =avx2 (whole-binary
 // CTest variants, tests/CMakeLists.txt), which is when ActiveHonorsEnv
 // actually exercises the lowering path.
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -90,7 +92,9 @@ TEST(Dispatch, TableInvariants) {
     EXPECT_EQ(kt->width, 4 << static_cast<int>(kt->isa));
     EXPECT_EQ(tb::simd::kernels_for(kt->isa), kt);
     EXPECT_EQ(tb::simd::kernels_for_width(kt->width), kt);
-    if (i > 0) EXPECT_LT(static_cast<int>(tables[i - 1]->isa), static_cast<int>(kt->isa));
+    if (i > 0) {
+      EXPECT_LT(static_cast<int>(tables[i - 1]->isa), static_cast<int>(kt->isa));
+    }
   }
 
   // The active table is runnable and respects the (possibly env-lowered)
@@ -132,7 +136,8 @@ TEST(Dispatch, CompactStoreMatchesScalarReference) {
 // For each traversal workload: the sequential recursion is the reference;
 // every runnable ISA table runs the classic-lockstep, blocked (two t_reexp
 // settings), and hybrid (dynamic / static-partition / donation) schedulers,
-// and the resulting state digests must be bit-identical to it.
+// and the resulting states must be bit-identical to it — Barnes-Hut's
+// forces, summed in a schedule-dependent order, within a tight tolerance.
 
 constexpr std::size_t kPoints = 2000;
 constexpr int kK = 4;
@@ -140,16 +145,20 @@ constexpr float kRad2 = 0.05f;
 constexpr float kTheta = 0.5f;
 constexpr int kWorkers = 4;
 
-std::string knn_digest(const tb::apps::KnnState& state, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
+std::vector<std::uint32_t> raw_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits;
+  for (const float f : v) bits.push_back(std::bit_cast<std::uint32_t>(f));
+  return bits;
+}
+
+// Every query's k-best list — distances as raw float bits, and ids — equals
+// the reference's.
+void expect_same_knn(const tb::apps::KnnState& got, const tb::apps::KnnState& want,
+                     std::size_t n) {
   for (std::int32_t q = 0; q < static_cast<std::int32_t>(n); ++q) {
-    for (const float d : state.distances(q)) {
-      const auto bits = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(static_cast<double>(d) * 1e6));
-      h = (h ^ bits) * 1099511628211ull;
-    }
+    ASSERT_EQ(raw_bits(got.distances(q)), raw_bits(want.distances(q))) << "query " << q;
+    ASSERT_EQ(got.ids(q), want.ids(q)) << "query " << q;
   }
-  return std::to_string(h);
 }
 
 std::vector<tb::rt::HybridOptions> hybrid_variants(int width) {
@@ -165,32 +174,34 @@ std::vector<tb::rt::HybridOptions> hybrid_variants(int width) {
 TEST(DispatchEquivalence, Knn) {
   tb::spatial::Bodies pts = tb::spatial::Bodies::uniform_cube(kPoints);
   tb::spatial::KdTree tree = tb::spatial::KdTree::build(pts, 16);
-  tb::apps::KnnState seq_state(pts.size(), kK);
-  tb::apps::KnnProgram seq_prog{&pts, &tree, &seq_state};
+  tb::apps::KnnState seq(pts.size(), kK);
+  tb::apps::KnnProgram seq_prog{&pts, &tree, &seq};
   tb::apps::knn_sequential(seq_prog);
-  const std::string seq = knn_digest(seq_state, pts.size());
 
   tb::rt::ForkJoinPool pool(kWorkers);
   for (const KernelTable* kt : runnable_tables()) {
     SCOPED_TRACE(kt->name);
     {
+      SCOPED_TRACE("classic lockstep");
       tb::apps::KnnState st(pts.size(), kK);
       tb::apps::KnnProgram prog{&pts, &tree, &st};
       kt->lockstep_knn(prog, nullptr);
-      EXPECT_EQ(knn_digest(st, pts.size()), seq) << "classic lockstep";
+      expect_same_knn(st, seq, pts.size());
     }
     for (const std::size_t t_reexp : {std::size_t{0}, 2 * static_cast<std::size_t>(kt->width)}) {
+      SCOPED_TRACE("blocked t_reexp=" + std::to_string(t_reexp));
       tb::apps::KnnState st(pts.size(), kK);
       tb::apps::KnnProgram prog{&pts, &tree, &st};
       kt->blocked_knn(prog, t_reexp, nullptr);
-      EXPECT_EQ(knn_digest(st, pts.size()), seq) << "blocked t_reexp=" << t_reexp;
+      expect_same_knn(st, seq, pts.size());
     }
     for (const auto& opt : hybrid_variants(kt->width)) {
+      SCOPED_TRACE("hybrid static=" + std::to_string(opt.static_partition) +
+                   " donation=" + std::to_string(opt.donation));
       tb::apps::KnnState st(pts.size(), kK);
       tb::apps::KnnProgram prog{&pts, &tree, &st};
       kt->hybrid_knn(pool, prog, opt, nullptr);
-      EXPECT_EQ(knn_digest(st, pts.size()), seq)
-          << "hybrid static=" << opt.static_partition << " donation=" << opt.donation;
+      expect_same_knn(st, seq, pts.size());
     }
   }
 }
@@ -216,27 +227,76 @@ TEST(DispatchEquivalence, PointCorr) {
   }
 }
 
+// Per-body force accumulators for one Barnes-Hut run.
+struct Forces {
+  std::vector<float> x, y, z;
+  explicit Forces(std::size_t n) : x(n, 0.0f), y(n, 0.0f), z(n, 0.0f) {}
+  tb::apps::BarnesHutProgram program(const tb::spatial::Bodies& bodies,
+                                     const tb::spatial::Octree& tree) {
+    return {&bodies, &tree, x.data(), y.data(), z.data()};
+  }
+  bool operator==(const Forces& o) const {
+    return raw_bits(x) == raw_bits(o.x) && raw_bits(y) == raw_bits(o.y) &&
+           raw_bits(z) == raw_bits(o.z);
+  }
+};
+
+// The largest per-body |f - ref| / |ref|.
+double max_relative_error(const Forces& f, const Forces& ref) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < ref.x.size(); ++i) {
+    const double dx = double{f.x[i]} - ref.x[i], dy = double{f.y[i]} - ref.y[i],
+                 dz = double{f.z[i]} - ref.z[i];
+    const double norm = std::sqrt(double{ref.x[i]} * ref.x[i] + double{ref.y[i]} * ref.y[i] +
+                                  double{ref.z[i]} * ref.z[i]);
+    worst = std::max(worst, std::sqrt(dx * dx + dy * dy + dz * dz) / norm);
+  }
+  return worst;
+}
+
+// The interaction count is exact in every schedule.  Forces are summed in a
+// schedule-dependent order, so each run stays within a tight tolerance of
+// the sequential recursion.  A classic run sums each body's interactions in
+// one order at every width, so its forces are bit-identical across tables;
+// a t_reexp = 0 run flushes every interaction as the recursion adds it, so
+// its forces are the recursion's, bit for bit.  An approximate reciprocal
+// square root, or a kernel whose force law drifts from the scalar one,
+// fails these.
 TEST(DispatchEquivalence, BarnesHut) {
   tb::spatial::Bodies bodies = tb::spatial::Bodies::plummer(kPoints);
   tb::spatial::Octree tree = tb::spatial::Octree::build(bodies, 8);
-  std::vector<float> ax(bodies.size(), 0), ay(bodies.size(), 0), az(bodies.size(), 0);
-  tb::apps::BarnesHutProgram prog{&bodies, &tree, ax.data(), ay.data(), az.data()};
-  const std::uint64_t seq = tb::apps::barneshut_sequential(prog, kTheta);
+  const std::size_t n = bodies.size();
+  Forces seq_forces(n);
+  const std::uint64_t seq =
+      tb::apps::barneshut_sequential(seq_forces.program(bodies, tree), kTheta);
+  constexpr double kTolerance = 1e-5;
 
-  // Only the interaction count is asserted — force accumulation order is
-  // scheduler-dependent, so the float outputs are not bit-comparable.
   tb::rt::ForkJoinPool pool(kWorkers);
+  std::vector<Forces> classic;
   for (const KernelTable* kt : runnable_tables()) {
     SCOPED_TRACE(kt->name);
-    EXPECT_EQ(kt->lockstep_barneshut(prog, kTheta, nullptr), seq);
+    Forces& c = classic.emplace_back(n);
+    EXPECT_EQ(kt->lockstep_barneshut(c.program(bodies, tree), kTheta, nullptr), seq);
+    EXPECT_LE(max_relative_error(c, seq_forces), kTolerance) << "classic lockstep";
     for (const std::size_t t_reexp : {std::size_t{0}, 2 * static_cast<std::size_t>(kt->width)}) {
-      EXPECT_EQ(kt->blocked_barneshut(prog, kTheta, t_reexp, nullptr), seq)
+      Forces f(n);
+      EXPECT_EQ(kt->blocked_barneshut(f.program(bodies, tree), kTheta, t_reexp, nullptr), seq)
           << "blocked t_reexp=" << t_reexp;
+      EXPECT_LE(max_relative_error(f, seq_forces), kTolerance) << "blocked t_reexp=" << t_reexp;
+      if (t_reexp == 0) {
+        EXPECT_TRUE(f == seq_forces) << "blocked t_reexp=0 forces";
+      }
     }
     for (const auto& opt : hybrid_variants(kt->width)) {
-      EXPECT_EQ(kt->hybrid_barneshut(pool, prog, kTheta, opt, nullptr), seq)
+      Forces f(n);
+      EXPECT_EQ(kt->hybrid_barneshut(pool, f.program(bodies, tree), kTheta, opt, nullptr), seq)
+          << "hybrid static=" << opt.static_partition << " donation=" << opt.donation;
+      EXPECT_LE(max_relative_error(f, seq_forces), kTolerance)
           << "hybrid static=" << opt.static_partition << " donation=" << opt.donation;
     }
+  }
+  for (std::size_t i = 1; i < classic.size(); ++i) {
+    EXPECT_TRUE(classic[i] == classic[0]) << "classic forces, " << runnable_tables()[i]->name;
   }
 }
 

@@ -15,9 +15,14 @@
 //   q1 = (0.5, 0.5, 0), inside L: near 0 / far 0.5 to L, near 6.25 /
 //        far 12.5 to R.
 // Every one of those values is exact in float.
+//
+// KdLeafLanes pins the other half of the kernels' node step: at a leaf,
+// each program's lane leaf must leave the state its scalar leaf leaves when
+// run lane by lane.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -31,6 +36,7 @@
 #include "simd/batch.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
+#include "tests/support/rng.hpp"
 
 namespace {
 
@@ -274,6 +280,197 @@ TEST(KdQueryPruning, MinmaxDistInitialBoundsDescendEverywhere) {
   ASSERT_EQ(state.max_bound(0), -1.0f);
   const apps::MinmaxDistProgram prog{&inst.queries, &inst.tree, &state};
   expect_children<lockstep::MinmaxDistKernel>(inst, prog, Want{{{true, true}, {true, true}}});
+}
+
+// ---- lane leaves ---------------------------------------------------------------
+//
+// At a leaf, the lockstep kernels' step runs the program's lane leaf over
+// the live lanes.  Each case below runs it on one copy of a program's
+// state and the scalar leaf lane by lane, in lane order, on another; the
+// two copies and the two Results must end equal: knn's k-best lists (raw
+// distance bits and ids), minmaxdist's extremes, pointcorr's count.
+
+// Where the states start before the leaf.
+enum class Bounds {
+  fresh,    // initial bounds: every candidate improves the state
+  partial,  // each lane's query has already seen one other leaf
+  tight,    // bounds no point beats: the leaf offers nothing
+};
+
+struct KnnCase {
+  apps::KnnState state;
+  apps::KnnProgram prog;
+  KnnCase(const spatial::Bodies& pts, const spatial::KdTree& tree)
+      : state(pts.size(), 3), prog{&pts, &tree, &state} {}
+  void tighten(std::int32_t q) {  // a k-th best distance of 0
+    for (int i = 0; i < state.k(); ++i) state.offer(q, q, 0.0f);
+  }
+  void expect_same(const KnnCase& o) const {
+    for (std::int32_t q = 0; q < static_cast<std::int32_t>(prog.points->size()); ++q) {
+      const auto bits = [](const std::vector<float>& d) {
+        std::vector<std::uint32_t> b;
+        for (const float x : d) b.push_back(std::bit_cast<std::uint32_t>(x));
+        return b;
+      };
+      EXPECT_EQ(bits(state.distances(q)), bits(o.state.distances(q))) << "query " << q;
+      EXPECT_EQ(state.ids(q), o.state.ids(q)) << "query " << q;
+    }
+  }
+};
+
+struct MinmaxDistCase {
+  apps::MinmaxDistState state;
+  apps::MinmaxDistProgram prog;
+  MinmaxDistCase(const spatial::Bodies& pts, const spatial::KdTree& tree)
+      : state(pts.size()), prog{&pts, &tree, &state} {}
+  void tighten(std::int32_t q) { state.offer(q, 0.0f, std::numeric_limits<float>::infinity()); }
+  void expect_same(const MinmaxDistCase& o) const {
+    for (std::int32_t q = 0; q < static_cast<std::int32_t>(state.queries()); ++q) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(state.min_bound(q)),
+                std::bit_cast<std::uint32_t>(o.state.min_bound(q)))
+          << "query " << q;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(state.max_bound(q)),
+                std::bit_cast<std::uint32_t>(o.state.max_bound(q)))
+          << "query " << q;
+    }
+  }
+};
+
+struct PointCorrCase {
+  apps::PointCorrProgram prog;
+  PointCorrCase(const spatial::Bodies& pts, const spatial::KdTree& tree)
+      : prog{&pts, &tree, 0.05f} {}
+  void expect_same(const PointCorrCase&) const {}  // stateless: the Results carry the count
+};
+
+// The first leaf after `node` in id order, wrapping (`node` if it is alone).
+std::int32_t other_leaf(const spatial::KdTree& tree, std::int32_t node) {
+  for (std::int32_t i = 1; i <= tree.num_nodes(); ++i) {
+    const std::int32_t n = (node + i) % tree.num_nodes();
+    if (tree.is_leaf(n)) return n;
+  }
+  return node;
+}
+
+template <class Case, int W>
+void expect_lane_leaf(const spatial::Bodies& pts, const spatial::KdTree& tree, Bounds bounds,
+                      std::int32_t node, const simd::batch<std::int32_t, W>& qid,
+                      std::uint32_t live) {
+  SCOPED_TRACE("W=" + std::to_string(W) + " node=" + std::to_string(node) +
+               " live=" + std::to_string(live) + " bounds=" +
+               std::to_string(static_cast<int>(bounds)));
+  Case lanes(pts, tree), scalar(pts, tree), before(pts, tree);
+  for (Case* c : {&lanes, &scalar, &before}) {
+    std::uint64_t r = 0;
+    for (int l = 0; l < W; ++l) {
+      if constexpr (requires { c->tighten(qid[l]); }) {
+        if (bounds == Bounds::tight) c->tighten(qid[l]);
+      }
+      if (bounds == Bounds::partial) c->prog.leaf({qid[l], other_leaf(tree, node)}, r);
+    }
+  }
+  std::uint64_t r_lanes = 0, r_scalar = 0;
+  lanes.prog.lane_leaf(node, qid, lanes.prog.point(qid), live, r_lanes);
+  for (std::uint32_t m = live; m != 0; m &= m - 1) {
+    scalar.prog.leaf({qid[std::countr_zero(m)], node}, r_scalar);
+  }
+  EXPECT_EQ(r_lanes, r_scalar);
+  lanes.expect_same(scalar);
+  if (bounds == Bounds::tight) lanes.expect_same(before);
+}
+
+// Full, partial and single-lane masks at every leaf of the tree, for lanes
+// carrying the distinct queries `qid`.
+template <class Case, int W>
+void expect_lane_leaves(const spatial::Bodies& pts, const spatial::KdTree& tree, Bounds bounds,
+                        const simd::batch<std::int32_t, W>& qid, std::uint64_t salt) {
+  auto rng = tbtest::golden_rng(salt);
+  constexpr std::uint32_t full = simd::mask_all<W>;
+  for (std::int32_t node = 0; node < tree.num_nodes(); ++node) {
+    if (!tree.is_leaf(node)) continue;
+    const auto partial = static_cast<std::uint32_t>(rng() % (full - 1)) + 1;  // not full
+    const std::uint32_t single = 1u << (rng() % W);
+    for (const std::uint32_t live : {full, partial, single}) {
+      expect_lane_leaf<Case, W>(pts, tree, bounds, node, qid, live);
+    }
+  }
+}
+
+// The hand-placed points as their own queries: at W = 8 lane l holds point
+// l, so every leaf holds the queries of two lanes (self); at W = 4 the lanes
+// hold points 0-3.
+template <class Case>
+void hand_placed(Bounds bounds) {
+  const Instance inst;
+  expect_lane_leaves<Case, 8>(inst.tree_points, inst.tree, bounds,
+                              simd::batch<std::int32_t, 8>::iota(0), 1);
+  expect_lane_leaves<Case, 4>(inst.tree_points, inst.tree, bounds,
+                              simd::batch<std::int32_t, 4>::iota(0), 2);
+}
+
+// Random points, W distinct random queries per round: each query's own
+// leaf is among the leaves visited, so every round has self lanes.
+template <class Case, int W>
+void random_leaves(Bounds bounds, std::uint64_t salt) {
+  const spatial::Bodies pts = spatial::Bodies::uniform_cube(300, salt);
+  const spatial::KdTree tree = spatial::KdTree::build(pts, 16);
+  auto rng = tbtest::golden_rng(salt);
+  for (int round = 0; round < 3; ++round) {
+    simd::batch<std::int32_t, W> qid;
+    std::vector<bool> used(pts.size(), false);
+    for (int l = 0; l < W; ++l) {
+      std::size_t q = rng() % pts.size();
+      while (used[q]) q = (q + 1) % pts.size();
+      used[q] = true;
+      qid.set(l, static_cast<std::int32_t>(q));
+    }
+    expect_lane_leaves<Case, W>(pts, tree, bounds, qid, salt + static_cast<std::uint64_t>(round));
+  }
+}
+
+template <class Case>
+void random_leaves_every_width(Bounds bounds) {
+  random_leaves<Case, 4>(bounds, 11);
+  random_leaves<Case, 8>(bounds, 12);
+  random_leaves<Case, 16>(bounds, 13);
+}
+
+TEST(KdLeafLanes, KnnHandPlaced) {
+  hand_placed<KnnCase>(Bounds::fresh);
+  hand_placed<KnnCase>(Bounds::partial);
+}
+
+TEST(KdLeafLanes, MinmaxDistHandPlaced) {
+  hand_placed<MinmaxDistCase>(Bounds::fresh);
+  hand_placed<MinmaxDistCase>(Bounds::partial);
+}
+
+TEST(KdLeafLanes, PointCorrHandPlaced) { hand_placed<PointCorrCase>(Bounds::fresh); }
+
+TEST(KdLeafLanes, KnnRandomLeaves) {
+  random_leaves_every_width<KnnCase>(Bounds::fresh);
+  random_leaves_every_width<KnnCase>(Bounds::partial);
+}
+
+TEST(KdLeafLanes, MinmaxDistRandomLeaves) {
+  random_leaves_every_width<MinmaxDistCase>(Bounds::fresh);
+  random_leaves_every_width<MinmaxDistCase>(Bounds::partial);
+}
+
+TEST(KdLeafLanes, PointCorrRandomLeaves) {
+  random_leaves_every_width<PointCorrCase>(Bounds::fresh);
+}
+
+// When no leaf point improves a lane, the lane leaf leaves the state
+// untouched, as the scalar leaf does.
+TEST(KdLeafLanes, TightBoundsOfferNothing) {
+  const Instance inst;
+  expect_lane_leaves<KnnCase, 8>(inst.tree_points, inst.tree, Bounds::tight,
+                                 simd::batch<std::int32_t, 8>::iota(0), 3);
+  expect_lane_leaves<MinmaxDistCase, 8>(inst.tree_points, inst.tree, Bounds::tight,
+                                        simd::batch<std::int32_t, 8>::iota(0), 4);
+  random_leaves_every_width<KnnCase>(Bounds::tight);
+  random_leaves_every_width<MinmaxDistCase>(Bounds::tight);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -111,6 +114,58 @@ TEST(Batch, MasksI64x4) { masks_match_scalar<std::int64_t, 4>(12); }
 TEST(Batch, MasksF32x8) { masks_match_scalar<float, 8>(13); }
 TEST(Batch, MasksU32x8) { masks_match_scalar<std::uint32_t, 8>(14); }
 TEST(Batch, MasksI32x4) { masks_match_scalar<std::int32_t, 4>(15); }
+
+// Property: simd::sqrt and float `/` are the IEEE operations lane by lane —
+// bit-equal to std::sqrt and the scalar `/` — at every dispatch width, over
+// random positives and the special values (NaN results only as NaN).
+template <int W>
+void sqrt_and_divide_match_scalar(std::uint64_t salt) {
+  using B = batch<float, W>;
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            std::bit_cast<float>(0x007fffffu),  // largest denormal
+                            std::numeric_limits<float>::min(),
+                            1.0f,
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  std::vector<float> values(std::begin(specials), std::end(specials));
+  auto rng = tbtest::golden_rng(salt);
+  while (values.size() < 64 * W) {
+    // Any finite positive bit pattern: denormals and normals of every scale.
+    const auto bits = static_cast<std::uint32_t>(rng() % 0x7f800000u);
+    values.push_back(std::bit_cast<float>(bits));
+  }
+  const auto expect_same = [](float got, float want, float a, float b) {
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << a << " " << b;
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got), std::bit_cast<std::uint32_t>(want))
+          << a << " " << b << ": " << got << " vs " << want;
+    }
+  };
+  const std::size_t n = values.size();
+  for (std::size_t round = 0; round < n; ++round) {
+    B a, b;
+    for (int i = 0; i < W; ++i) {
+      // Lane i pairs value (round + i) with every other value over the rounds.
+      a.set(i, values[(round + static_cast<std::size_t>(i)) % n]);
+      b.set(i, values[(round * 7 + static_cast<std::size_t>(i) * 13) % n]);
+    }
+    const B root = tb::simd::sqrt(a);
+    const B quot = a / b;
+    for (int i = 0; i < W; ++i) {
+      expect_same(root[i], std::sqrt(a[i]), a[i], a[i]);
+      expect_same(tb::simd::sqrt(a[i]), std::sqrt(a[i]), a[i], a[i]);
+      expect_same(quot[i], a[i] / b[i], a[i], b[i]);
+    }
+  }
+}
+
+TEST(Batch, SqrtAndDivideF32x4) { sqrt_and_divide_match_scalar<4>(21); }
+TEST(Batch, SqrtAndDivideF32x8) { sqrt_and_divide_match_scalar<8>(22); }
+TEST(Batch, SqrtAndDivideF32x16) { sqrt_and_divide_match_scalar<16>(23); }
 
 TEST(Batch, Select) {
   auto a = batch<std::int32_t, 8>::iota(0);
