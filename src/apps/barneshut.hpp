@@ -9,10 +9,17 @@
 //
 // The opening threshold d² is a function of the level alone (cells at tree
 // depth L share a size), so it stays uniform across a block.  Forces
-// accumulate into per-body arrays with relaxed atomic float adds (the
-// "update p using reduction" of Fig. 2); the monoid result counts terminal
-// interactions, which is schedule-independent and exact — the tests use it
-// as a cross-variant fingerprint.
+// accumulate into per-body arrays (`acc_*`, the "update p using reduction"
+// of Fig. 2) with relaxed atomic float adds: per interaction in the
+// task-block layers (leaf, direct_sum, expand_simd), where no worker owns a
+// body.  A lockstep run (lockstep/kernels.hpp) sums each body's forces in
+// its kernel copy — one per hybrid slot — and adds that total once per run
+// and slot, so a body walked in one slot receives a single add.  Two
+// classic, blocked or static-partition hybrid runs on accumulators nobody
+// zeroed in between therefore read exactly twice one run's force (x + x is
+// exact).  The monoid result counts terminal interactions, which is
+// schedule-independent and exact — the tests use it as a cross-variant
+// fingerprint.
 //
 // Every interaction — the leaf's direct sum, a far cell's center of mass,
 // the SIMD layer's far-field kick and both lockstep kernel sites

@@ -26,6 +26,12 @@
 //   step(node, qids, State&, mask, payload) -> descend mask (subset of mask)
 //                                    the per-node test, plus the leaf work
 //   flush(qids, State&, mask)        writes back what State accumulated
+//   finish()                         optional: hands what the kernel copy
+//                                    kept across flushes to the program;
+//                                    not called by the engine — the drivers
+//                                    (lockstep/drivers.hpp) call it once per
+//                                    kernel copy after a run, on the calling
+//                                    thread, once the pool has joined
 //
 // Lane l of `qids` is a query id, valid when bit l of `mask` is set (invalid
 // lanes replicate a valid id so gathers stay in bounds).  A blocked

@@ -10,6 +10,10 @@
 //                 (rt::hybrid_run), per-slot results summed
 //   make_serve    a serving runner: the same per-slot driver, kept warm
 //                 across batches, re-expanding each id batch from the root
+//   finish_run    a kernel's optional finish() hook, which each driver
+//                 calls once per kernel copy at the end of every run (every
+//                 batch), on the calling thread, after the pool has joined:
+//                 Barnes-Hut hands its per-body force sums to the program
 //
 // A kernel with a `result` member (an std::uint64_t count) makes each
 // driver return the run's total; the others return void.  The range and
@@ -43,8 +47,14 @@ auto result_of(const K& k) {
 }
 
 template <class K>
+void finish_run(K& k) {
+  if constexpr (requires { k.finish(); }) k.finish();
+}
+
+template <class K>
 auto run_blocked(K k, std::size_t t_reexp = 0, core::ExecStats* stats = nullptr) {
   EngineFor<K>(t_reexp).run(k.root(), k.root_payload(), 0, k.queries(), k, stats);
+  finish_run(k);
   return result_of(k);
 }
 
@@ -53,6 +63,7 @@ auto run_classic(K k, LockstepStats* stats = nullptr) {
   core::ExecStats st;
   EngineFor<K>(static_cast<std::size_t>(k.queries()) + 1)
       .run(k.root(), k.root_payload(), 0, k.queries(), k, &st);
+  finish_run(k);
   if (stats != nullptr) {
     stats->node_visits += st.steps_total;
     stats->lane_visits += static_cast<std::uint64_t>(K::width) * st.steps_total;
@@ -63,9 +74,10 @@ auto run_classic(K k, LockstepStats* stats = nullptr) {
 
 // The per-slot driver under run_hybrid and make_serve: one engine and one
 // kernel copy per hybrid slot.  Ranges mapped to one slot never run
-// concurrently (rt::hybrid_for's contract), so neither needs locking, and
-// each kernel copy accumulates its own slot's share of the result — on its
-// own cache line, since that count is written at every step.
+// concurrently (rt::hybrid_for's contract, donated frames included), so
+// neither needs locking, and each kernel copy accumulates its own slot's
+// share of the result — on its own cache line, since that count is written
+// at every step.  Each copy's finish hook runs once the pool has joined.
 template <class K>
 struct SlotDriver {
   std::vector<EngineFor<K>> engines;
@@ -97,6 +109,7 @@ struct SlotDriver {
           const auto s = static_cast<std::size_t>(slot);
           engines[s].run_frame(node, payload, fids, count, *kernels[s], st(s));
         });
+    for (rt::Padded<K>& k : kernels) finish_run(*k);
   }
 };
 

@@ -17,7 +17,9 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "apps/barneshut.hpp"
 #include "apps/knn.hpp"
@@ -118,9 +120,13 @@ struct PointCorrKernel : KdTreeKernel<W, apps::PointCorrProgram> {
 // far enough for the center-of-mass approximation take it and leave the
 // subtree; near lanes descend, and at a leaf direct-sum its bodies.  Every
 // interaction is the program's force law (`pull`) over all W lanes at once.
-// Forces accumulate in State and scatter in flush.  The terminal-interaction
-// count (`result`) is bit-identical to the recursive formulation; forces
-// agree to reassociation tolerance, since the summation order differs.
+// Forces accumulate in State; flush adds a chunk's lanes to this kernel
+// copy's per-body sums with plain adds, and finish hands each body's sum to
+// the program once per run.  Every kernel copy runs on one thread at a time
+// (one copy per hybrid slot, lockstep/drivers.hpp), so the sums need no
+// atomics.  The terminal-interaction count (`result`) is bit-identical to
+// the recursive formulation; forces agree to reassociation tolerance, since
+// the summation order differs.
 template <int W>
 struct BarnesHutKernel {
   using BF = simd::batch<float, W>;
@@ -131,14 +137,20 @@ struct BarnesHutKernel {
   struct State {
     BF qx, qy, qz;
     BF fx, fy, fz;
-    std::uint32_t touched;  // lanes with a force to flush
+    std::uint32_t touched;  // lanes that took an interaction since load
   };
 
   const apps::BarnesHutProgram* prog;
   float theta;
   std::uint64_t result = 0;
+  std::vector<float> sum_x, sum_y, sum_z;  // per-body force sums of this run
 
-  BarnesHutKernel(const apps::BarnesHutProgram& p, float th) : prog(&p), theta(th) {}
+  BarnesHutKernel(const apps::BarnesHutProgram& p, float th)
+      : prog(&p),
+        theta(th),
+        sum_x(p.bodies->size()),
+        sum_y(p.bodies->size()),
+        sum_z(p.bodies->size()) {}
 
   std::int32_t root() const { return prog->tree->root; }
   std::int32_t queries() const { return static_cast<std::int32_t>(prog->bodies->size()); }
@@ -217,12 +229,26 @@ struct BarnesHutKernel {
     return 0;
   }
 
-  void flush(const BI& qid, State& s, std::uint32_t mask) const {
+  void flush(const BI& qid, State& s, std::uint32_t mask) {
     std::uint32_t m = mask & s.touched;
     while (m != 0) {
       const int l = std::countr_zero(m);
       m &= m - 1;
-      prog->add_force(qid[l], s.fx[l], s.fy[l], s.fz[l]);
+      const auto b = static_cast<std::size_t>(qid[l]);
+      sum_x[b] += s.fx[l];
+      sum_y[b] += s.fy[l];
+      sum_z[b] += s.fz[l];
+    }
+  }
+
+  // Adds each body's sum to the program's accumulators and zeroes it for
+  // the next run.  The sums start at +0, so a body none of this copy's
+  // lanes touched reads 0 and is skipped.
+  void finish() {
+    for (std::size_t b = 0; b < sum_x.size(); ++b) {
+      if (sum_x[b] == 0.0f && sum_y[b] == 0.0f && sum_z[b] == 0.0f) continue;
+      prog->add_force(static_cast<std::int32_t>(b), sum_x[b], sum_y[b], sum_z[b]);
+      sum_x[b] = sum_y[b] = sum_z[b] = 0.0f;
     }
   }
 };

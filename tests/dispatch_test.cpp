@@ -239,6 +239,13 @@ struct Forces {
     return raw_bits(x) == raw_bits(o.x) && raw_bits(y) == raw_bits(o.y) &&
            raw_bits(z) == raw_bits(o.z);
   }
+  Forces doubled() const {
+    Forces d = *this;
+    for (std::vector<float>* v : {&d.x, &d.y, &d.z}) {
+      for (float& f : *v) f += f;
+    }
+    return d;
+  }
 };
 
 // The largest per-body |f - ref| / |ref|.
@@ -258,10 +265,14 @@ double max_relative_error(const Forces& f, const Forces& ref) {
 // schedule-dependent order, so each run stays within a tight tolerance of
 // the sequential recursion.  A classic run sums each body's interactions in
 // one order at every width, so its forces are bit-identical across tables;
-// a t_reexp = 0 run flushes every interaction as the recursion adds it, so
-// its forces are the recursion's, bit for bit.  An approximate reciprocal
-// square root, or a kernel whose force law drifts from the scalar one,
-// fails these.
+// a t_reexp = 0 run flushes every interaction in the recursion's order into
+// its per-body sums, so its forces are the recursion's, bit for bit — in a
+// hybrid run too, as long as no frame is donated, since each body's walk
+// then stays in one slot.  A run hands each body's sum to the accumulators
+// once per slot, so a second run on accumulators it did not zero doubles
+// every force exactly.  An approximate reciprocal square root, a kernel
+// whose force law drifts from the scalar one, or a hand-over that stores,
+// adds per interaction or skips a slot fails these.
 TEST(DispatchEquivalence, BarnesHut) {
   tb::spatial::Bodies bodies = tb::spatial::Bodies::plummer(kPoints);
   tb::spatial::Octree tree = tb::spatial::Octree::build(bodies, 8);
@@ -293,6 +304,35 @@ TEST(DispatchEquivalence, BarnesHut) {
           << "hybrid static=" << opt.static_partition << " donation=" << opt.donation;
       EXPECT_LE(max_relative_error(f, seq_forces), kTolerance)
           << "hybrid static=" << opt.static_partition << " donation=" << opt.donation;
+    }
+    for (const bool statics : {true, false}) {
+      tb::rt::HybridOptions opt;  // t_reexp = 0, no donation
+      opt.static_partition = statics;
+      Forces f(n);
+      EXPECT_EQ(kt->hybrid_barneshut(pool, f.program(bodies, tree), kTheta, opt, nullptr), seq)
+          << "hybrid t_reexp=0 static=" << statics;
+      EXPECT_TRUE(f == seq_forces) << "hybrid t_reexp=0 static=" << statics << " forces";
+    }
+    {
+      Forces twice(n);
+      for (int run = 0; run < 2; ++run) {
+        EXPECT_EQ(kt->blocked_barneshut(twice.program(bodies, tree), kTheta, 0, nullptr), seq);
+      }
+      EXPECT_TRUE(twice == seq_forces.doubled()) << "two blocked t_reexp=0 runs";
+    }
+    {
+      const tb::rt::HybridOptions statics = hybrid_variants(kt->width)[1];
+      ASSERT_TRUE(statics.static_partition);
+      Forces once(n);
+      Forces twice(n);
+      EXPECT_EQ(kt->hybrid_barneshut(pool, once.program(bodies, tree), kTheta, statics, nullptr),
+                seq);
+      for (int run = 0; run < 2; ++run) {
+        EXPECT_EQ(
+            kt->hybrid_barneshut(pool, twice.program(bodies, tree), kTheta, statics, nullptr),
+            seq);
+      }
+      EXPECT_TRUE(twice == once.doubled()) << "two static-partition hybrid runs";
     }
   }
   for (std::size_t i = 1; i < classic.size(); ++i) {

@@ -2,10 +2,15 @@
 // weekly TSan soak (label `stress`, tsan-soak.yml): oversubscribed pools,
 // repeated dynamic-partition runs (different steal interleavings each
 // time), and the shared-mutable-state apps — knn's spinlocked k-best lists
-// and atomic bounds, minmaxdist's CAS loops, Barnes-Hut's atomic force
-// scatter — all driven through per-worker engines concurrently.
+// and atomic bounds, minmaxdist's CAS loops, Barnes-Hut's per-slot force
+// sums and their once-per-run atomic hand-over — all driven through
+// per-worker engines concurrently.  Each checks the apps' results, not only
+// their counts: a race on Barnes-Hut's plain per-slot sums would corrupt
+// forces and leave the interaction count intact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,6 +58,39 @@ rt::HybridOptions opts(std::size_t t_reexp, std::int32_t grain, bool donation = 
   o.donation = donation;
   return o;
 }
+
+constexpr float kTheta = 0.5f;
+
+// Per-body force accumulators for one Barnes-Hut run over the fixture.
+struct Forces {
+  std::vector<float> x, y, z;
+  Forces() : x(kPoints, 0.0f), y(kPoints, 0.0f), z(kPoints, 0.0f) {}
+  apps::BarnesHutProgram program() {
+    return {&fix().bodies, &fix().octree, x.data(), y.data(), z.data()};
+  }
+};
+
+// The largest per-body |f - ref| / |ref|.
+double max_relative_error(const Forces& f, const Forces& ref) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < ref.x.size(); ++i) {
+    const double dx = double{f.x[i]} - ref.x[i], dy = double{f.y[i]} - ref.y[i],
+                 dz = double{f.z[i]} - ref.z[i];
+    const double norm = std::sqrt(double{ref.x[i]} * ref.x[i] + double{ref.y[i]} * ref.y[i] +
+                                  double{ref.z[i]} * ref.z[i]);
+    worst = std::max(worst, std::sqrt(dx * dx + dy * dy + dz * dz) / norm);
+  }
+  return worst;
+}
+
+// The sequential recursion's forces and interaction count.
+struct BarnesHutOracle {
+  Forces forces;
+  std::uint64_t count = 0;
+  BarnesHutOracle() { count = apps::barneshut_sequential(forces.program(), kTheta); }
+};
+
+constexpr double kForceTolerance = 1e-5;
 
 TEST(HybridStress, PointCorrRepeatedDynamicRuns) {
   auto& f = fix();
@@ -102,18 +140,17 @@ TEST(HybridStress, MinmaxDistCasLoopsUnderStealing) {
   }
 }
 
+// Many small ranges per slot under heavy stealing: each slot's kernel copy
+// sums the forces of whichever ranges its worker runs, then hands them over
+// once the pool has joined.
 TEST(HybridStress, BarnesHutAtomicForceScatter) {
-  auto& f = fix();
-  const float theta = 0.5f;
-  const std::size_t n = f.bodies.size();
-  std::vector<float> ax(n, 0), ay(n, 0), az(n, 0);
-  apps::BarnesHutProgram seq_prog{&f.bodies, &f.octree, ax.data(), ay.data(), az.data()};
-  const std::uint64_t expected = apps::barneshut_sequential(seq_prog, theta);
+  const BarnesHutOracle oracle;
   rt::ForkJoinPool pool(kWorkers);
   for (int r = 0; r < kRepeats; ++r) {
-    std::vector<float> hx(n, 0), hy(n, 0), hz(n, 0);
-    apps::BarnesHutProgram prog{&f.bodies, &f.octree, hx.data(), hy.data(), hz.data()};
-    EXPECT_EQ(run_hybrid(pool, BarnesHutKernel<8>(prog, theta), opts(32, 64)), expected);
+    Forces forces;
+    EXPECT_EQ(run_hybrid(pool, BarnesHutKernel<8>(forces.program(), kTheta), opts(32, 64)),
+              oracle.count);
+    EXPECT_LE(max_relative_error(forces, oracle.forces), kForceTolerance);
   }
 }
 
@@ -121,10 +158,12 @@ TEST(HybridStress, BarnesHutAtomicForceScatter) {
 // the range in a handful of pieces, so most workers are hungry and the
 // loaded engines donate bottom frames continuously — concurrent donated
 // subtrees hammer the same shared per-query state (knn spinlocks,
-// minmaxdist CAS loops, Barnes-Hut atomic adds) from both sides.
+// minmaxdist CAS loops) from both sides, and split a body's Barnes-Hut
+// interactions over several slots' sums, which the hand-over then adds.
 TEST(HybridStress, DonationStormKeepsSharedStateCorrect) {
   auto& f = fix();
   rt::ForkJoinPool pool(kWorkers);
+  const BarnesHutOracle bh_oracle;
   const auto big_grain = static_cast<std::int32_t>(kPoints / 2);
   const apps::PointCorrProgram pc_prog{&f.pts, &f.kdtree, 0.02f};
   const std::uint64_t pc_expected = apps::pointcorr_sequential(pc_prog);
@@ -152,6 +191,11 @@ TEST(HybridStress, DonationStormKeepsSharedStateCorrect) {
     apps::MinmaxDistProgram mmd_prog{&f.pts, &f.kdtree, &mmd_state};
     run_hybrid(pool, MinmaxDistKernel<8>(mmd_prog), opts(16, big_grain, true));
     EXPECT_EQ(apps::minmaxdist_digest(mmd_state), mmd_expected);
+    Forces bh_forces;
+    EXPECT_EQ(run_hybrid(pool, BarnesHutKernel<8>(bh_forces.program(), kTheta),
+                         opts(16, big_grain, true)),
+              bh_oracle.count);
+    EXPECT_LE(max_relative_error(bh_forces, bh_oracle.forces), kForceTolerance);
   }
 }
 
