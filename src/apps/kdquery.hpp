@@ -25,16 +25,27 @@
 //                         once over V = float and V = simd::batch (a lane
 //                         mask), and forced inline like the box distances
 //                         (spatial/kdtree.hpp says why).
-// Optionally it also adds leaf_simd(t, r), the base case the SIMD layer runs
-// for each leaf lane (the scalar leaf otherwise).  expand, expand_simd and
-// the lockstep kernels (lockstep/kernels.hpp) all call that one rule on the
-// one box distance (spatial/kdtree.hpp), so a (query, node) pair prunes the
-// same way in every execution model.
+// Optionally it also adds
+//   leaf_simd(t, r)       the base case the SIMD layer runs for each leaf
+//                         lane (the scalar leaf otherwise);
+//   right_first(l, r, q)  the child-order rule: whether a query at q visits
+//                         the right child (box r) before the left (box l),
+//                         written once over V = float and V = simd::batch
+//                         like `descends` and forced inline.  Without it
+//                         every query takes the left child first.
+// expand, expand_simd and the lockstep kernels (lockstep/kernels.hpp) all
+// call those rules on the one box distance (spatial/kdtree.hpp), so a
+// (query, node) pair prunes the same way in every execution model, and a
+// query visits a node's children in the same order: expand and expand_simd
+// put each task's first child in slot 0, and the kernels hand the rule to
+// the engine as their `reverses` hook.
 #pragma once
 
 #include <array>
 #include <bit>
+#include <concepts>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "simd/batch.hpp"
@@ -43,6 +54,12 @@
 #include "spatial/kdtree.hpp"
 
 namespace tb::apps {
+
+// A kd-tree query program that states a child-order rule (right_first).
+template <class Program>
+concept OrdersChildren = requires(const spatial::Box<float>& b, const spatial::Point<float>& q) {
+  { Program::right_first(b, b, q) } -> std::convertible_to<std::uint32_t>;
+};
 
 template <class Program>
 struct KdQuery {
@@ -74,13 +91,21 @@ struct KdQuery {
             simd::gather(points->z.data(), query)};
   }
 
+  // The children that pass the rule, the first child (in the program's
+  // order) in slot 0.
   template <class Emit>
   void expand(const Task& t, Emit&& emit) const {
     const Program& p = self();
     const spatial::Point<float> q = point(t.query);
     const auto b = p.template bounds<float>(t.query);
     const auto n = static_cast<std::size_t>(t.node);
-    const std::int32_t kids[2] = {tree->left[n], tree->right[n]};
+    std::int32_t kids[2] = {tree->left[n], tree->right[n]};
+    if constexpr (OrdersChildren<Program>) {
+      // An internal node (expand's task) has both children.
+      if (Program::right_first(tree->box(kids[0]), tree->box(kids[1]), q) != 0) {
+        std::swap(kids[0], kids[1]);
+      }
+    }
     for (int s = 0; s < 2; ++s) {
       if (kids[s] != spatial::KdTree::kNoChild && p.descends(tree->box(kids[s]), q, b)) {
         emit(s, Task{t.query, kids[s]});
@@ -105,7 +130,8 @@ struct KdQuery {
   void leaf_simd(const Task& t, Result& r) const { self().leaf(t, r); }
 
   // Per W-chunk: the leaf lanes run their base case first, then the other
-  // lanes' children that pass the rule go to slot 0 (left) and 1 (right).
+  // lanes' children that pass the rule go to slot 0 (each lane's first
+  // child) and 1 (its second).
   void expand_simd(const Block& in, std::size_t begin, std::size_t end,
                    const std::array<Block*, 2>& outs, Result& r, std::uint64_t& leaves) const {
     const Program& p = self();
@@ -128,12 +154,20 @@ struct KdQuery {
       if (rec == 0) continue;
       const spatial::Point<BF> q = point(query);
       const auto b = p.template bounds<BF>(query);
-      const BI lkid = simd::gather(tree->left.data(), node);
-      const BI rkid = simd::gather(tree->right.data(), node);
-      const std::uint32_t lmask = rec & p.descends(tree->box(lkid), q, b);
-      const std::uint32_t rmask = rec & p.descends(tree->box(rkid), q, b);
-      if (lmask != 0) outs[0]->append_compact(lmask, query, lkid);
-      if (rmask != 0) outs[1]->append_compact(rmask, query, rkid);
+      // A leaf lane has no children (KdTree::kNoChild): it reads its own
+      // node's box, so every gather stays in bounds.
+      const BI lkid = simd::select(rec, simd::gather(tree->left.data(), node), node);
+      const BI rkid = simd::select(rec, simd::gather(tree->right.data(), node), node);
+      const spatial::Box<BF> lbox = tree->box(lkid);
+      const spatial::Box<BF> rbox = tree->box(rkid);
+      const std::uint32_t lmask = rec & p.descends(lbox, q, b);
+      const std::uint32_t rmask = rec & p.descends(rbox, q, b);
+      std::uint32_t rf = 0;  // the lanes that visit the right child first
+      if constexpr (OrdersChildren<Program>) rf = rec & Program::right_first(lbox, rbox, q);
+      const std::uint32_t first = (lmask & ~rf) | (rmask & rf);
+      const std::uint32_t second = (rmask & ~rf) | (lmask & rf);
+      if (first != 0) outs[0]->append_compact(first, query, simd::select(rf, rkid, lkid));
+      if (second != 0) outs[1]->append_compact(second, query, simd::select(rf, lkid, rkid));
     }
     r += acc;
     leaves += leaf_tasks;

@@ -8,10 +8,19 @@
 // that only weakens pruning, never correctness, which is exactly the
 // trade-off the paper's task-parallel traversals make.
 //
+// A query visits the nearer of a node's two children first (right_first,
+// the standard kd-tree kNN order): its own leaf comes early and shrinks the
+// bound before the far side is tested.  On 4,096 uniform points at leaf
+// capacity 16 and k = 4 the recursion visits ~4.5 leaves per query in this
+// order and ~30 taking the left child first.
+//
 // Note the consequence for verification: the *result* (the k nearest
 // neighbors) is schedule-independent, but the visit counts are not, so
 // tests compare the k-best lists against brute force rather than the
-// traversal fingerprint.
+// traversal fingerprint.  Points at an exactly tied k-th distance are kept
+// in the order they were offered, so the ids of a tied list follow each
+// query's leaf order: the lockstep engines keep every lane in the
+// recursion's child order, and so match knn_sequential id for id.
 #pragma once
 
 #include <algorithm>
@@ -160,6 +169,15 @@ struct KnnProgram : KdQuery<KnnProgram> {
   [[gnu::always_inline]] static std::uint32_t descends(const spatial::Box<V>& box,
                                                        const spatial::Point<V>& q, const V& kth) {
     return simd::cmp_lt(spatial::near_dist2(box, q), kth);
+  }
+
+  // Visit the nearer child first, so the query's own leaf tightens the
+  // bound before the far side is tested; a tie keeps the left child first.
+  template <class V>
+  [[gnu::always_inline]] static std::uint32_t right_first(const spatial::Box<V>& l,
+                                                          const spatial::Box<V>& r,
+                                                          const spatial::Point<V>& q) {
+    return simd::cmp_lt(spatial::near_dist2(r, q), spatial::near_dist2(l, q));
   }
 };
 

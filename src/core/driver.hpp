@@ -14,7 +14,6 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -122,13 +121,16 @@ typename Exec::Program::Result run_ideal_restart(
 
 namespace detail {
 // The recursion behind run_cilk.  call() runs one task: a base case
-// reduces into a fresh result, any other task goes to spawn().  As each
-// child is emitted, spawn() pushes the one before it as a stack-resident
-// job, so children 0..n-2 are spawned in emit order; it runs the last
-// child inline (a single child gets no job), then syncs the jobs LIFO and
-// folds their results with Program::combine.  Jobs live in a fixed array
-// of max_children - 1 slots on the frame and are built only for spawned
-// children, so a task allocates nothing.
+// reduces into a fresh result, any other task goes to spawn().  spawn()
+// collects the children the program emits, pushes children n-1..1 as
+// stack-resident jobs, runs child 0 inline (a single child gets no job),
+// then syncs the jobs LIFO — children 1..n-1 — and folds their results
+// with Program::combine.  A worker that steals nothing therefore runs the
+// children in emit order, as the sequential recursion does, which is the
+// order a program's pruning may depend on (knn emits its nearer child
+// first).  Jobs live in a fixed array of max_children - 1 slots on the
+// frame and are built only for spawned children, so a task allocates
+// nothing.
 template <TaskProgram P>
 struct Cilk {
   using Task = typename P::Task;
@@ -161,19 +163,19 @@ struct Cilk {
 
   Result spawn(Task t) const {
     std::array<Slot, static_cast<std::size_t>(P::max_children) - 1> slots;
-    std::size_t spawned = 0;
-    std::optional<Task> last;
+    std::array<Task, static_cast<std::size_t>(P::max_children)> kids;
+    std::size_t n = 0;
     p.expand(t, [&](int, const Task& c) {
-      if (last) {
-        assert(spawned < slots.size() && "more children than Program::max_children");
-        pool.push(*std::construct_at(&slots[spawned++].job, Call{this, *last, P::identity()}));
-      }
-      last = c;
+      assert(n < kids.size() && "more children than Program::max_children");
+      kids[n++] = c;
     });
-    if (!last) return P::identity();
-    Result r = call(*last);
-    while (spawned > 0) {
-      rt::SpawnJob<Call>& job = slots[--spawned].job;
+    if (n == 0) return P::identity();
+    for (std::size_t i = n; i-- > 1;) {
+      pool.push(*std::construct_at(&slots[i - 1].job, Call{this, kids[i], P::identity()}));
+    }
+    Result r = call(kids[0]);
+    for (std::size_t i = 1; i < n; ++i) {
+      rt::SpawnJob<Call>& job = slots[i - 1].job;
       pool.sync(job);
       P::combine(r, job.fn.out);
       std::destroy_at(&job);

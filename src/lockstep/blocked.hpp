@@ -26,6 +26,9 @@
 //   step(node, qids, State&, mask, payload) -> descend mask (subset of mask)
 //                                    the per-node test, plus the leaf work
 //   flush(qids, State&, mask)        writes back what State accumulated
+//   reverses(node, qids, State, mask) optional: the lanes of `mask` (step's
+//                                    nonzero survivors at `node`) that visit
+//                                    the node's children last to first
 //   finish()                         optional: hands what the kernel copy
 //                                    kept across flushes to the program;
 //                                    not called by the engine — the drivers
@@ -40,6 +43,15 @@
 // at the group's end, so its state stays in registers for the whole walk.
 // All surviving lanes descend into every child; step runs again at each
 // child, so child-specific pruning happens there.
+//
+// Children are visited first to last, unless the kernel has the reverses
+// hook (knn: nearer child first).  Then a blocked superstep left-packs its
+// survivors into two blocks, the lanes that keep the order and the lanes
+// that reverse it, and pushes each block's child frames in its own order;
+// masked mode splits a group's mask the same way.  Either way every lane
+// walks its children in the order the kernel asks for, so its leaf visits
+// come in the recursion's order in every mode.  A kernel without the hook
+// compiles to the single-block path.
 //
 // Id blocks are recycled through an engine-local pool (one engine per pool
 // worker under the hybrid executor — the per-worker block_pool instances),
@@ -65,6 +77,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -74,6 +87,14 @@
 #include "simd/compact.hpp"
 
 namespace tb::lockstep {
+
+// A kernel whose lanes may visit a node's children in different orders.
+template <class K>
+concept ReversesChildren =
+    requires(K& k, const simd::batch<std::int32_t, K::width>& q, std::int32_t node,
+             std::uint32_t mask) {
+      { k.reverses(node, q, k.load(q), mask) } -> std::convertible_to<std::uint32_t>;
+    };
 
 template <int W, class Payload = char>
 class BlockedTraversal {
@@ -182,6 +203,10 @@ private:
       st.on_block_executed(f.blk->n, W, std::max<std::size_t>(t_reexp_, W));
       st.on_action(core::Action::DFE);
       IdBlock* surv = alloc(f.blk->n + static_cast<std::size_t>(W));
+      [[maybe_unused]] IdBlock* rsurv = nullptr;  // the survivors that reverse
+      if constexpr (ReversesChildren<Kernel>) {
+        rsurv = alloc(f.blk->n + static_cast<std::size_t>(W));
+      }
       const std::int32_t* ids = f.blk->ids.data();
       for (std::size_t i = 0; i < f.blk->n; i += static_cast<std::size_t>(W)) {
         const int lanes =
@@ -197,6 +222,19 @@ private:
         const std::uint32_t valid = lanes == W ? kFullMask : ((1u << lanes) - 1u);
         auto state = k.load(q);
         const std::uint32_t m = k.step(f.node, q, state, valid, f.payload) & valid;
+        if constexpr (ReversesChildren<Kernel>) {
+          const std::uint32_t rv = m != 0 ? k.reverses(f.node, q, state, m) & m : 0u;
+          k.flush(q, state, valid);
+          if ((m & ~rv) != 0) {
+            surv->n += static_cast<std::size_t>(
+                simd::compact_store(surv->ids.data() + surv->n, m & ~rv, q));
+          }
+          if (rv != 0) {
+            rsurv->n += static_cast<std::size_t>(
+                simd::compact_store(rsurv->ids.data() + rsurv->n, rv, q));
+          }
+          continue;
+        }
         k.flush(q, state, valid);
         if (m != 0) {
           surv->n += static_cast<std::size_t>(
@@ -204,6 +242,14 @@ private:
         }
       }
       release(f.blk);
+      if constexpr (ReversesChildren<Kernel>) {
+        const int nk = surv->n + rsurv->n != 0 ? k.children(f.node, kids) : 0;
+        const Payload cp = k.descend(f.payload);
+        // The reversing lanes' frames go below the others'.
+        push_children(rsurv, kids, nk, cp, true);
+        push_children(surv, kids, nk, cp, false);
+        continue;
+      }
       if (surv->n == 0) {
         release(surv);
         continue;
@@ -216,6 +262,21 @@ private:
       const Payload cp = k.descend(f.payload);
       surv->refs = nk;  // siblings share the survivor block
       for (int s = nk; s-- > 0;) frames_.push_back(Frame{kids[s], cp, surv});
+    }
+  }
+
+  // One frame per child for the survivor block b, which they share, the
+  // first child to visit on top (the last one when `reversed`); an empty
+  // block is released.
+  void push_children(IdBlock* b, const std::int32_t* kids, int nk, const Payload& cp,
+                     bool reversed) {
+    if (b->n == 0 || nk == 0) {
+      release(b);
+      return;
+    }
+    b->refs = nk;
+    for (int i = 0; i < nk; ++i) {
+      frames_.push_back(Frame{kids[reversed ? i : nk - 1 - i], cp, b});
     }
   }
 
@@ -276,6 +337,17 @@ private:
         const int nk = k.children(mf.node, kids);
         if (nk == 0) continue;
         const Payload cp = k.descend(mf.payload);
+        if constexpr (ReversesChildren<Kernel>) {
+          // The reversing lanes' frames go below the others'.
+          const std::uint32_t rv = k.reverses(mf.node, q, state, m) & m;
+          if (rv != 0) {
+            for (int s = 0; s < nk; ++s) mstack_.push_back(MaskedFrame{kids[s], rv, cp});
+          }
+          if (rv != m) {
+            for (int s = nk; s-- > 0;) mstack_.push_back(MaskedFrame{kids[s], m & ~rv, cp});
+          }
+          continue;
+        }
         for (int s = nk; s-- > 0;) mstack_.push_back(MaskedFrame{kids[s], m, cp});
       }
       k.flush(q, state, init);

@@ -10,10 +10,12 @@
 // results are schedule-independent — the kd-tree kernels prune with the
 // program's own rule (apps/kdquery.hpp), the one the task-block layers'
 // expand and expand_simd call, so a (query, node) pair prunes the same way
-// in every model; at a leaf they run the program's lane leaf, which streams
-// the leaf's points against every live lane and leaves each query's state
-// bit-identical to the sequential recursion's; only visit counts depend on
-// the schedule.
+// in every model; knn's kernel also hands the program's child-order rule
+// to the engine (`reverses`), so each lane visits a node's children in the
+// recursion's order; at a leaf they run the program's lane leaf, which
+// streams the leaf's points against every live lane and leaves each
+// query's state bit-identical to the sequential recursion's; only visit
+// counts depend on the schedule.
 #pragma once
 
 #include <bit>
@@ -37,9 +39,10 @@ namespace tb::lockstep {
 // while the program's own pruning rule (apps/kdquery.hpp) passes for the
 // node's box, broadcast across lanes, against the lane's query and bounds —
 // the bounds reloaded at every node, so a lane benefits from its own earlier
-// leaf visits exactly as the recursive traversal does.  At a leaf, the
-// program's lane leaf streams the leaf's points against all live lanes at
-// once.
+// leaf visits exactly as the recursive traversal does.  A program with a
+// child-order rule (knn) gets the `reverses` hook, which the engine uses to
+// walk each lane's children in that order.  At a leaf, the program's lane
+// leaf streams the leaf's points against all live lanes at once.
 template <int W, class Program>
 struct KdTreeKernel {
   using BF = simd::batch<float, W>;
@@ -68,6 +71,18 @@ struct KdTreeKernel {
 
   State load(const BI& qid) const { return prog->point(qid); }
   static void flush(const BI&, State&, std::uint32_t) {}
+
+  // The lanes of `mask` that visit the internal `node`'s right child first,
+  // by the program's order rule; a program without one has no hook, and
+  // every lane takes the left child first.
+  std::uint32_t reverses(std::int32_t node, const BI&, const State& s, std::uint32_t mask) const
+    requires apps::OrdersChildren<Program>
+  {
+    const spatial::KdTree& tree = *prog->tree;
+    const auto nn = static_cast<std::size_t>(node);
+    return mask & Program::right_first(tree.template box<BF>(tree.left[nn]),
+                                       tree.template box<BF>(tree.right[nn]), s);
+  }
 
   // The lanes of `mask` whose query descends into `node`.
   std::uint32_t live_at(std::int32_t node, const BI& qid, const State& s,

@@ -48,7 +48,7 @@ MaterializeResult materialize(const P& p, std::span<const typename P::Task> root
       if (call_leaf) p.leaf(t, sink);  // e.g. knn: bounds must shrink to prune
       continue;
     }
-    // Push children in reverse so preorder visits them left-to-right.
+    // Push children in reverse so preorder visits them in emit order.
     std::vector<Task> kids;
     p.expand(t, [&](int, const Task& c) { kids.push_back(c); });
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.emplace_back(*it, id);

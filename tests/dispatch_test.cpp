@@ -206,6 +206,95 @@ TEST(DispatchEquivalence, Knn) {
   }
 }
 
+// The side³ integer lattice points, unit mass.
+tb::spatial::Bodies lattice(int side) {
+  tb::spatial::Bodies b;
+  b.resize(static_cast<std::size_t>(side * side * side));
+  std::size_t i = 0;
+  for (int x = 0; x < side; ++x) {
+    for (int y = 0; y < side; ++y) {
+      for (int z = 0; z < side; ++z, ++i) {
+        b.x[i] = static_cast<float>(x);
+        b.y[i] = static_cast<float>(y);
+        b.z[i] = static_cast<float>(z);
+        b.mass[i] = 1.0f;
+      }
+    }
+  }
+  return b;
+}
+
+// knn on a 16³ integer lattice with k = 4: an interior query has six
+// neighbours at distance 1, so its fourth place is an exact tie, and the ids
+// that fill it are the ones offered first — they follow the order the
+// query's leaves are visited.  Every engine mode walks each lane's children
+// in the recursion's order (knn: the nearer child first), so the lists
+// match knn_sequential id for id.  Donation is left out: a donated frame
+// walks part of its queries' subtrees on another engine, concurrently with
+// the rest.
+TEST(DispatchEquivalence, KnnLatticeTiesFollowTheRecursionsOrder) {
+  const tb::spatial::Bodies pts = lattice(16);
+  const tb::spatial::KdTree tree = tb::spatial::KdTree::build(pts, 16);
+  tb::apps::KnnState seq(pts.size(), kK);
+  tb::apps::knn_sequential({&pts, &tree, &seq});
+  // (1, 1, 1) has six neighbours at distance² 1: four fill its list.
+  ASSERT_EQ(seq.distances(273), std::vector<float>(kK, 1.0f));
+
+  tb::rt::ForkJoinPool pool(kWorkers);
+  for (const KernelTable* kt : runnable_tables()) {
+    SCOPED_TRACE(kt->name);
+    const auto w = static_cast<std::size_t>(kt->width);
+    {
+      SCOPED_TRACE("classic lockstep");
+      tb::apps::KnnState st(pts.size(), kK);
+      kt->lockstep_knn({&pts, &tree, &st}, nullptr);
+      expect_same_knn(st, seq, pts.size());
+    }
+    for (const std::size_t t_reexp : {std::size_t{0}, 2 * w, 4 * w}) {
+      SCOPED_TRACE("blocked t_reexp=" + std::to_string(t_reexp));
+      tb::apps::KnnState st(pts.size(), kK);
+      kt->blocked_knn({&pts, &tree, &st}, t_reexp, nullptr);
+      expect_same_knn(st, seq, pts.size());
+    }
+    for (const bool statics : {false, true}) {
+      SCOPED_TRACE("hybrid static=" + std::to_string(statics));
+      tb::rt::HybridOptions opt;
+      opt.t_reexp = 4 * w;
+      opt.static_partition = statics;
+      tb::apps::KnnState st(pts.size(), kK);
+      kt->hybrid_knn(pool, {&pts, &tree, &st}, opt, nullptr);
+      expect_same_knn(st, seq, pts.size());
+    }
+  }
+}
+
+// With one child order per lane, a lane's bounds at every node depend only
+// on its own earlier leaves, so every single-core engine mode visits the
+// same (query, node) pairs.  On 4,096 uniform points (the traverse
+// workload's input size), the classic run's active lane visits equal each
+// blocked run's tasks executed.
+TEST(DispatchEquivalence, KnnVisitsTheSamePairsInEveryEngineMode) {
+  const tb::spatial::Bodies pts = tb::spatial::Bodies::uniform_cube(4096);
+  const tb::spatial::KdTree tree = tb::spatial::KdTree::build(pts, 16);
+  for (const KernelTable* kt : runnable_tables()) {
+    SCOPED_TRACE(kt->name);
+    const auto w = static_cast<std::size_t>(kt->width);
+    tb::lockstep::LockstepStats classic;
+    {
+      tb::apps::KnnState st(pts.size(), kK);
+      kt->lockstep_knn({&pts, &tree, &st}, &classic);
+    }
+    EXPECT_GT(classic.active_lane_visits, 0u);
+    for (const std::size_t t_reexp : {std::size_t{0}, 2 * w, 4 * w}) {
+      SCOPED_TRACE("blocked t_reexp=" + std::to_string(t_reexp));
+      tb::apps::KnnState st(pts.size(), kK);
+      tb::core::ExecStats stats;
+      kt->blocked_knn({&pts, &tree, &st}, t_reexp, &stats);
+      EXPECT_EQ(stats.tasks_executed, classic.active_lane_visits);
+    }
+  }
+}
+
 TEST(DispatchEquivalence, PointCorr) {
   tb::spatial::Bodies pts = tb::spatial::Bodies::uniform_cube(kPoints);
   tb::spatial::KdTree tree = tb::spatial::KdTree::build(pts, 16);

@@ -1,20 +1,26 @@
-// The kd-tree pruning rules at their boundaries.  Each program (knn,
-// pointcorr, minmaxdist) states its descend rule once (apps/kdquery.hpp);
-// these tests pin what that rule decides at a tie, inside a box and under
-// the initial bounds, in all three forms a traversal evaluates it:
-//   * scalar   — the children `expand` emits for one task;
+// The kd-tree pruning and child-order rules at their boundaries.  Each
+// program (knn, pointcorr, minmaxdist) states its descend rule once, and
+// knn its child-order rule (apps/kdquery.hpp); these tests pin what the
+// rules decide at a tie, inside a box and under the initial bounds, in all
+// three forms a traversal evaluates them:
+//   * scalar   — the children `expand` emits for one task, and their slots;
 //   * gathered — the children SimdExec::expand_into emits for a block of
-//                the same tasks (one node per lane);
-//   * broadcast — the lockstep kernel's `step` mask at the child node.
+//                the same tasks (one node per lane), and their slots;
+//   * broadcast — the lockstep kernel's `step` mask at the child node, and
+//                its `reverses` hook at the parent.
 //
 // Hand-placed instance: eight tree points in two unit squares on z = 0,
 // built with leaf capacity 2, so the root's children are internal nodes
-// with boxes L = [0,1]×[0,1]×{0} and R = [3,4]×[0,1]×{0}.  Two queries:
+// with boxes L = [0,1]×[0,1]×{0} and R = [3,4]×[0,1]×{0}.  Three queries:
 //   q0 = (2, 0.5, 0), midway: nearest-point distance² 1 to both boxes,
 //        farthest-corner distance² 4.25 to both;
 //   q1 = (0.5, 0.5, 0), inside L: near 0 / far 0.5 to L, near 6.25 /
-//        far 12.5 to R.
-// Every one of those values is exact in float.
+//        far 12.5 to R;
+//   q2 = (3.5, 0.5, 0), inside R: q1 mirrored, near 6.25 / far 12.5 to L,
+//        near 0 / far 0.5 to R.
+// Every one of those values is exact in float.  knn visits the nearer
+// child first, so q2 takes R first and q0, at a tie, keeps L first;
+// pointcorr and minmaxdist have no order rule and keep L first.
 //
 // KdLeafLanes pins the other half of the kernels' node step: at a leaf,
 // each program's lane leaf must leave the state its scalar leaf leaves when
@@ -26,16 +32,21 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "apps/knn.hpp"
 #include "apps/minmaxdist.hpp"
 #include "apps/pointcorr.hpp"
 #include "core/program.hpp"
+#include "lockstep/blocked.hpp"
 #include "lockstep/kernels.hpp"
 #include "simd/batch.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
+#include "tests/support/harness.hpp"
 #include "tests/support/rng.hpp"
 
 namespace {
@@ -64,34 +75,51 @@ struct Instance {
                                         {3, 1, 0},
                                         {4, 1, 0}});
   spatial::KdTree tree = spatial::KdTree::build(tree_points, 2);
-  spatial::Bodies queries = bodies({{2.0f, 0.5f, 0.0f}, {0.5f, 0.5f, 0.0f}});
+  spatial::Bodies queries =
+      bodies({{2.0f, 0.5f, 0.0f}, {0.5f, 0.5f, 0.0f}, {3.5f, 0.5f, 0.0f}});
   std::int32_t left = tree.left[static_cast<std::size_t>(tree.root)];
   std::int32_t right = tree.right[static_cast<std::size_t>(tree.root)];
 };
 
-// Which of the root's children query q0 and query q1 descend into.
+// Which of the root's children queries q0, q1 and q2 descend into.
 struct Children {
   bool left, right;
 };
-using Want = std::array<Children, 2>;
+constexpr int kQueries = 3;
+using Want = std::array<Children, kQueries>;
 
-// Lane l of a block or kernel batch carries query l % 2.
+// The queries that visit R before L: bit q for query q.
+constexpr std::uint32_t kLeftFirst = 0;
+constexpr std::uint32_t kNearerFirst = 1u << 2;  // q2, inside R
+
+// Lane l of a block or kernel batch carries query l % 3.
 template <int W>
 simd::batch<std::int32_t, W> alternating_queries() {
   simd::batch<std::int32_t, W> qid;
-  for (int l = 0; l < W; ++l) qid.set(l, l % 2);
+  for (int l = 0; l < W; ++l) qid.set(l, l % kQueries);
   return qid;
+}
+
+// The lanes whose query's bit is set in `queries`.
+template <int W>
+std::uint32_t lane_mask(std::uint32_t queries) {
+  std::uint32_t m = 0;
+  for (int l = 0; l < W; ++l) m |= ((queries >> (l % kQueries)) & 1u) << l;
+  return m;
 }
 
 template <int W>
 std::uint32_t want_mask(const Want& want, bool Children::*side) {
-  std::uint32_t m = 0;
-  for (int l = 0; l < W; ++l) m |= (want[static_cast<std::size_t>(l % 2)].*side ? 1u : 0u) << l;
-  return m;
+  std::uint32_t queries = 0;
+  for (int q = 0; q < kQueries; ++q) {
+    queries |= (want[static_cast<std::size_t>(q)].*side ? 1u : 0u) << q;
+  }
+  return lane_mask<W>(queries);
 }
 
 template <template <int> class Kernel, int W, class P>
-void expect_lockstep(const Instance& inst, const P& prog, const Want& want) {
+void expect_lockstep(const Instance& inst, const P& prog, const Want& want,
+                     std::uint32_t right_first) {
   SCOPED_TRACE("lockstep W=" + std::to_string(W));
   Kernel<W> k(prog);
   const auto qid = alternating_queries<W>();
@@ -99,52 +127,70 @@ void expect_lockstep(const Instance& inst, const P& prog, const Want& want) {
   constexpr std::uint32_t full = simd::mask_all<W>;
   EXPECT_EQ(k.step(inst.left, qid, s, full, 0), want_mask<W>(want, &Children::left));
   EXPECT_EQ(k.step(inst.right, qid, s, full, 0), want_mask<W>(want, &Children::right));
+  if constexpr (lockstep::ReversesChildren<Kernel<W>>) {
+    EXPECT_EQ(k.reverses(inst.tree.root, qid, s, full), lane_mask<W>(right_first));
+    EXPECT_EQ(k.reverses(inst.tree.root, qid, s, 1u), lane_mask<W>(right_first) & 1u);
+  } else {
+    EXPECT_EQ(right_first, kLeftFirst) << "a kernel without the hook walks L first";
+  }
 }
 
-// Checks the rule's outcome for both queries at the root's children in the
-// scalar, gathered and broadcast forms.
+// Checks the rules' outcome for every query at the root's children in the
+// scalar, gathered and broadcast forms: the children that pass, and each
+// query's first child in slot 0 (R for the queries of `right_first`).
 template <template <int> class Kernel, class P>
-void expect_children(const Instance& inst, const P& prog, const Want& want) {
+void expect_children(const Instance& inst, const P& prog, const Want& want,
+                     std::uint32_t right_first = kLeftFirst) {
   using Task = typename P::Task;
-  for (std::int32_t q = 0; q < 2; ++q) {
+  // The children query q visits that pass, in slot order.
+  const auto slotted = [&](std::int32_t q) {
+    const auto& w = want[static_cast<std::size_t>(q)];
+    const bool rf = ((right_first >> q) & 1u) != 0;
+    const std::pair<std::int32_t, bool> order[2] = {
+        {rf ? inst.right : inst.left, rf ? w.right : w.left},
+        {rf ? inst.left : inst.right, rf ? w.left : w.right}};
+    std::vector<std::pair<int, std::int32_t>> out;
+    for (int slot = 0; slot < 2; ++slot) {
+      if (order[slot].second) out.emplace_back(slot, order[slot].first);
+    }
+    return out;
+  };
+  for (std::int32_t q = 0; q < kQueries; ++q) {
     SCOPED_TRACE("expand q" + std::to_string(q));
     std::vector<std::pair<int, std::int32_t>> got;
     prog.expand(Task{q, inst.tree.root}, [&](int slot, const Task& c) {
       EXPECT_EQ(c.query, q);
       got.emplace_back(slot, c.node);
     });
-    std::vector<std::pair<int, std::int32_t>> expected;
-    if (want[static_cast<std::size_t>(q)].left) expected.emplace_back(0, inst.left);
-    if (want[static_cast<std::size_t>(q)].right) expected.emplace_back(1, inst.right);
-    EXPECT_EQ(got, expected);
+    EXPECT_EQ(got, slotted(q));
   }
   {
     SCOPED_TRACE("SimdExec::expand_into");
     constexpr int W = P::simd_width;
-    typename P::Block in, out_left, out_right;
-    for (std::int32_t l = 0; l < W; ++l) P::append_task(in, Task{l % 2, inst.tree.root});
+    typename P::Block in;
+    std::array<typename P::Block, 2> out;
+    for (std::int32_t l = 0; l < W; ++l) P::append_task(in, Task{l % kQueries, inst.tree.root});
     typename P::Result r = P::identity();
     std::uint64_t leaves = 0;
-    core::SimdExec<P>::expand_into(prog, in, 0, in.size(), {&out_left, &out_right}, r, leaves);
+    core::SimdExec<P>::expand_into(prog, in, 0, in.size(), {&out[0], &out[1]}, r, leaves);
     EXPECT_EQ(leaves, 0u);
-    const auto expect_block = [&](const typename P::Block& out, bool Children::*side,
-                                  std::int32_t node) {
-      std::vector<std::int32_t> got, expected;
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        const Task t = P::task_at(out, i);
-        EXPECT_EQ(t.node, node);
-        got.push_back(t.query);
+    for (int slot = 0; slot < 2; ++slot) {
+      SCOPED_TRACE("slot " + std::to_string(slot));
+      std::vector<std::pair<std::int32_t, std::int32_t>> got, expected;
+      for (std::size_t i = 0; i < out[static_cast<std::size_t>(slot)].size(); ++i) {
+        const Task t = P::task_at(out[static_cast<std::size_t>(slot)], i);
+        got.emplace_back(t.query, t.node);
       }
       for (std::int32_t l = 0; l < W; ++l) {
-        if (want[static_cast<std::size_t>(l % 2)].*side) expected.push_back(l % 2);
+        for (const auto& [s, node] : slotted(l % kQueries)) {
+          if (s == slot) expected.emplace_back(l % kQueries, node);
+        }
       }
       EXPECT_EQ(got, expected);
-    };
-    expect_block(out_left, &Children::left, inst.left);
-    expect_block(out_right, &Children::right, inst.right);
+    }
   }
-  expect_lockstep<Kernel, 4>(inst, prog, want);
-  expect_lockstep<Kernel, 8>(inst, prog, want);
+  expect_lockstep<Kernel, 4>(inst, prog, want, right_first);
+  expect_lockstep<Kernel, 8>(inst, prog, want, right_first);
 }
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
@@ -207,33 +253,40 @@ TEST(KdQueryPruning, BoxDistancesAgreeInEveryForm) {
 TEST(KdQueryPruning, PointCorrDescendsAtTheRadius) {
   const Instance inst;
   const apps::PointCorrProgram prog{&inst.queries, &inst.tree, 1.0f};
-  expect_children<lockstep::PointCorrKernel>(inst, prog, Want{{{true, true}, {true, false}}});
+  expect_children<lockstep::PointCorrKernel>(
+      inst, prog, Want{{{true, true}, {true, false}, {false, true}}});
 }
 
 // Inside a box the distance is 0, which a zero radius still reaches.
 TEST(KdQueryPruning, PointCorrQueryInsideBoxIsAtDistanceZero) {
   const Instance inst;
   const apps::PointCorrProgram prog{&inst.queries, &inst.tree, 0.0f};
-  expect_children<lockstep::PointCorrKernel>(inst, prog, Want{{{false, false}, {true, false}}});
+  expect_children<lockstep::PointCorrKernel>(
+      inst, prog, Want{{{false, false}, {true, false}, {false, true}}});
 }
 
 // knn needs a strictly nearer point: a box at exactly the k-th best
 // distance cannot improve the list.
 TEST(KdQueryPruning, KnnDoesNotDescendAtItsBound) {
   const Instance inst;
-  apps::KnnState state(2, 1);
+  apps::KnnState state(kQueries, 1);
   state.offer(0, 100, 1.0f);   // q0: k-th best 1 = its distance to both boxes
   state.offer(1, 100, 6.25f);  // q1: k-th best 6.25 = its distance to R
+  state.offer(2, 100, 6.25f);  // q2: k-th best 6.25 = its distance to L
   const apps::KnnProgram prog{&inst.queries, &inst.tree, &state};
-  expect_children<lockstep::KnnKernel>(inst, prog, Want{{{false, false}, {true, false}}});
+  expect_children<lockstep::KnnKernel>(inst, prog,
+                                       Want{{{false, false}, {true, false}, {false, true}}},
+                                       kNearerFirst);
 }
 
 TEST(KdQueryPruning, KnnInitialBoundDescendsEverywhere) {
   const Instance inst;
-  apps::KnnState state(2, 3);
+  apps::KnnState state(kQueries, 3);
   ASSERT_EQ(state.bound(0), kInf);
   const apps::KnnProgram prog{&inst.queries, &inst.tree, &state};
-  expect_children<lockstep::KnnKernel>(inst, prog, Want{{{true, true}, {true, true}}});
+  expect_children<lockstep::KnnKernel>(inst, prog,
+                                       Want{{{true, true}, {true, true}, {true, true}}},
+                                       kNearerFirst);
 }
 
 // minmaxdist descends only where the box strictly improves an extreme:
@@ -242,44 +295,82 @@ TEST(KdQueryPruning, MinmaxDistDescendsOnlyOnStrictImprovement) {
   const Instance inst;
   {
     SCOPED_TRACE("ties on both extremes");
-    apps::MinmaxDistState state(2);
+    apps::MinmaxDistState state(kQueries);
     state.offer(0, 1.0f);  // q0: min 1, max 4.25 — both boxes tie on both
     state.offer(0, 4.25f);
     state.offer(1, 6.25f);  // q1: min 6.25, max 12.5 — R ties; L is nearer
     state.offer(1, 12.5f);
+    state.offer(2, 6.25f);  // q2: mirrored — L ties; R is nearer
+    state.offer(2, 12.5f);
     const apps::MinmaxDistProgram prog{&inst.queries, &inst.tree, &state};
-    expect_children<lockstep::MinmaxDistKernel>(inst, prog,
-                                                Want{{{false, false}, {true, false}}});
+    expect_children<lockstep::MinmaxDistKernel>(
+        inst, prog, Want{{{false, false}, {true, false}, {false, true}}});
   }
   {
     SCOPED_TRACE("min just above the near distance");
-    apps::MinmaxDistState state(2);
+    apps::MinmaxDistState state(kQueries);
     state.offer(0, std::nextafter(1.0f, kInf));
     state.offer(0, 4.25f);
     state.offer(1, std::nextafter(6.25f, kInf));
     state.offer(1, 12.5f);
+    state.offer(2, std::nextafter(6.25f, kInf));
+    state.offer(2, 12.5f);
     const apps::MinmaxDistProgram prog{&inst.queries, &inst.tree, &state};
-    expect_children<lockstep::MinmaxDistKernel>(inst, prog, Want{{{true, true}, {true, true}}});
+    expect_children<lockstep::MinmaxDistKernel>(
+        inst, prog, Want{{{true, true}, {true, true}, {true, true}}});
   }
   {
     SCOPED_TRACE("max just below the far distance");
-    apps::MinmaxDistState state(2);
+    apps::MinmaxDistState state(kQueries);
     state.offer(0, 1.0f);
     state.offer(0, std::nextafter(4.25f, 0.0f));
     state.offer(1, 6.25f);
     state.offer(1, std::nextafter(12.5f, 0.0f));
+    state.offer(2, 6.25f);
+    state.offer(2, std::nextafter(12.5f, 0.0f));
     const apps::MinmaxDistProgram prog{&inst.queries, &inst.tree, &state};
-    expect_children<lockstep::MinmaxDistKernel>(inst, prog, Want{{{true, true}, {true, true}}});
+    expect_children<lockstep::MinmaxDistKernel>(
+        inst, prog, Want{{{true, true}, {true, true}, {true, true}}});
   }
 }
 
 TEST(KdQueryPruning, MinmaxDistInitialBoundsDescendEverywhere) {
   const Instance inst;
-  apps::MinmaxDistState state(2);
+  apps::MinmaxDistState state(kQueries);
   ASSERT_EQ(state.min_bound(0), kInf);
   ASSERT_EQ(state.max_bound(0), -1.0f);
   const apps::MinmaxDistProgram prog{&inst.queries, &inst.tree, &state};
-  expect_children<lockstep::MinmaxDistKernel>(inst, prog, Want{{{true, true}, {true, true}}});
+  expect_children<lockstep::MinmaxDistKernel>(
+      inst, prog, Want{{{true, true}, {true, true}, {true, true}}});
+}
+
+// knn's order rule itself: R first only when it is strictly nearer, one
+// query or one per lane.  pointcorr and minmaxdist state no rule, so their
+// kernels have no hook and the engine walks every lane L first.
+TEST(KdQueryPruning, KnnVisitsTheNearerChildFirst) {
+  const Instance inst;
+  const auto l = inst.tree.box(inst.left);
+  const auto r = inst.tree.box(inst.right);
+  const spatial::Point<float> q0{2.0f, 0.5f, 0.0f}, q1{0.5f, 0.5f, 0.0f}, q2{3.5f, 0.5f, 0.0f};
+  EXPECT_EQ(apps::KnnProgram::right_first(l, r, q0), 0u);  // tie
+  EXPECT_EQ(apps::KnnProgram::right_first(l, r, q1), 0u);  // inside L
+  EXPECT_EQ(apps::KnnProgram::right_first(l, r, q2), 1u);  // inside R
+  using BF = simd::batch<float, 4>;
+  const spatial::Point<BF> q{BF::broadcast(2.0f), BF::broadcast(0.5f), BF::zero()};
+  spatial::Point<BF> lanes = q;
+  lanes.x.set(1, 0.5f);
+  lanes.x.set(2, 3.5f);
+  lanes.x.set(3, 3.5f);
+  EXPECT_EQ(apps::KnnProgram::right_first(inst.tree.box<BF>(inst.left),
+                                          inst.tree.box<BF>(inst.right), lanes),
+            0b1100u);
+  static_assert(apps::OrdersChildren<apps::KnnProgram>);
+  static_assert(!apps::OrdersChildren<apps::PointCorrProgram>);
+  static_assert(!apps::OrdersChildren<apps::MinmaxDistProgram>);
+  static_assert(lockstep::ReversesChildren<lockstep::KnnKernel<8>>);
+  static_assert(!lockstep::ReversesChildren<lockstep::PointCorrKernel<8>>);
+  static_assert(!lockstep::ReversesChildren<lockstep::MinmaxDistKernel<8>>);
+  static_assert(!lockstep::ReversesChildren<lockstep::BarnesHutKernel<8>>);
 }
 
 // ---- lane leaves ---------------------------------------------------------------
@@ -471,6 +562,85 @@ TEST(KdLeafLanes, TightBoundsOfferNothing) {
                                         simd::batch<std::int32_t, 8>::iota(0), 4);
   random_leaves_every_width<KnnCase>(Bounds::tight);
   random_leaves_every_width<MinmaxDistCase>(Bounds::tight);
+}
+
+// ---- execution layers on leaves at two depths ------------------------------------
+//
+// 1,056 uniform points at leaf capacity 16 put the kd-tree's leaves at
+// depths 6 and 7, so the SIMD layer's W-chunks mix leaf and internal tasks.
+// A leaf task has no children (KdTree::kNoChild): expand_simd must read no
+// child box for it, an out-of-bounds gather that an address-sanitized
+// TASKBATCH_NATIVE=OFF build reports (its W = 4 gathers are plain loads).
+// Every (policy × threshold preset) run of the SoA and SIMD layers must
+// leave each program's results equal to its sequential recursion's.
+
+struct TwoDepthTree {
+  spatial::Bodies pts = spatial::Bodies::uniform_cube(1056, 26);
+  spatial::KdTree tree = spatial::KdTree::build(pts, 16);
+};
+
+std::set<int> leaf_depths(const spatial::KdTree& tree) {
+  std::set<int> depths;
+  std::vector<std::pair<std::int32_t, int>> stack{{tree.root, 0}};
+  while (!stack.empty()) {
+    const auto [node, depth] = stack.back();
+    stack.pop_back();
+    if (tree.is_leaf(node)) {
+      depths.insert(depth);
+      continue;
+    }
+    stack.emplace_back(tree.left[static_cast<std::size_t>(node)], depth + 1);
+    stack.emplace_back(tree.right[static_cast<std::size_t>(node)], depth + 1);
+  }
+  return depths;
+}
+
+constexpr unsigned kBlockLayers = tbtest::kSoa | tbtest::kSimd;
+
+TEST(KdQueryLayers, TreeHasLeavesAtTwoDepths) {
+  const TwoDepthTree t;
+  EXPECT_EQ(leaf_depths(t.tree), (std::set<int>{6, 7}));
+}
+
+TEST(KdQueryLayers, KnnMatchesSequential) {
+  const TwoDepthTree t;
+  KnnCase seq(t.pts, t.tree), run(t.pts, t.tree);
+  apps::knn_sequential(seq.prog);
+  const auto roots = run.prog.roots();
+  for (const auto& th : tbtest::threshold_presets()) {
+    SCOPED_TRACE(tbtest::threshold_name(th));
+    tbtest::for_each_seq_result(
+        run.prog, std::span<const apps::KnnProgram::Task>(roots), th, kBlockLayers,
+        [&](std::uint64_t) { run.expect_same(seq); },
+        [&] { run.state = apps::KnnState(t.pts.size(), seq.state.k()); });
+  }
+}
+
+TEST(KdQueryLayers, PointCorrMatchesSequential) {
+  const TwoDepthTree t;
+  const PointCorrCase c(t.pts, t.tree);
+  const std::uint64_t want = apps::pointcorr_sequential(c.prog);
+  const auto roots = c.prog.roots();
+  for (const auto& th : tbtest::threshold_presets()) {
+    SCOPED_TRACE(tbtest::threshold_name(th));
+    tbtest::for_each_seq_result(
+        c.prog, std::span<const apps::PointCorrProgram::Task>(roots), th, kBlockLayers,
+        [&](std::uint64_t got) { EXPECT_EQ(got, want); }, [] {});
+  }
+}
+
+TEST(KdQueryLayers, MinmaxDistMatchesSequential) {
+  const TwoDepthTree t;
+  MinmaxDistCase seq(t.pts, t.tree), run(t.pts, t.tree);
+  apps::minmaxdist_sequential(seq.prog);
+  const auto roots = run.prog.roots();
+  for (const auto& th : tbtest::threshold_presets()) {
+    SCOPED_TRACE(tbtest::threshold_name(th));
+    tbtest::for_each_seq_result(
+        run.prog, std::span<const apps::MinmaxDistProgram::Task>(roots), th, kBlockLayers,
+        [&](std::uint64_t) { run.expect_same(seq); },
+        [&] { run.state = apps::MinmaxDistState(t.pts.size()); });
+  }
 }
 
 }  // namespace
