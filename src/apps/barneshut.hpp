@@ -7,32 +7,50 @@
 // leaf's bodies: the nested data-parallel base case) — or it spawns one
 // task per occupied octant with d²/4, exactly the paper's c_f.
 //
+// The program states that method once, as four rules written over V = float
+// (one task) and V = simd::batch<float, W> (W lanes).  A rule reads a cell
+// or a body as floats, broadcast to every lane (one id) or gathered per lane
+// (a batch of ids), as KdTree::box loads kd boxes:
+//   far_from(node, q, d2, d, dr2)
+//                               the cell test: the lanes where dr² ≥ d², with
+//                               d the displacement from the body at q to the
+//                               cell's center of mass and dr² = |d|²;
+//   kick(node, d, dr2, m, f)    the far-field interaction, added to f: the
+//                               cell's mass at its center of mass, through
+//                               the force law `pull`;
+//   leaf_sum(node, b, q, live, f)
+//                               the leaf's direct sum, added to f in each
+//                               live lane, the lane's own body masked out;
+//   octants(node, visit), quarter(d2)
+//                               the child rule: the occupied octants, in
+//                               octant order, each at a quarter of d².
+// Every layer calls them: the recursion and the AoS/SoA layers through
+// is_base, leaf and expand; expand_simd runs the gathered cell test, kick
+// and child rule on a W-chunk and the one-lane leaf sum per near leaf lane;
+// the lockstep kernel (lockstep/kernels.hpp) runs the broadcast cell test,
+// kick and the W-lane leaf sum.  The force law's square root and divide are
+// correctly rounded at every width, so a lane computes the same bits as the
+// scalar interaction.
+//
 // The opening threshold d² is a function of the level alone (cells at tree
 // depth L share a size), so it stays uniform across a block.  Forces
 // accumulate into per-body arrays (`acc_*`, the "update p using reduction"
-// of Fig. 2) with relaxed atomic float adds: per interaction in the
-// task-block layers (leaf, direct_sum, expand_simd), where no worker owns a
-// body.  A lockstep run (lockstep/kernels.hpp) sums each body's forces in
-// its kernel copy — one per hybrid slot — and adds that total once per run
-// and slot, so a body walked in one slot receives a single add.  Two
-// classic, blocked or static-partition hybrid runs on accumulators nobody
-// zeroed in between therefore read exactly twice one run's force (x + x is
-// exact).  The monoid result counts terminal interactions, which is
-// schedule-independent and exact — the tests use it as a cross-variant
-// fingerprint.
-//
-// Every interaction — the leaf's direct sum, a far cell's center of mass,
-// the SIMD layer's far-field kick and both lockstep kernel sites
-// (lockstep/kernels.hpp) — evaluates the one force law, `pull`, written
-// once over float and simd::batch<float, W>.  Its square root and divide
-// are correctly rounded at every width, so a lane computes the same bits as
-// the scalar interaction.
+// of Fig. 2) with relaxed atomic float adds: once per terminal interaction
+// in the task-block layers (leaf, expand_simd), where no worker owns a body.
+// A lockstep run sums each body's forces in its kernel copy — one per
+// hybrid slot — and adds that total once per run and slot, so a body walked
+// in one slot receives a single add.  Two classic, blocked or
+// static-partition hybrid runs on accumulators nobody zeroed in between
+// therefore read exactly twice one run's force (x + x is exact).  The
+// monoid result counts terminal interactions, which is schedule-independent
+// and exact — the tests use it as a cross-variant fingerprint.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 
 #include "core/program.hpp"
 #include "simd/batch.hpp"
@@ -66,82 +84,144 @@ struct BarnesHutProgram {
     return d * d;
   }
 
-  float dist2(const Task& t) const {
-    const auto n = static_cast<std::size_t>(t.node);
-    const auto b = static_cast<std::size_t>(t.body);
-    const float dx = tree->com_x[n] - bodies->x[b];
-    const float dy = tree->com_y[n] - bodies->y[b];
-    const float dz = tree->com_z[n] - bodies->z[b];
-    return dx * dx + dy * dy + dz * dz;
+  // ---- the rules ---------------------------------------------------------------
+  // All forced inline, like the kd-tree box distances: out of line, a
+  // lockstep node step would pass W-lane values through memory.
+
+  // Entry i of a column as V: one value for one id (broadcast when V is a
+  // batch), one per lane for a batch of ids.
+  template <class V, class T, class I>
+  [[gnu::always_inline]] static V at(const T* col, const I& i) {
+    if constexpr (!std::is_integral_v<I>) {
+      return simd::gather(col, i);
+    } else if constexpr (std::is_arithmetic_v<V>) {
+      return col[i];
+    } else {
+      return V::broadcast(col[i]);
+    }
   }
 
-  bool is_base(const Task& t) const {
-    return tree->is_leaf(t.node) || dist2(t) >= t.d2;
+  // The position of body b.
+  template <class V, class I>
+  [[gnu::always_inline]] spatial::Point<V> point(const I& b) const {
+    return {at<V>(bodies->x.data(), b), at<V>(bodies->y.data(), b), at<V>(bodies->z.data(), b)};
+  }
+
+  // The cell test: the lanes where the cell's center of mass is far enough
+  // from the body at q to stand for the cell (dr² ≥ d²), with d set to the
+  // displacement from q to the center of mass and dr2 to |d|².
+  template <class V, class I>
+  [[gnu::always_inline]] std::uint32_t far_from(const I& node, const spatial::Point<V>& q,
+                                                const V& d2, spatial::Point<V>& d,
+                                                V& dr2) const {
+    d.x = at<V>(tree->com_x.data(), node) - q.x;
+    d.y = at<V>(tree->com_y.data(), node) - q.y;
+    d.z = at<V>(tree->com_z.data(), node) - q.z;
+    dr2 = d.x * d.x + d.y * d.y + d.z * d.z;
+    return simd::cmp_ge(dr2, d2);
   }
 
   // The force law: the pull toward mass m at squared distance d2, softened
   // by eps2, per unit of displacement (the force is pull · (dx, dy, dz)):
-  // ((m · inv) · inv) · inv with inv = 1 / sqrt(d2 + eps2).  V is float for
-  // one interaction or simd::batch<float, W> for one per lane.
+  // ((m · inv) · inv) · inv with inv = 1 / sqrt(d2 + eps2).
   template <class V>
   [[gnu::always_inline]] V pull(const V& m, const V& d2) const {
     const V inv = simd::splat<V>(1.0f) / simd::sqrt(d2 + eps2);
     return m * inv * inv * inv;
   }
 
-  void add_force(std::int32_t body, float fx, float fy, float fz) const {
-    std::atomic_ref<float>(acc_x[body]).fetch_add(fx, std::memory_order_relaxed);
-    std::atomic_ref<float>(acc_y[body]).fetch_add(fy, std::memory_order_relaxed);
-    std::atomic_ref<float>(acc_z[body]).fetch_add(fz, std::memory_order_relaxed);
+  // The far-field interaction, added to f: the cell's whole mass at its
+  // center of mass, seen at d (dr2 = |d|²), in the lanes of m.  The other
+  // lanes add 0·d = ±0, which leaves a sum that starts at +0 unchanged
+  // (such a sum is never -0): one blend, of the pull, instead of three (a
+  // blend is a lane loop below W = 16).
+  template <class V, class I>
+  [[gnu::always_inline]] void kick(const I& node, const spatial::Point<V>& d, const V& dr2,
+                                   std::uint32_t m, spatial::Point<V>& f) const {
+    const V mass = at<V>(tree->mass.data(), node);
+    const V g = simd::select(m, pull(mass, dr2), simd::splat<V>(0.0f));
+    f.x += g * d.x;
+    f.y += g * d.y;
+    f.z += g * d.z;
   }
 
-  // Direct sum of the leaf's bodies against the query body — the nested
-  // data-parallel loop inside the base case, vectorized over leaf points.
-  void direct_sum(std::int32_t body, std::int32_t node) const {
-    const auto nn = static_cast<std::size_t>(node);
-    const auto qb = static_cast<std::size_t>(body);
-    const float qx = bodies->x[qb], qy = bodies->y[qb], qz = bodies->z[qb];
-    float fx = 0, fy = 0, fz = 0;
-    for (std::int32_t j = tree->leaf_begin[nn]; j < tree->leaf_end[nn]; ++j) {
-      const auto bj = static_cast<std::size_t>(tree->body_index[static_cast<std::size_t>(j)]);
-      if (static_cast<std::int32_t>(bj) == body) continue;
-      const float dx = bodies->x[bj] - qx;
-      const float dy = bodies->y[bj] - qy;
-      const float dz = bodies->z[bj] - qz;
-      const float f = pull(bodies->mass[bj], dx * dx + dy * dy + dz * dz);
-      fx += f * dx;
-      fy += f * dy;
-      fz += f * dz;
+  // The leaf's direct sum — the nested data-parallel loop inside the base
+  // case — added to f: in each lane of `live`, the pull of every body of
+  // the leaf `node` on the lane's body b at q, b's own excepted.  The lanes
+  // outside a body's mask keep their sums, as adding +0 would.  Blending
+  // the sum, not the addend, keeps it in one register at W = 16, where GCC
+  // splits the running sum of a blended addend into 16 scalar adds.  The
+  // sums, q and the columns sit in locals: GCC keeps an aggregate of
+  // batches above 136 bytes (a W = 16 Point) in memory, and reloads what
+  // it reads through `this` at every body.
+  template <class V, class I>
+  [[gnu::always_inline]] void leaf_sum(std::int32_t node, const I& b, const spatial::Point<V>& q,
+                                       std::uint32_t live, spatial::Point<V>& f) const {
+    V fx = f.x, fy = f.y, fz = f.z;
+    const V qx = q.x, qy = q.y, qz = q.z;
+    const float *bx = bodies->x.data(), *by = bodies->y.data(), *bz = bodies->z.data();
+    const float* bm = bodies->mass.data();
+    const auto n = static_cast<std::size_t>(node);
+    for (std::int32_t j = tree->leaf_begin[n]; j < tree->leaf_end[n]; ++j) {
+      const std::int32_t bj = tree->body_index[static_cast<std::size_t>(j)];
+      const std::uint32_t m = live & ~simd::cmp_eq(b, bj);
+      if (m == 0) continue;
+      const V dx = at<V>(bx, bj) - qx, dy = at<V>(by, bj) - qy, dz = at<V>(bz, bj) - qz;
+      const V g = pull(at<V>(bm, bj), dx * dx + dy * dy + dz * dz);
+      fx = simd::select(m, fx + g * dx, fx);
+      fy = simd::select(m, fy + g * dy, fy);
+      fz = simd::select(m, fz + g * dz, fz);
     }
-    add_force(body, fx, fy, fz);
+    f = {fx, fy, fz};
+  }
+
+  // The child rule: visit(oct, kid, lanes) for each occupied octant of
+  // `node` in octant order (for a batch of nodes, each lane's child and the
+  // lanes where it is one; an empty octant reads Octree::kNoChild, −1).  A
+  // child cell is half as wide, so its threshold is a quarter.
+  template <class I, class Visit>
+  [[gnu::always_inline]] void octants(const I& node, Visit&& visit) const {
+    for (int oct = 0; oct < 8; ++oct) {
+      const I kid = at<I>(tree->children.data()->data(), node * 8 + oct);
+      const std::uint32_t has = simd::cmp_ge(kid, 0);
+      if (has != 0) visit(oct, kid, has);
+    }
+  }
+  template <class V>
+  [[gnu::always_inline]] static V quarter(const V& d2) { return d2 * 0.25f; }
+
+  // ---- the task program --------------------------------------------------------
+  void add_force(std::int32_t body, const spatial::Point<float>& f) const {
+    std::atomic_ref<float>(acc_x[body]).fetch_add(f.x, std::memory_order_relaxed);
+    std::atomic_ref<float>(acc_y[body]).fetch_add(f.y, std::memory_order_relaxed);
+    std::atomic_ref<float>(acc_z[body]).fetch_add(f.z, std::memory_order_relaxed);
+  }
+
+  bool is_base(const Task& t) const {
+    spatial::Point<float> d{};
+    float dr2 = 0.0f;
+    return tree->is_leaf(t.node) || far_from(t.node, point<float>(t.body), t.d2, d, dr2) != 0;
   }
 
   void leaf(const Task& t, Result& r) const {
     r += 1;
-    const auto n = static_cast<std::size_t>(t.node);
-    const float dr2 = dist2(t);
-    if (dr2 >= t.d2) {
-      // Far cell: single interaction with the center of mass.
-      const auto b = static_cast<std::size_t>(t.body);
-      const float dx = tree->com_x[n] - bodies->x[b];
-      const float dy = tree->com_y[n] - bodies->y[b];
-      const float dz = tree->com_z[n] - bodies->z[b];
-      const float f = pull(tree->mass[n], dr2);
-      add_force(t.body, f * dx, f * dy, f * dz);
+    const spatial::Point<float> q = point<float>(t.body);
+    spatial::Point<float> d{}, f{};
+    float dr2 = 0.0f;
+    if (far_from(t.node, q, t.d2, d, dr2) != 0) {
+      kick(t.node, d, dr2, 1u, f);
     } else {
-      direct_sum(t.body, t.node);
+      leaf_sum(t.node, t.body, q, 1u, f);
     }
+    add_force(t.body, f);
   }
 
   template <class Emit>
   void expand(const Task& t, Emit&& emit) const {
-    const auto& kids = tree->children[static_cast<std::size_t>(t.node)];
-    const float d2 = t.d2 * 0.25f;
-    for (int oct = 0; oct < 8; ++oct) {
-      if (kids[static_cast<std::size_t>(oct)] != spatial::Octree::kNoChild) {
-        emit(oct, Task{t.body, kids[static_cast<std::size_t>(oct)], d2});
-      }
-    }
+    const float d2 = quarter(t.d2);
+    octants(t.node, [&](int oct, std::int32_t kid, std::uint32_t) {
+      emit(oct, Task{t.body, kid, d2});
+    });
   }
 
   // ---- SoA layer -------------------------------------------------------------
@@ -159,62 +239,40 @@ struct BarnesHutProgram {
                    const std::array<Block*, 8>& outs, Result& r, std::uint64_t& leaves) const {
     using BF = simd::batch<float, simd_width>;
     using BI = simd::batch<std::int32_t, simd_width>;
-    const std::int32_t* body_p = in.data<0>();
-    const std::int32_t* node_p = in.data<1>();
-    const float* d2_p = in.data<2>();
     constexpr std::uint32_t full = simd::mask_all<simd_width>;
-    const std::int32_t* child_flat = tree->children.data()->data();
     std::uint64_t base_count = 0;
     for (std::size_t i = begin; i < end; i += simd_width) {
-      const BI body = BI::loadu(body_p + i);
-      const BI node = BI::loadu(node_p + i);
-      const BF d2 = BF::loadu(d2_p + i);
-      const BF nx = simd::gather(tree->com_x.data(), node);
-      const BF ny = simd::gather(tree->com_y.data(), node);
-      const BF nz = simd::gather(tree->com_z.data(), node);
-      const BF qx = simd::gather(bodies->x.data(), body);
-      const BF qy = simd::gather(bodies->y.data(), body);
-      const BF qz = simd::gather(bodies->z.data(), body);
-      const BF dx = nx - qx;
-      const BF dy = ny - qy;
-      const BF dz = nz - qz;
-      const BF dr2 = dx * dx + dy * dy + dz * dz;
-      const BI lb = simd::gather(tree->leaf_begin.data(), node);
-      const std::uint32_t leafy = simd::cmp_ge(lb, BI::zero());
-      const std::uint32_t far = simd::cmp_ge(dr2, d2);
-      const std::uint32_t base = (leafy | far) & full;
-      base_count += std::popcount(base);
-
-      if ((far & full) != 0) {
-        // Vectorized far-field kick; scalar scatter-add (two lanes may share
-        // a body).
-        const BF f = pull(simd::gather(tree->mass.data(), node), dr2);
-        const BF fx = f * dx, fy = f * dy, fz = f * dz;
-        std::uint32_t mset = far & full;
-        while (mset != 0) {
-          const int l = std::countr_zero(mset);
-          mset &= mset - 1;
-          add_force(body[l], fx[l], fy[l], fz[l]);
+      const BI body = BI::loadu(in.data<0>() + i);
+      const BI node = BI::loadu(in.data<1>() + i);
+      const BF d2 = BF::loadu(in.data<2>() + i);
+      spatial::Point<BF> d{};
+      BF dr2{};
+      const std::uint32_t far = far_from(node, point<BF>(body), d2, d, dr2) & full;
+      const std::uint32_t leafy = simd::cmp_ge(at<BI>(tree->leaf_begin.data(), node), 0) & full;
+      base_count += std::popcount(leafy | far);
+      if (far != 0) {
+        // Scalar scatter-add: two lanes may share a body.
+        const BF zero = BF::zero();
+        spatial::Point<BF> f{zero, zero, zero};
+        kick(node, d, dr2, far, f);
+        for (std::uint32_t m = far; m != 0; m &= m - 1) {
+          const int l = std::countr_zero(m);
+          add_force(body[l], {f.x[l], f.y[l], f.z[l]});
         }
       }
-      std::uint32_t near_leaf = leafy & ~far & full;
-      while (near_leaf != 0) {
-        const int l = std::countr_zero(near_leaf);
-        near_leaf &= near_leaf - 1;
-        direct_sum(body[l], node[l]);
+      for (std::uint32_t m = leafy & ~far; m != 0; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        spatial::Point<float> f{};
+        leaf_sum(node[l], body[l], point<float>(body[l]), 1u, f);
+        add_force(body[l], f);
       }
-
-      const std::uint32_t rec = ~base & full;
+      const std::uint32_t rec = ~(leafy | far) & full;
       if (rec == 0) continue;
-      const BF d2q = d2 * BF::broadcast(0.25f);
-      const BI node8 = node << 3;  // flat index into the children table
-      for (int oct = 0; oct < 8; ++oct) {
-        const BI child = simd::gather(child_flat, node8 + BI::broadcast(oct));
-        const std::uint32_t has =
-            rec & ~simd::cmp_eq(child, BI::broadcast(spatial::Octree::kNoChild)) & full;
-        if (has == 0) continue;
-        outs[static_cast<std::size_t>(oct)]->append_compact(has, body, child, d2q);
-      }
+      const BF d2q = quarter(d2);
+      octants(node, [&](int oct, const BI& kid, std::uint32_t has) {
+        const std::uint32_t m = has & rec;
+        if (m != 0) outs[static_cast<std::size_t>(oct)]->append_compact(m, body, kid, d2q);
+      });
     }
     r += base_count;
     leaves += base_count;

@@ -1,4 +1,5 @@
-// Multi-level block deque for the sequential schedulers (§3.1).
+// Multi-level block deque for the sequential schedulers (§3.1), the ideal
+// parallel restart scheduler and the §4 simulator (sim/par_sim.hpp).
 //
 // Each level of the computation tree owns a list of parked blocks.  The
 // basic and re-expansion policies pop the deepest block; the restart policy

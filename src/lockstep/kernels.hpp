@@ -15,7 +15,11 @@
 // recursion's order; at a leaf they run the program's lane leaf, which
 // streams the leaf's points against every live lane and leaves each
 // query's state bit-identical to the sequential recursion's; only visit
-// counts depend on the schedule.
+// counts depend on the schedule.  The Barnes-Hut kernel likewise computes
+// nothing of its own: its step runs the program's cell test, far-field
+// kick and W-lane leaf sum (apps/barneshut.hpp), the rules the recursion
+// and the task-block layers call, and its children are the program's
+// child rule.
 #pragma once
 
 #include <bit>
@@ -131,17 +135,18 @@ struct PointCorrKernel : KdTreeKernel<W, apps::PointCorrProgram> {
 };
 
 // Barnes-Hut forces: one body per lane over the octree; the payload is the
-// opening threshold d², which divides by 4 per level.  At each cell, lanes
-// far enough for the center-of-mass approximation take it and leave the
-// subtree; near lanes descend, and at a leaf direct-sum its bodies.  Every
-// interaction is the program's force law (`pull`) over all W lanes at once.
-// Forces accumulate in State; flush adds a chunk's lanes to this kernel
-// copy's per-body sums with plain adds, and finish hands each body's sum to
-// the program once per run.  Every kernel copy runs on one thread at a time
-// (one copy per hybrid slot, lockstep/drivers.hpp), so the sums need no
-// atomics.  The terminal-interaction count (`result`) is bit-identical to
-// the recursive formulation; forces agree to reassociation tolerance, since
-// the summation order differs.
+// opening threshold d².  Every piece of arithmetic is a rule of the program
+// (apps/barneshut.hpp): at each cell, the cell test broadcasts the cell
+// against the lanes, the far lanes take its kick and leave the subtree, and
+// the near lanes descend by the child rule; at a leaf they take the W-lane
+// leaf sum.  The kernel keeps the plumbing: forces accumulate in State;
+// flush adds a chunk's lanes to this kernel copy's per-body sums with plain
+// adds, and finish hands each body's sum to the program once per run.
+// Every kernel copy runs on one thread at a time (one copy per hybrid slot,
+// lockstep/drivers.hpp), so the sums need no atomics.  The
+// terminal-interaction count (`result`) is bit-identical to the recursive
+// formulation; forces agree to reassociation tolerance, since the summation
+// order differs.
 template <int W>
 struct BarnesHutKernel {
   using BF = simd::batch<float, W>;
@@ -150,8 +155,8 @@ struct BarnesHutKernel {
   static constexpr int width = W;
 
   struct State {
-    BF qx, qy, qz;
-    BF fx, fy, fz;
+    spatial::Point<BF> q;  // the lanes' bodies
+    spatial::Point<BF> f;  // the forces they took since load
     std::uint32_t touched;  // lanes that took an interaction since load
   };
 
@@ -170,77 +175,37 @@ struct BarnesHutKernel {
   std::int32_t root() const { return prog->tree->root; }
   std::int32_t queries() const { return static_cast<std::int32_t>(prog->bodies->size()); }
   Payload root_payload() const { return prog->root_d2(theta); }
-  static Payload descend(Payload d2) { return d2 * 0.25f; }
+  static Payload descend(Payload d2) { return apps::BarnesHutProgram::quarter(d2); }
 
-  int children(std::int32_t node, std::int32_t* out) const {
+  // Forced inline: through the child rule's lambda it exceeds GCC's early
+  // inlining budget, which moved the engine's inlining (at W = 8 main_loop
+  // took the donor's `take` inline).
+  [[gnu::always_inline]] int children(std::int32_t node, std::int32_t* out) const {
     int c = 0;
-    for (const std::int32_t kid : prog->tree->children[static_cast<std::size_t>(node)]) {
-      if (kid != spatial::Octree::kNoChild) out[c++] = kid;
-    }
+    prog->octants(node, [&](int, std::int32_t kid, std::uint32_t) { out[c++] = kid; });
     return c;
   }
 
   State load(const BI& qid) const {
-    const spatial::Bodies& bodies = *prog->bodies;
-    return {simd::gather(bodies.x.data(), qid),
-            simd::gather(bodies.y.data(), qid),
-            simd::gather(bodies.z.data(), qid),
-            BF::zero(),
-            BF::zero(),
-            BF::zero(),
-            0};
+    const BF zero = BF::zero();
+    return {prog->point<BF>(qid), {zero, zero, zero}, 0};
   }
 
   std::uint32_t step(std::int32_t node, const BI& qid, State& s, std::uint32_t mask,
                      float d2) {
-    const spatial::Octree& tree = *prog->tree;
-    const spatial::Bodies& bodies = *prog->bodies;
-    const BF zero = BF::zero();
-    const auto nn = static_cast<std::size_t>(node);
-    const BF dx = BF::broadcast(tree.com_x[nn]) - s.qx;
-    const BF dy = BF::broadcast(tree.com_y[nn]) - s.qy;
-    const BF dz = BF::broadcast(tree.com_z[nn]) - s.qz;
-    const BF dr2 = dx * dx + dy * dy + dz * dz;
-    const std::uint32_t far = mask & simd::cmp_ge(dr2, BF::broadcast(d2));
+    spatial::Point<BF> d{};
+    BF dr2{};
+    const std::uint32_t far = mask & prog->far_from(node, s.q, BF::broadcast(d2), d, dr2);
     if (far != 0) {
-      // Far lanes: one interaction with the cell's center of mass.
       result += std::popcount(far);
-      // The other lanes add 0·d = ±0, which leaves their sums unchanged;
-      // one blend instead of three (a blend is a lane loop below W=16).
-      const BF f = simd::select(far, prog->pull(BF::broadcast(tree.mass[nn]), dr2), zero);
-      s.fx += f * dx;
-      s.fy += f * dy;
-      s.fz += f * dz;
+      prog->kick(node, d, dr2, far, s.f);
       s.touched |= far;
     }
     const std::uint32_t near_lanes = mask & ~far;
-    if (near_lanes == 0 || !tree.is_leaf(node)) return near_lanes;
-    // Leaf: direct sum of the leaf's bodies against the near lanes, in
-    // locals — State sits behind a reference the body loads may alias.
+    if (near_lanes == 0 || !prog->tree->is_leaf(node)) return near_lanes;
     result += std::popcount(near_lanes);
     s.touched |= near_lanes;
-    BF fx = s.fx, fy = s.fy, fz = s.fz;
-    for (std::int32_t j = tree.leaf_begin[nn]; j < tree.leaf_end[nn]; ++j) {
-      const auto bj = static_cast<std::size_t>(tree.body_index[static_cast<std::size_t>(j)]);
-      const BF bx = BF::broadcast(bodies.x[bj]) - s.qx;
-      const BF by = BF::broadcast(bodies.y[bj]) - s.qy;
-      const BF bz = BF::broadcast(bodies.z[bj]) - s.qz;
-      // Mask out the self lane (a body never attracts itself).
-      const std::uint32_t m =
-          near_lanes & ~simd::cmp_eq(qid, BI::broadcast(static_cast<std::int32_t>(bj)));
-      if (m == 0) continue;
-      const BF f = prog->pull(BF::broadcast(bodies.mass[bj]), bx * bx + by * by + bz * bz);
-      // The other lanes keep their sums, as adding +0 would (a sum that
-      // starts at +0 is never -0).  Blending the sum, not the addend, keeps
-      // it in one register at W=16, where GCC splits the running sum of a
-      // blended addend into 16 scalar adds.
-      fx = simd::select(m, fx + f * bx, fx);
-      fy = simd::select(m, fy + f * by, fy);
-      fz = simd::select(m, fz + f * bz, fz);
-    }
-    s.fx = fx;
-    s.fy = fy;
-    s.fz = fz;
+    prog->leaf_sum(node, qid, s.q, near_lanes, s.f);
     return 0;
   }
 
@@ -250,9 +215,9 @@ struct BarnesHutKernel {
       const int l = std::countr_zero(m);
       m &= m - 1;
       const auto b = static_cast<std::size_t>(qid[l]);
-      sum_x[b] += s.fx[l];
-      sum_y[b] += s.fy[l];
-      sum_z[b] += s.fz[l];
+      sum_x[b] += s.f.x[l];
+      sum_y[b] += s.f.y[l];
+      sum_z[b] += s.f.z[l];
     }
   }
 
@@ -262,7 +227,7 @@ struct BarnesHutKernel {
   void finish() {
     for (std::size_t b = 0; b < sum_x.size(); ++b) {
       if (sum_x[b] == 0.0f && sum_y[b] == 0.0f && sum_z[b] == 0.0f) continue;
-      prog->add_force(static_cast<std::int32_t>(b), sum_x[b], sum_y[b], sum_z[b]);
+      prog->add_force(static_cast<std::int32_t>(b), {sum_x[b], sum_y[b], sum_z[b]});
       sum_x[b] = sum_y[b] = sum_z[b] = 0.0f;
     }
   }

@@ -25,6 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/block.hpp"
+#include "core/leveled_deque.hpp"
 #include "core/thresholds.hpp"
 #include "runtime/xoshiro.hpp"
 #include "sim/comp_tree.hpp"
@@ -97,12 +99,10 @@ public:
   }
 
 private:
-  struct Blk {
-    int level = 0;
-    std::vector<std::int32_t> nodes;
-    std::size_t size() const { return nodes.size(); }
-    bool empty() const { return nodes.empty(); }
-  };
+  // The blocked policies park blocks in the task-block schedulers' own
+  // leveled deque.  Every park merges, so a level holds at most one block.
+  using Blk = core::AosBlock<std::int32_t>;
+  using Deque = core::LeveledDeque<Blk>;
 
   enum class Kind { BFE, DFE };
 
@@ -113,7 +113,7 @@ private:
     Kind exec_kind = Kind::DFE;
     Blk exec_block;
     // Scheduling state.
-    std::vector<std::vector<Blk>> levels;  // parked blocks per level
+    Deque deque;  // parked blocks
     Blk cur;
     bool has_cur = false;
     bool bfe_mode = true;
@@ -189,11 +189,11 @@ private:
   // ---- blocked policies (reexp / restart) ------------------------------------
 
   void expand_bfe(const Blk& in, Blk& next) {
-    next.level = in.level + 1;
-    for (const std::int32_t v : in.nodes) {
-      const auto vv = static_cast<std::size_t>(v);
+    next.set_level(in.level() + 1);
+    for (std::size_t j = 0; j < in.size(); ++j) {
+      const auto vv = static_cast<std::size_t>(in[j]);
       for (std::int32_t i = tree_.first[vv]; i < tree_.first[vv + 1]; ++i) {
-        next.nodes.push_back(tree_.child[static_cast<std::size_t>(i)]);
+        next.push_back(tree_.child[static_cast<std::size_t>(i)]);
       }
     }
   }
@@ -202,79 +202,15 @@ private:
   // node goes to kids[i].
   void expand_dfe(const Blk& in, std::vector<Blk>& kids) {
     kids.assign(static_cast<std::size_t>(max_degree_), Blk{});
-    for (auto& k : kids) k.level = in.level + 1;
-    for (const std::int32_t v : in.nodes) {
-      const auto vv = static_cast<std::size_t>(v);
+    for (auto& k : kids) k.set_level(in.level() + 1);
+    for (std::size_t j = 0; j < in.size(); ++j) {
+      const auto vv = static_cast<std::size_t>(in[j]);
       const std::int32_t deg = tree_.first[vv + 1] - tree_.first[vv];
       for (std::int32_t i = 0; i < deg; ++i) {
-        kids[static_cast<std::size_t>(i)].nodes.push_back(
+        kids[static_cast<std::size_t>(i)].push_back(
             tree_.child[static_cast<std::size_t>(tree_.first[vv] + i)]);
       }
     }
-  }
-
-  static void park_merge(Core& w, Blk&& b) {
-    if (b.empty()) return;
-    const auto l = static_cast<std::size_t>(b.level);
-    if (w.levels.size() <= l) w.levels.resize(l + 1);
-    if (w.levels[l].empty()) {
-      w.levels[l].push_back(std::move(b));
-    } else {
-      auto& dst = w.levels[l].front();
-      dst.nodes.insert(dst.nodes.end(), b.nodes.begin(), b.nodes.end());
-    }
-  }
-
-  static bool pop_deepest(Core& w, Blk& out) {
-    for (std::size_t l = w.levels.size(); l-- > 0;) {
-      if (!w.levels[l].empty()) {
-        out = std::move(w.levels[l].back());
-        w.levels[l].pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Restart scan (§3.3): deepest level holding >= t_restart, else nothing.
-  // Extracted blocks are capped at 2·t_dfe (§3.5 block-size bound); the
-  // remainder stays parked.
-  bool restart_scan(Core& w, Blk& out) {
-    const std::size_t cap = 2 * cfg_.t_dfe;
-    for (std::size_t l = w.levels.size(); l-- > 0;) {
-      auto& lvl = w.levels[l];
-      if (lvl.empty()) continue;
-      for (std::size_t i = 1; i < lvl.size(); ++i) {
-        lvl.front().nodes.insert(lvl.front().nodes.end(), lvl[i].nodes.begin(),
-                                 lvl[i].nodes.end());
-      }
-      lvl.resize(1);
-      if (lvl.front().size() >= cfg_.t_restart) {
-        Blk& b = lvl.front();
-        if (b.size() <= cap) {
-          out = std::move(b);
-          lvl.clear();
-        } else {
-          out.level = b.level;
-          out.nodes.assign(b.nodes.end() - static_cast<std::ptrdiff_t>(cap), b.nodes.end());
-          b.nodes.resize(b.nodes.size() - cap);
-        }
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Take the victim's shallowest (top) block.
-  static bool steal_top(Core& victim, Blk& out) {
-    for (std::size_t l = 0; l < victim.levels.size(); ++l) {
-      if (!victim.levels[l].empty()) {
-        out = std::move(victim.levels[l].back());
-        victim.levels[l].pop_back();
-        return true;
-      }
-    }
-    return false;
   }
 
   void start_execution(Core& w, SimResult& res, std::uint64_t t, std::int32_t core) {
@@ -295,15 +231,18 @@ private:
     if (cfg_.trace) {
       cfg_.trace->record(t, cost, core,
                          w.exec_kind == Kind::BFE ? TraceKind::ExecBFE : TraceKind::ExecDFE,
-                         w.exec_block.level, static_cast<std::uint32_t>(s));
+                         w.exec_block.level(), static_cast<std::uint32_t>(s));
     }
   }
 
-  void trace_park(std::uint64_t t, std::int32_t core, const Blk& b) {
-    if (cfg_.trace && !b.empty()) {
-      cfg_.trace->record(t, 0, core, TraceKind::Park, b.level,
+  // Parks b (if it holds tasks), merged into the block at its level.
+  void park(Core& w, Blk&& b, std::uint64_t t, std::int32_t core) {
+    if (b.empty()) return;
+    if (cfg_.trace) {
+      cfg_.trace->record(t, 0, core, TraceKind::Park, b.level(),
                          static_cast<std::uint32_t>(b.size()));
     }
+    w.deque.push_merge(std::move(b));
   }
 
   void complete_execution(Core& w, std::uint64_t& executed, std::uint64_t& last_completion,
@@ -333,10 +272,7 @@ private:
     } else {
       std::vector<Blk> kids;
       expand_dfe(w.exec_block, kids);
-      for (std::size_t s = kids.size(); s-- > 1;) {
-        trace_park(t, core, kids[s]);
-        park_merge(w, std::move(kids[s]));
-      }
+      for (std::size_t s = kids.size(); s-- > 1;) park(w, std::move(kids[s]), t, core);
       if (!kids[0].empty()) {
         w.cur = std::move(kids[0]);
         w.has_cur = true;
@@ -352,7 +288,7 @@ private:
     for (std::size_t w = 0; w < cores.size(); ++w) {
       cores[w].rng = rt::Xoshiro256(cfg_.seed + 0x9e37 * (w + 1));
     }
-    cores[0].cur = Blk{0, std::move(roots)};
+    for (const std::int32_t r : roots) cores[0].cur.push_back(r);
     cores[0].has_cur = true;
     const std::uint64_t total = tree_.num_nodes();
     std::uint64_t executed = 0;
@@ -377,8 +313,7 @@ private:
             w.bfe_mode = true;
             w.growing = true;  // re-expansion regrows to t_dfe
           } else if (restart && w.cur.size() < cfg_.t_restart && w.bfe_budget == 0) {
-            trace_park(t, self, w.cur);
-            park_merge(w, std::move(w.cur));
+            park(w, std::move(w.cur), t, self);
             w.has_cur = false;
           }
         }
@@ -389,26 +324,29 @@ private:
         w.has_cur = false;
         // Acquire work.
         if (restart) {
+          // §3.3 scan; a sparse top block goes back, as in IdealRestart.
           Blk found;
-          if (restart_scan(w, found)) {
+          const Deque::Scan scan = w.deque.restart_scan(cfg_.t_restart, found, 2 * cfg_.t_dfe);
+          if (scan == Deque::Scan::Dense) {
             w.cur = std::move(found);
             w.has_cur = true;
             w.bfe_mode = false;
             start_execution(w, res, t, self);
             continue;
           }
+          if (scan == Deque::Scan::Top) w.deque.push_merge(std::move(found));
           // Steal (victim may be self: then this is the BFE-at-top case).
           res.steal_attempts += 1;
           w.free_at = t + cfg_.steal_cost;
           const auto victim = w.rng.below(static_cast<std::uint32_t>(cores.size()));
           Blk stolen;
-          if (steal_top(cores[victim], stolen)) {
+          if (cores[victim].deque.steal_shallowest(stolen, kUncapped)) {
             const bool remote = victim != static_cast<std::uint32_t>(self);
             res.steals += remote ? 1 : 0;
             if (cfg_.trace) {
               cfg_.trace->record(t, cfg_.steal_cost, self,
                                  remote ? TraceKind::Steal : TraceKind::StealAttempt,
-                                 stolen.level, static_cast<std::uint32_t>(stolen.size()));
+                                 stolen.level(), static_cast<std::uint32_t>(stolen.size()));
             }
             w.cur = std::move(stolen);
             w.has_cur = true;
@@ -424,7 +362,7 @@ private:
           }
         } else {
           Blk popped;
-          if (pop_deepest(w, popped)) {
+          if (w.deque.pop_deepest(popped)) {
             w.cur = std::move(popped);
             w.has_cur = true;
             w.bfe_mode = false;
@@ -438,11 +376,11 @@ private:
             const auto victim = w.rng.below(static_cast<std::uint32_t>(cores.size()));
             if (victim != static_cast<std::uint32_t>(self)) {
               Blk stolen;
-              if (steal_top(cores[victim], stolen)) {
+              if (cores[victim].deque.steal_shallowest(stolen, kUncapped)) {
                 res.steals += 1;
                 stole = true;
                 if (cfg_.trace) {
-                  cfg_.trace->record(t, cfg_.steal_cost, self, TraceKind::Steal, stolen.level,
+                  cfg_.trace->record(t, cfg_.steal_cost, self, TraceKind::Steal, stolen.level(),
                                      static_cast<std::uint32_t>(stolen.size()));
                 }
                 w.cur = std::move(stolen);
@@ -462,9 +400,7 @@ private:
         std::uint64_t resident = 0;
         for (const auto& w : cores) {
           resident += w.exec_block.size() + (w.has_cur ? w.cur.size() : 0);
-          for (const auto& lvl : w.levels) {
-            for (const auto& b : lvl) resident += b.size();
-          }
+          resident += w.deque.total_tasks();
         }
         res.peak_space_tasks = std::max(res.peak_space_tasks, resident);
       }
@@ -472,6 +408,9 @@ private:
     res.makespan = last_completion;
     return res;
   }
+
+  // The simulator's steal takes a victim's whole shallowest block.
+  static constexpr std::size_t kUncapped = std::numeric_limits<std::size_t>::max();
 
   const CompTree& tree_;
   SimConfig cfg_;

@@ -446,6 +446,10 @@ template <class T, int W>
 inline std::uint32_t cmp_lt(float a, float b) { return a < b ? 1u : 0u; }
 inline std::uint32_t cmp_gt(float a, float b) { return cmp_lt(b, a); }
 inline std::uint32_t cmp_le(float a, float b) { return a <= b ? 1u : 0u; }
+inline std::uint32_t cmp_ge(float a, float b) { return cmp_lt(a, b) ^ 1u; }
+[[gnu::always_inline]] inline float select(std::uint32_t mask, float ifset, float ifclear) {
+  return (mask & 1u) != 0 ? ifset : ifclear;
+}
 
 // The integer spellings a task rule (apps/task_rule.hpp) needs: a field of
 // W lanes is lanes<T, W> (T itself for one lane), an integer compare of one

@@ -13,6 +13,12 @@
 
 namespace tb::spatial {
 
+// One point's coordinates: floats, or one point per lane of a simd::batch.
+template <class V>
+struct Point {
+  V x, y, z;
+};
+
 struct Bodies {
   simd::aligned_vector<float> x, y, z, mass;
 

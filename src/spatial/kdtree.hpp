@@ -23,11 +23,6 @@
 namespace tb::spatial {
 
 template <class V>
-struct Point {
-  V x, y, z;
-};
-
-template <class V>
 struct Box {
   Point<V> lo, hi;
 };

@@ -429,6 +429,48 @@ TEST(DispatchEquivalence, BarnesHut) {
   }
 }
 
+// An oracle that shares no code with the program's rules.  At θ = 0 the
+// opening threshold is infinite, so every cell opens: each body meets every
+// leaf, and its force is the plain O(n²) direct sum, summed here in body
+// order (the traversal sums in leaf order, hence the norm-relative bound).
+TEST(DispatchEquivalence, BarnesHutAtThetaZeroIsTheDirectSum) {
+  const tb::spatial::Bodies bodies = tb::spatial::Bodies::plummer(600);
+  const tb::spatial::Octree tree = tb::spatial::Octree::build(bodies, 8);
+  const std::size_t n = bodies.size();
+  std::uint64_t leaves = 0;
+  for (int node = 0; node < tree.num_nodes(); ++node) leaves += tree.is_leaf(node) ? 1 : 0;
+  const std::uint64_t interactions = n * leaves;
+  Forces direct(n);
+  const float eps2 = direct.program(bodies, tree).eps2;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const float dx = bodies.x[j] - bodies.x[i], dy = bodies.y[j] - bodies.y[i],
+                  dz = bodies.z[j] - bodies.z[i];
+      const float inv = 1.0f / std::sqrt(dx * dx + dy * dy + dz * dz + eps2);
+      const float f = bodies.mass[j] * inv * inv * inv;
+      direct.x[i] += f * dx;
+      direct.y[i] += f * dy;
+      direct.z[i] += f * dz;
+    }
+  }
+  constexpr double kTolerance = 1e-5;
+  Forces seq(n);
+  EXPECT_EQ(tb::apps::barneshut_sequential(seq.program(bodies, tree), 0.0f), interactions);
+  EXPECT_LE(max_relative_error(seq, direct), kTolerance) << "recursion";
+  for (const KernelTable* kt : runnable_tables()) {
+    SCOPED_TRACE(kt->name);
+    Forces classic(n);
+    EXPECT_EQ(kt->lockstep_barneshut(classic.program(bodies, tree), 0.0f, nullptr), interactions);
+    EXPECT_LE(max_relative_error(classic, direct), kTolerance) << "classic";
+    Forces blocked(n);
+    EXPECT_EQ(kt->blocked_barneshut(blocked.program(bodies, tree), 0.0f,
+                                    2 * static_cast<std::size_t>(kt->width), nullptr),
+              interactions);
+    EXPECT_LE(max_relative_error(blocked, direct), kTolerance) << "blocked";
+  }
+}
+
 TEST(DispatchEquivalence, MinmaxDist) {
   tb::spatial::Bodies pts = tb::spatial::Bodies::uniform_cube(kPoints);
   tb::spatial::KdTree tree = tb::spatial::KdTree::build(pts, 16);

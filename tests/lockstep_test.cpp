@@ -5,6 +5,8 @@
 // statistics, and the divergence behaviour the paper's schedulers remove.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -236,17 +238,43 @@ TEST(LockstepBarnesHut, TighterThetaMeansMoreInteractions) {
   EXPECT_GT(tight, loose);
 }
 
+// The forces as raw bits, x then y then z.
+std::vector<std::uint32_t> force_bits(const std::vector<float>& x, const std::vector<float>& y,
+                                      const std::vector<float>& z) {
+  std::vector<std::uint32_t> bits;
+  for (const std::vector<float>* v : {&x, &y, &z}) {
+    for (const float f : *v) bits.push_back(std::bit_cast<std::uint32_t>(f));
+  }
+  return bits;
+}
+
 TEST(LockstepBarnesHut, SingleStrapOfBodies) {
-  // Fewer bodies than the SIMD width: exercises the partial-lane path.
+  // Fewer bodies than the SIMD width: exercises the partial-lane path.  The
+  // tree is a single leaf, so each lane sums the leaf in the recursion's
+  // order, and classic and blocked t_reexp = 0 runs on every table match
+  // the recursion's forces bit for bit.
   const auto bodies = spatial::Bodies::plummer(3, 9);
   const auto tree = spatial::Octree::build(bodies, 4);
+  ASSERT_TRUE(tree.is_leaf(tree.root));
   std::vector<float> ax(3, 0), ay(3, 0), az(3, 0);
   apps::BarnesHutProgram prog{&bodies, &tree, ax.data(), ay.data(), az.data()};
   const std::uint64_t seq = apps::barneshut_sequential(prog, 0.5f);
-  std::fill(ax.begin(), ax.end(), 0.0f);
-  std::fill(ay.begin(), ay.end(), 0.0f);
-  std::fill(az.begin(), az.end(), 0.0f);
-  EXPECT_EQ(simd::kernels().lockstep_barneshut(prog, 0.5f, nullptr), seq);
+  const std::vector<std::uint32_t> seq_bits = force_bits(ax, ay, az);
+  int tables = 0;
+  const simd::KernelTable* const* table = simd::available_tables(tables);
+  for (int t = 0; t < tables; ++t) {
+    SCOPED_TRACE(table[t]->name);
+    for (const bool classic : {true, false}) {
+      std::fill(ax.begin(), ax.end(), 0.0f);
+      std::fill(ay.begin(), ay.end(), 0.0f);
+      std::fill(az.begin(), az.end(), 0.0f);
+      EXPECT_EQ(classic ? table[t]->lockstep_barneshut(prog, 0.5f, nullptr)
+                        : table[t]->blocked_barneshut(prog, 0.5f, 0, nullptr),
+                seq)
+          << (classic ? "classic" : "blocked");
+      EXPECT_EQ(force_bits(ax, ay, az), seq_bits) << (classic ? "classic" : "blocked");
+    }
+  }
 }
 
 }  // namespace
