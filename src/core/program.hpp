@@ -9,7 +9,10 @@
 //
 //   AosExec  — scalar loop over an array-of-structs block (Table 2 "Block")
 //   SoaExec  — scalar loop over a structure-of-arrays block ("SOA";
-//              auto-vectorizer candidate)
+//              auto-vectorizer candidate); a program may run the whole
+//              range itself through an optional expand_soa hook
+//              (CompiledSpecProgram's jitted block loop), which returns
+//              false when it cannot and leaves the range to this loop
 //   SimdExec — the program's vectorized kernel (expand_simd) over SoA
 //              columns with masked execution and streaming compaction
 //              ("SIMD"); apps::TaskRule and apps::KdQuery derive it from
@@ -111,6 +114,11 @@ struct SoaExec {
   static void expand_into(const P& p, const Block& in, std::size_t begin, std::size_t end,
                           const std::array<Block*, static_cast<std::size_t>(out_degree)>& outs,
                           Result& r, std::uint64_t& leaves) {
+    if constexpr (requires {
+                    { p.expand_soa(in, begin, end, outs, r, leaves) } -> std::same_as<bool>;
+                  }) {
+      if (p.expand_soa(in, begin, end, outs, r, leaves)) return;
+    }
     for (std::size_t i = begin; i < end; ++i) {
       const Task t = P::task_at(in, i);
       if (p.is_base(t)) {

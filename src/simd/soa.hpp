@@ -142,6 +142,13 @@ public:
     size_ = n;
   }
 
+  // Commit rows [size(), n) that a writer stored through data<I>() after
+  // reserving them.
+  void resize_up(std::size_t n) {
+    assert(size_ <= n && n <= capacity_);
+    size_ = n;
+  }
+
   void swap(SoaBlock& o) noexcept {
     cols_.swap(o.cols_);
     std::swap(size_, o.size_);

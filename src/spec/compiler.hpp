@@ -235,6 +235,17 @@ struct CompiledMethod {
   }
 };
 
+// Every chunk of a method in the one order the tiers walk it: base, reduce,
+// then each spawn's guard (when it has one) and arguments.
+inline std::vector<const Chunk*> method_chunks(const CompiledMethod& m) {
+  std::vector<const Chunk*> chunks{&m.base, &m.reduce};
+  for (const CompiledSpawn& s : m.spawns) {
+    if (s.has_guard) chunks.push_back(&s.guard);
+    for (const Chunk& a : s.args) chunks.push_back(&a);
+  }
+  return chunks;
+}
+
 inline CompiledMethod compile_method(const Method& m) {
   const int arity = static_cast<int>(m.params.size());
   CompiledMethod out;

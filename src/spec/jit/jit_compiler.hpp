@@ -1,4 +1,4 @@
-// Baseline JIT: verified spec bytecode -> straight-line x86-64 step functions.
+// Baseline JIT: verified spec bytecode -> straight-line x86-64 code.
 //
 // Each chunk compiles to one native function
 //
@@ -19,29 +19,67 @@
 // dispatch, no stack-pointer arithmetic, no memory traffic for shallow
 // expressions (the common case: spec chunks rarely exceed depth 4).
 //
+// A whole method also compiles to one block loop
+//
+//     void loop(LoopFrame* f)                        // f in rdi
+//
+// that runs core::SoaExec's per-task loop over rows [begin, end) of a spec
+// block with every chunk lowered inline by the same ChunkCompiler: load
+// the row's parameters, evaluate base; add reduce to the leaf sum and
+// count the leaf, or evaluate each spawn's guard and arguments and append
+// the child to its slot's out columns, task-major and slots ascending,
+// zeros past the arity.  One call per block replaces one indirect call per
+// chunk per task.  The chunk functions stay for the per-task interface.
+//
 // Fallback rules (the interpreter is always the reference tier):
-//   * non-x86-64 or forced-off builds: compile_chunks() reports no code;
+//   * non-x86-64 or forced-off builds: compile_chunks()/compile_method()
+//     report no code;
 //   * TB_SPEC_JIT=off|0|false at runtime: callers skip compilation;
 //   * a chunk that fails verification (an unknown opcode included): that
-//     chunk's entry is null, and the interpreter runs it.
+//     chunk's entry is null, and the interpreter runs it; its method gets
+//     no block loop.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "spec/bytecode.hpp"
+#include "spec/compiler.hpp"
 #include "spec/jit/exec_page.hpp"
 #include "spec/jit/x64_emitter.hpp"
 
 namespace tb::spec::jit {
 
 using Fn = std::int64_t (*)(const std::int64_t* params);
+
+// What a block loop reads and writes.  Every slot the method spawns into
+// names its out block's four columns and that block's row cursor; slots
+// mapped to one block (BFE) share one cursor.  The caller reserves the rows
+// the loop may append and commits the cursors afterwards.
+struct LoopFrame {
+  static constexpr int kSlots = 8;
+  struct Slot {
+    std::int64_t* col[4];
+    std::uint64_t* cursor;
+  };
+  const std::int64_t* in[4];  // the block's parameter columns
+  std::uint64_t begin, end;   // rows [begin, end), begin < end
+  std::uint64_t sum;          // the leaf values are added here
+  std::uint64_t leaves;       // and the leaves counted here
+  Slot slots[kSlots];
+};
+
+using LoopFn = void (*)(LoopFrame* frame);
 
 constexpr bool supported() { return TB_SPEC_JIT_SUPPORTED != 0; }
 
@@ -57,21 +95,25 @@ inline bool runtime_enabled() {
   return on;
 }
 
-// Compiled code for a set of chunks (one method).  Entry i is null when
-// chunk i fell back to the interpreter.  The ExecPage is shared so copies
-// of a program stay cheap and keep the code alive.
+// Compiled code for a set of chunks (one method), and for a method its
+// block loop.  Entry i is null when chunk i fell back to the interpreter.
+// The ExecPage is shared so copies of a program stay cheap and keep the
+// code alive.
 class ChunkSet {
 public:
   ChunkSet() = default;
+  ChunkSet(std::shared_ptr<ExecPage> page, std::vector<Fn> fns, LoopFn loop)
+      : page_(std::move(page)), fns_(std::move(fns)), loop_(loop) {}
 
   bool valid() const { return page_ != nullptr && page_->is_executable(); }
   std::size_t size() const { return fns_.size(); }
   Fn fn(std::size_t i) const { return i < fns_.size() ? fns_[i] : nullptr; }
+  LoopFn loop() const { return loop_; }
 
 private:
-  friend ChunkSet compile_chunks(std::span<const Chunk* const>, int);
   std::shared_ptr<ExecPage> page_;
   std::vector<Fn> fns_;
+  LoopFn loop_ = nullptr;
 };
 
 #if TB_SPEC_JIT_SUPPORTED
@@ -92,6 +134,9 @@ inline Loc slot_loc(int slot) {
   return {false, RSP, static_cast<std::int32_t>(8 * (slot - 4))};
 }
 
+// Bytes of native frame a chunk of stack depth `max_stack` spills into.
+inline std::int32_t spill_bytes(int max_stack) { return max_stack > 4 ? 8 * (max_stack - 4) : 0; }
+
 class ChunkCompiler {
 public:
   ChunkCompiler(X64Emitter& em, const Chunk& ch) : em_(em), ch_(ch) {}
@@ -102,9 +147,19 @@ public:
   bool compile(int arity) {
     const VerifyResult v = ch_.verify(arity);
     if (!v.ok) return false;
-    frame_ = v.max_stack > 4 ? 8 * (v.max_stack - 4) : 0;
+    const std::int32_t frame = spill_bytes(v.max_stack);
+    if (frame > 0) em_.sub_rsp(frame);
+    lower();
+    if (frame > 0) em_.add_rsp(frame);
+    em_.ret();
+    return true;
+  }
 
-    if (frame_ > 0) em_.sub_rsp(frame_);
+  // Emits the verified chunk's body, leaving its value in rax.  Parameter i
+  // is read from [rdi + 8i]; slots past r11 spill to [rsp + 8*(slot-4)],
+  // which the caller reserved (spill_bytes).  Clobbers rax, rcx, rdx and
+  // r8-r11 only.
+  void lower() {
     const auto& consts = ch_.consts();
     int d = 0;  // static stack depth before the instruction
     for (const Instr in : ch_.code()) {
@@ -166,13 +221,10 @@ public:
           break;
         case OpCode::Return:
           load(RAX, a);
-          if (frame_ > 0) em_.add_rsp(frame_);
-          em_.ret();
           break;
       }
       d += info.pushes - info.pops;
     }
-    return true;
   }
 
 private:
@@ -328,38 +380,143 @@ private:
 
   X64Emitter& em_;
   const Chunk& ch_;
-  std::int32_t frame_ = 0;
 };
 
-}  // namespace detail
+// Appends the method's block loop (see the header comment); false, having
+// emitted nothing, when a chunk fails verification or the method's shape
+// does not fit a LoopFrame.
+//
+// Registers across the loop: rbx = the frame, rbp = the row, r12 = end,
+// r13 = the leaf sum, r14 = the leaf count, rdi = the row's parameters
+// (copied to the native frame above the spill slots), rsi = the child's row
+// in its out block.  The lowered chunks clobber only rax, rcx, rdx and
+// r8-r11.
+inline bool compile_loop(X64Emitter& em, const CompiledMethod& m) {
+  const auto arity = static_cast<std::size_t>(m.arity);
+  if (arity > 4 || m.spawns.size() > static_cast<std::size_t>(LoopFrame::kSlots)) return false;
+  std::int32_t spill = 0;
+  for (const Chunk* ch : method_chunks(m)) {
+    const VerifyResult v = ch->verify(m.arity);
+    if (!v.ok) return false;
+    spill = std::max(spill, spill_bytes(v.max_stack));
+  }
+  for (const CompiledSpawn& s : m.spawns) {
+    if (s.args.size() > 4) return false;
+  }
+  const auto at = [](std::size_t off) { return static_cast<std::int32_t>(off); };
+  const auto slot_at = [&](std::size_t s, std::size_t member) {
+    return at(offsetof(LoopFrame, slots) + s * sizeof(LoopFrame::Slot) + member);
+  };
+  const auto lower = [&em](const Chunk& ch) { ChunkCompiler(em, ch).lower(); };
+  const std::int32_t frame = spill + 32;
+  static constexpr Reg kSaved[] = {RBX, RBP, R12, R13, R14};
 
-// Compile a method's chunks into one executable page.  Per-chunk fallback:
-// an unsupported chunk yields a null entry; page-allocation or mprotect
-// failure yields an entirely invalid (all-interpreter) set.
-inline ChunkSet compile_chunks(std::span<const Chunk* const> chunks, int arity) {
-  ChunkSet out;
+  for (const Reg r : kSaved) em.push(r);
+  em.sub_rsp(frame);
+  em.mov_rr(RBX, RDI);
+  em.lea(RDI, RSP, spill);
+  em.mov_rm(RBP, RBX, at(offsetof(LoopFrame, begin)));
+  em.mov_rm(R12, RBX, at(offsetof(LoopFrame, end)));
+  em.mov_rm(R13, RBX, at(offsetof(LoopFrame, sum)));
+  em.mov_rm(R14, RBX, at(offsetof(LoopFrame, leaves)));
+
+  const std::size_t head = em.size();
+  for (std::size_t k = 0; k < arity; ++k) {
+    em.mov_rm(RAX, RBX, at(offsetof(LoopFrame, in) + 8 * k));
+    em.mov_r_idx(RAX, RAX, RBP);
+    em.mov_mr(RDI, at(8 * k), RAX);
+  }
+  lower(m.base);
+  em.test_rr(RAX, RAX);
+  const std::size_t to_expand = em.jcc(Cond::Eq);
+  lower(m.reduce);
+  em.add_rr(R13, RAX);
+  em.add_ri8(R14, 1);
+  const std::size_t to_next = em.jmp();
+
+  em.patch_to_here(to_expand);
+  for (std::size_t s = 0; s < m.spawns.size(); ++s) {
+    const CompiledSpawn& sp = m.spawns[s];
+    std::size_t to_skip = 0;
+    if (sp.has_guard) {
+      lower(sp.guard);
+      em.test_rr(RAX, RAX);
+      to_skip = em.jcc(Cond::Eq);
+    }
+    const std::int32_t cursor = slot_at(s, offsetof(LoopFrame::Slot, cursor));
+    em.mov_rm(RSI, RBX, cursor);
+    em.mov_rm(RSI, RSI, 0);
+    for (std::size_t k = 0; k < 4; ++k) {
+      if (k < sp.args.size()) {
+        lower(sp.args[k]);
+      } else if (k == sp.args.size()) {
+        em.xor_r32(RAX);
+      }
+      em.mov_rm(RCX, RBX, slot_at(s, offsetof(LoopFrame::Slot, col) + 8 * k));
+      em.mov_idx_r(RCX, RSI, RAX);
+    }
+    em.mov_rm(RCX, RBX, cursor);
+    em.add_mi8(RCX, 0, 1);
+    if (sp.has_guard) em.patch_to_here(to_skip);
+  }
+
+  em.patch_to_here(to_next);
+  em.add_ri8(RBP, 1);
+  em.cmp_rr(RBP, R12);
+  em.patch_to(em.jcc(Cond::Lt), head);
+
+  em.mov_mr(RBX, at(offsetof(LoopFrame, sum)), R13);
+  em.mov_mr(RBX, at(offsetof(LoopFrame, leaves)), R14);
+  em.add_rsp(frame);
+  for (auto r = std::rbegin(kSaved); r != std::rend(kSaved); ++r) em.pop(*r);
+  em.ret();
+  return true;
+}
+
+// Emits one function per chunk and, given a method, its block loop into one
+// executable page.  Per-chunk fallback: an unsupported chunk yields a null
+// entry; page-allocation or mprotect failure yields an entirely invalid
+// (all-interpreter) set.
+inline ChunkSet compile(std::span<const Chunk* const> chunks, int arity,
+                        const CompiledMethod* method) {
   X64Emitter em;
   std::vector<std::size_t> offsets(chunks.size());
   std::vector<bool> ok(chunks.size(), false);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     offsets[i] = em.size();
-    detail::ChunkCompiler cc(em, *chunks[i]);
+    ChunkCompiler cc(em, *chunks[i]);
     ok[i] = cc.compile(arity);
   }
-  if (em.size() == 0) return out;
+  const std::size_t loop_offset = em.size();
+  const bool loop_ok = method != nullptr && compile_loop(em, *method);
+  if (em.size() == 0) return {};
   auto page = std::make_shared<ExecPage>(ExecPage::allocate(em.size()));
-  if (!page->is_valid()) return out;
+  if (!page->is_valid()) return {};
   std::memcpy(page->writable(), em.code().data(), em.size());
-  if (!page->protect_exec()) return out;
-  out.page_ = std::move(page);
-  out.fns_.resize(chunks.size(), nullptr);
+  if (!page->protect_exec()) return {};
+  const auto entry = [&page](std::size_t off) {
+    return const_cast<std::uint8_t*>(page->code() + off);
+  };
+  std::vector<Fn> fns(chunks.size(), nullptr);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    if (ok[i]) {
-      out.fns_[i] = reinterpret_cast<Fn>(
-          const_cast<std::uint8_t*>(out.page_->code() + offsets[i]));
-    }
+    if (ok[i]) fns[i] = reinterpret_cast<Fn>(entry(offsets[i]));
   }
-  return out;
+  const LoopFn loop = loop_ok ? reinterpret_cast<LoopFn>(entry(loop_offset)) : nullptr;
+  return {std::move(page), std::move(fns), loop};
+}
+
+}  // namespace detail
+
+// Compile chunks into one executable page; entry i is chunk i's function.
+inline ChunkSet compile_chunks(std::span<const Chunk* const> chunks, int arity) {
+  return detail::compile(chunks, arity, nullptr);
+}
+
+// Compile a method: one function per chunk, in method_chunks() order, plus
+// its block loop, all in one executable page.
+inline ChunkSet compile_method(const CompiledMethod& m) {
+  const std::vector<const Chunk*> chunks = method_chunks(m);
+  return detail::compile(chunks, m.arity, &m);
 }
 
 #else  // !TB_SPEC_JIT_SUPPORTED
@@ -367,6 +524,7 @@ inline ChunkSet compile_chunks(std::span<const Chunk* const> chunks, int arity) 
 // Fallback build: no code is ever produced; every entry stays null and the
 // interpreter runs everything.
 inline ChunkSet compile_chunks(std::span<const Chunk* const>, int) { return {}; }
+inline ChunkSet compile_method(const CompiledMethod&) { return {}; }
 
 #endif  // TB_SPEC_JIT_SUPPORTED
 

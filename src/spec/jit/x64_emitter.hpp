@@ -2,12 +2,14 @@
 //
 // Covers exactly the instruction set jit_compiler.hpp needs to lower
 // verified stack bytecode: 64-bit moves (reg/imm/memory with [base+disp]
-// addressing), the ALU ops behind the language's wrap-around arithmetic
-// (add/sub/imul/neg/shl are two's-complement wrap in hardware, which is
-// precisely wrap_add/wrap_sub/wrap_mul/wrap_neg/wrap_shl), cqo+idiv for the
-// guarded total-division sequence, setcc/movzx for 0/1-valued comparisons,
-// and rel32 forward jumps with single-pass patching (used only inside the
-// guarded division sequence; spec chunks themselves are jump-free).
+// and [base+index*8] addressing), the ALU ops behind the language's
+// wrap-around arithmetic (add/sub/imul/neg/shl are two's-complement wrap in
+// hardware, which is precisely wrap_add/wrap_sub/wrap_mul/wrap_neg/wrap_shl),
+// cqo+idiv for the guarded total-division sequence, setcc/movzx for
+// 0/1-valued comparisons, push/pop of the callee-saved registers, and rel32
+// jumps patched once their target is known (spec chunks themselves are
+// jump-free: the guarded division sequence jumps forward, the block loop
+// branches on base/guard values and jumps back to its head).
 //
 // Code is emitted into a plain byte vector; the caller copies it into an
 // ExecPage afterwards.  All generated code is position-independent — the
@@ -36,6 +38,9 @@ enum Reg : std::uint8_t {
   R9 = 9,
   R10 = 10,
   R11 = 11,
+  R12 = 12,
+  R13 = 13,
+  R14 = 14,
 };
 
 // setcc / jcc condition codes (the low nibble of the 0F 9x / 0F 8x opcode).
@@ -87,6 +92,21 @@ public:
     u8(0xC7);
     modrm_mem(0, base, disp);
     i32(imm);
+  }
+  void mov_r_idx(Reg dst, Reg base, Reg index) {  // dst = [base + index*8]
+    rex(1, dst, base, index);
+    u8(0x8B);
+    modrm_idx(dst, base, index);
+  }
+  void mov_idx_r(Reg base, Reg index, Reg src) {  // [base + index*8] = src
+    rex(1, src, base, index);
+    u8(0x89);
+    modrm_idx(src, base, index);
+  }
+  void lea(Reg dst, Reg base, std::int32_t disp) {  // dst = base + disp
+    rex(1, dst, base);
+    u8(0x8D);
+    modrm_mem(dst, base, disp);
   }
 
   // ---- ALU ------------------------------------------------------------------------
@@ -151,6 +171,19 @@ public:
     u8(static_cast<std::uint8_t>(imm));
   }
 
+  void add_ri8(Reg r, std::int8_t imm) {  // 83 /0 ib
+    rex(1, 0, r);
+    u8(0x83);
+    modrm_reg(0, r);
+    u8(static_cast<std::uint8_t>(imm));
+  }
+  void add_mi8(Reg base, std::int32_t disp, std::int8_t imm) {
+    rex(1, 0, base);
+    u8(0x83);
+    modrm_mem(0, base, disp);
+    u8(static_cast<std::uint8_t>(imm));
+  }
+
   void xor_r32(Reg r) {  // xor r32,r32 zeroes the full 64-bit register
     if (r >= R8) rex(0, r, r);
     u8(0x31);
@@ -194,7 +227,8 @@ public:
   }
 
   // ---- control flow ---------------------------------------------------------------
-  // jcc/jmp emit a rel32 placeholder and return its patch position.
+  // jcc/jmp emit a rel32 placeholder and return its patch position; patch_to
+  // points it at any code position, before or after it.
   std::size_t jcc(Cond c) {
     u8(0x0F);
     u8(static_cast<std::uint8_t>(0x80 | static_cast<std::uint8_t>(c)));
@@ -208,14 +242,15 @@ public:
     i32(0);
     return at;
   }
-  // Point the rel32 at `fixup` to the current end of code.
-  void patch_to_here(std::size_t fixup) {
-    const std::int64_t rel = static_cast<std::int64_t>(code_.size()) -
-                             static_cast<std::int64_t>(fixup + 4);
+  void patch_to(std::size_t fixup, std::size_t target) {
+    const std::int64_t rel =
+        static_cast<std::int64_t>(target) - static_cast<std::int64_t>(fixup + 4);
     assert(fits_i32(rel));
     const std::int32_t r32 = static_cast<std::int32_t>(rel);
     std::memcpy(code_.data() + fixup, &r32, 4);
   }
+  // Point the rel32 at `fixup` to the current end of code.
+  void patch_to_here(std::size_t fixup) { patch_to(fixup, code_.size()); }
 
   // ---- frame ----------------------------------------------------------------------
   void sub_rsp(std::int32_t n) {
@@ -229,6 +264,14 @@ public:
     u8(0x81);
     modrm_reg(0, RSP);
     i32(n);
+  }
+  void push(Reg r) {  // 50+r
+    if (r >= R8) rex(0, 0, r);
+    u8(static_cast<std::uint8_t>(0x50 | (r & 7)));
+  }
+  void pop(Reg r) {  // 58+r
+    if (r >= R8) rex(0, 0, r);
+    u8(static_cast<std::uint8_t>(0x58 | (r & 7)));
   }
   void ret() { u8(0xC3); }
 
@@ -250,10 +293,11 @@ private:
   }
 
   // REX prefix; `r` is the ModRM.reg field operand, `b` the r/m (or opcode
-  // register) operand.  Emitted whenever W, R or B is set.
-  void rex(int w, int r, int b) {
+  // register) operand, `x` the SIB index.  Emitted whenever W, R, X or B is
+  // set.
+  void rex(int w, int r, int b, int x = 0) {
     const std::uint8_t v = static_cast<std::uint8_t>(
-        0x40 | (w << 3) | (((r >> 3) & 1) << 2) | ((b >> 3) & 1));
+        0x40 | (w << 3) | (((r >> 3) & 1) << 2) | (((x >> 3) & 1) << 1) | ((b >> 3) & 1));
     if (v != 0x40 || w) code_.push_back(v);
   }
 
@@ -274,6 +318,17 @@ private:
     } else {
       i32(disp);
     }
+  }
+
+  // [base + index*8]: mod=00 with a SIB byte, except that RBP/R13 as base
+  // need mod=01 and a zero disp8 (mod=00 there means "no base").  RSP
+  // cannot be an index.
+  void modrm_idx(int reg, Reg base, Reg index) {
+    assert(index != RSP);
+    const bool needs_disp = (base & 7) == RBP;
+    code_.push_back(static_cast<std::uint8_t>((needs_disp ? 0x44 : 0x04) | ((reg & 7) << 3)));
+    code_.push_back(static_cast<std::uint8_t>(0xC0 | ((index & 7) << 3) | (base & 7)));
+    if (needs_disp) code_.push_back(0);
   }
 
   // ALU helpers.  alu_rr uses the /r "MR" form (op r/m64, r64): reg field =

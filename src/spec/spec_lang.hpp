@@ -32,11 +32,20 @@
 // are expressions over it, and each iteration contributes one root task —
 // realized exactly as §5.3 prescribes, by strip-mining the iteration space
 // into the scheduler's initial task blocks.
+//
+// Hostile input fails with ParseError, never with undefined behaviour: an
+// integer literal above INT64_MAX is rejected, and so is an expression
+// deeper than kMaxExprDepth — in the parser's recursion (parentheses,
+// prefix operators) or in the AST it builds (a long `a + b + c + …` chain).
+// Every later pass (constant folding, bytecode emission, the AST walk, the
+// destructor) recurses over that depth.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -61,9 +70,14 @@ enum class Op {
 
 struct Expr {
   Op op = Op::Const;
+  int height = 1;          // nodes on the longest path down; set by the parser
   std::int64_t value = 0;  // Const: literal; Param: parameter index
   std::unique_ptr<Expr> lhs, rhs;
 };
+
+// The deepest expression the parser accepts, far above the 64-slot operand
+// stack a compiled expression may use (CompiledSpecProgram::kMaxStack).
+inline constexpr int kMaxExprDepth = 512;
 
 // Arithmetic follows arith.hpp: wrap-around overflow, total division (the
 // semantics every execution tier — AST walk, constant folder, interpreter,
@@ -235,13 +249,7 @@ private:
         {"==", Op::Eq}, {"!=", Op::Ne}, {"<=", Op::Le},
         {">=", Op::Ge}, {"<", Op::Lt},  {">", Op::Gt}};
     for (const auto& [tok, op] : kCmp) {
-      if (try_token(tok)) {
-        auto node = std::make_unique<Expr>();
-        node->op = op;
-        node->lhs = std::move(lhs);
-        node->rhs = sum();
-        return node;
-      }
+      if (try_token(tok)) return make(op, std::move(lhs), sum());
     }
     return lhs;
   }
@@ -274,22 +282,22 @@ private:
       }
     }
   }
+  // Every nested expression (a parenthesis, a prefix operator) recurses
+  // through here, so this is where the recursion is bounded.
   std::unique_ptr<Expr> unary() {
+    if (++nesting_ > kMaxExprDepth) throw ParseError("expression nested too deeply");
     skip_ws();
+    std::unique_ptr<Expr> e;
     if (try_token("!")) {
-      auto node = std::make_unique<Expr>();
-      node->op = Op::Not;
-      node->lhs = unary();
-      return node;
-    }
-    if (peek() == '-') {
+      e = make(Op::Not, unary());
+    } else if (peek() == '-') {
       get();
-      auto node = std::make_unique<Expr>();
-      node->op = Op::Neg;
-      node->lhs = unary();
-      return node;
+      e = make(Op::Neg, unary());
+    } else {
+      e = atom();
     }
-    return atom();
+    --nesting_;
+    return e;
   }
   std::unique_ptr<Expr> atom() {
     skip_ws();
@@ -300,10 +308,13 @@ private:
       return node;
     }
     if (std::isdigit(static_cast<unsigned char>(peek()))) {
+      constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
       auto node = std::make_unique<Expr>();
       node->op = Op::Const;
       while (std::isdigit(static_cast<unsigned char>(peek()))) {
-        node->value = node->value * 10 + (get() - '0');
+        const int digit = get() - '0';
+        if (node->value > (kMax - digit) / 10) throw ParseError("integer literal out of range");
+        node->value = node->value * 10 + digit;
       }
       return node;
     }
@@ -336,9 +347,14 @@ private:
     }
   }
 
-  static std::unique_ptr<Expr> make(Op op, std::unique_ptr<Expr> l, std::unique_ptr<Expr> r) {
+  // An operator node over its operands (`r` null for a prefix operator);
+  // bounds the AST's height, which chains grow without recursing.
+  static std::unique_ptr<Expr> make(Op op, std::unique_ptr<Expr> l,
+                                    std::unique_ptr<Expr> r = nullptr) {
     auto node = std::make_unique<Expr>();
     node->op = op;
+    node->height = 1 + std::max(l->height, r ? r->height : 0);
+    if (node->height > kMaxExprDepth) throw ParseError("expression nested too deeply");
     node->lhs = std::move(l);
     node->rhs = std::move(r);
     return node;
@@ -402,6 +418,7 @@ private:
 
   std::string_view src_;
   std::size_t pos_ = 0;
+  int nesting_ = 0;  // unary() calls in progress
   const std::vector<std::string>* params_ = nullptr;
 };
 

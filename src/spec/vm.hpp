@@ -12,10 +12,11 @@
 //                      mechanically from the program text.
 //
 // A third tier runs the same chunks as jitted native step functions
-// (spec/jit/jit_compiler.hpp).  The interpreter remains the always-available
-// fallback — non-x86 builds, TB_SPEC_JIT=off, or any chunk the JIT declines
-// compute exactly the same results (the JIT reproduces wrap/total semantics
-// bit for bit).
+// (spec/jit/jit_compiler.hpp), and the SoA layer runs a whole block range
+// through the method's jitted block loop.  The interpreter remains the
+// always-available fallback — non-x86 builds, TB_SPEC_JIT=off, or any chunk
+// the JIT declines compute exactly the same results (the JIT reproduces
+// wrap/total semantics bit for bit).
 //
 // CompiledSpecProgram packages one compiled method into a program satisfying
 // the same TaskProgram / SoaProgram / SimdProgram concepts as the
@@ -28,6 +29,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -135,8 +137,9 @@ inline bool jit_mode_active(JitMode m) {
 
 // A spec method compiled once to bytecode, exposed as a SimdProgram: the
 // per-task tiers (is_base/leaf/expand) run each chunk jitted or on the
-// interpreter; expand_simd runs the same chunks on the block VM over batches
-// of 4 tasks with masked child compaction.  Drop-in replacement for the
+// interpreter; expand_soa runs a SoA block range through the jitted block
+// loop; expand_simd runs the same chunks on the block VM over batches of 4
+// tasks with masked child compaction.  Drop-in replacement for the
 // AST-walking SpecProgram — same Task, same Block, same results.
 class CompiledSpecProgram {
 public:
@@ -169,6 +172,8 @@ public:
   // True when at least the base chunk runs jitted (all-or-nothing in
   // practice: the baseline JIT covers the whole verified opcode set).
   bool jit_active() const { return base_pc_.fn != nullptr; }
+  // True when the SoA layer runs blocks through the jitted block loop.
+  bool block_loop_active() const { return jit_code_.loop() != nullptr; }
 
   static Result identity() { return 0; }
   static void combine(Result& a, const Result& b) { a += b; }
@@ -197,6 +202,19 @@ public:
   using Block = SpecProgram::Block;
   static Task task_at(const Block& b, std::size_t i) { return SpecProgram::task_at(b, i); }
   static void append_task(Block& b, const Task& t) { SpecProgram::append_task(b, t); }
+
+  // The SoA layer's hook (core::SoaExec): runs rows [begin, end) of `in`
+  // through the jitted block loop, which appends the same children in the
+  // same order (task-major, slots ascending) and adds the same leaf sum and
+  // count as SoaExec's per-task loop.  Returns false, having done nothing,
+  // when the method has no loop; SoaExec then runs that per-task loop.
+  bool expand_soa(const Block& in, std::size_t begin, std::size_t end,
+                  const std::array<Block*, static_cast<std::size_t>(max_children)>& outs,
+                  Result& r, std::uint64_t& leaves) const {
+    if (jit_code_.loop() == nullptr) return false;
+    if (begin != end) run_block_loop(in, begin, end, outs, r, leaves);
+    return true;
+  }
 
   // ---- SIMD layer ---------------------------------------------------------------
   static constexpr int simd_width = 4;  // 4 × i64 per 256-bit vector
@@ -261,6 +279,59 @@ private:
     std::vector<PreparedChunk> args;
   };
 
+  // expand_soa's call into the loop.  Kept out of line: the schedulers
+  // inline the SoA layer at every block step, and the per-task loop they
+  // keep for JIT-off programs should not grow with it.
+  [[gnu::noinline]] void run_block_loop(
+      const Block& in, std::size_t begin, std::size_t end,
+      const std::array<Block*, static_cast<std::size_t>(max_children)>& outs, Result& r,
+      std::uint64_t& leaves) const {
+    // The distinct out blocks (one in BFE, one per slot in DFE), each with
+    // its row cursor and the rows reserved for it: a task emits at most one
+    // child per slot.
+    std::array<Block*, max_children> blocks{};
+    std::array<std::uint64_t, max_children> cursor{};
+    std::array<std::uint64_t, max_children> bound{};
+    std::size_t n_blocks = 0;
+    jit::LoopFrame f{};
+    for (std::size_t s = 0; s < spawn_pcs_.size(); ++s) {
+      std::size_t j = 0;
+      while (j < n_blocks && blocks[j] != outs[s]) ++j;
+      if (j == n_blocks) {
+        blocks[j] = outs[s];
+        cursor[j] = bound[j] = outs[s]->size();
+        ++n_blocks;
+      }
+      bound[j] += end - begin;
+      f.slots[s].cursor = &cursor[j];
+    }
+    for (std::size_t j = 0; j < n_blocks; ++j) blocks[j]->reserve(bound[j]);
+    for (std::size_t s = 0; s < spawn_pcs_.size(); ++s) {
+      Block& b = *outs[s];
+      f.slots[s].col[0] = b.data<0>();
+      f.slots[s].col[1] = b.data<1>();
+      f.slots[s].col[2] = b.data<2>();
+      f.slots[s].col[3] = b.data<3>();
+    }
+    f.in[0] = in.data<0>();
+    f.in[1] = in.data<1>();
+    f.in[2] = in.data<2>();
+    f.in[3] = in.data<3>();
+    f.begin = begin;
+    f.end = end;
+    f.sum = r;
+    f.leaves = leaves;
+    jit_code_.loop()(&f);
+    for (std::size_t j = 0; j < n_blocks; ++j) {
+      // ASan cannot see the jitted stores, so the bound is checked in every
+      // build.
+      if (cursor[j] > bound[j]) std::abort();
+      blocks[j]->resize_up(cursor[j]);
+    }
+    r = f.sum;
+    leaves = f.leaves;
+  }
+
   // The tier switch: native code when the JIT produced it, the interpreter
   // otherwise.  The jitted function allocates its own evaluation frame.
   static std::int64_t eval_scalar(const PreparedChunk& pc, const Task& t) {
@@ -269,16 +340,11 @@ private:
     return run_chunk<std::int64_t>(*pc.chunk, t.p, stack);
   }
 
-  // Jit every chunk of the method (base, reduce, then each spawn's guard
-  // and args) and pair each with its entry, walking in the same order.
+  // Jit the method (one function per chunk plus the block loop) and pair
+  // each chunk with its entry, walking in method_chunks() order.
   void prepare_chunks(JitMode jit_mode) {
     const CompiledMethod& m = *method_;
-    std::vector<const Chunk*> chunks{&m.base, &m.reduce};
-    for (const CompiledSpawn& s : m.spawns) {
-      if (s.has_guard) chunks.push_back(&s.guard);
-      for (const Chunk& a : s.args) chunks.push_back(&a);
-    }
-    if (jit_mode_active(jit_mode)) jit_code_ = jit::compile_chunks(chunks, m.arity);
+    if (jit_mode_active(jit_mode)) jit_code_ = jit::compile_method(m);
     std::size_t idx = 0;
     const auto next = [&](const Chunk& ch) { return PreparedChunk{&ch, jit_code_.fn(idx++)}; };
     base_pc_ = next(m.base);
@@ -302,5 +368,6 @@ private:
 };
 
 static_assert(tb::core::SimdProgram<CompiledSpecProgram>);
+static_assert(CompiledSpecProgram::max_children == jit::LoopFrame::kSlots);
 
 }  // namespace tb::spec

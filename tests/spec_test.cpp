@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "apps/binomial.hpp"
@@ -64,6 +65,50 @@ TEST(SpecParser, ReportsErrors) {
   EXPECT_THROW((void)SpecProgram::parse("def f(a,b,c,d,e) base a reduce 1 spawn f(a,b,c,d,e)"),
                spec::ParseError);
   EXPECT_THROW((void)SpecProgram::parse("def f(n) base q < 2 reduce 1 spawn f(n)"),
+               spec::ParseError);
+}
+
+// Hostile input fails with ParseError.  Before the parser bounded literals
+// and depth, the first input was signed-overflow UB and the other two
+// crashed a Release build with a stack overflow.
+std::string with_reduce(const std::string& e) {
+  return "def f(n) base n < 2 reduce " + e + " spawn f(n - 1)";
+}
+
+TEST(SpecParser, RejectsAnIntegerLiteralAboveInt64Max) {
+  EXPECT_NO_THROW((void)SpecProgram::parse(with_reduce("9223372036854775807")));
+  EXPECT_THROW((void)SpecProgram::parse(with_reduce("9223372036854775808")), spec::ParseError);
+  EXPECT_THROW((void)SpecProgram::parse(with_reduce("99999999999999999999999")),
+               spec::ParseError);
+}
+
+TEST(SpecParser, RejectsTwentyThousandNestedParentheses) {
+  const std::string deep = std::string(20000, '(') + "n" + std::string(20000, ')');
+  EXPECT_THROW((void)SpecProgram::parse(with_reduce(deep)), spec::ParseError);
+  EXPECT_THROW((void)SpecProgram::parse(with_reduce(std::string(20000, '-') + "n")),
+               spec::ParseError);
+  // Nesting below the bound still parses, and evaluates.
+  const int ok = spec::kMaxExprDepth - 2;
+  const auto p = SpecProgram::parse(
+      with_reduce(std::string(ok, '(') + "n + 1" + std::string(ok, ')')));
+  std::uint64_t r = 0;
+  p.leaf(p.make_root({1}), r);
+  EXPECT_EQ(r, 2u);
+}
+
+TEST(SpecParser, RejectsATwoHundredThousandTermChain) {
+  const auto chain = [](int terms) {
+    std::string e = "1";
+    for (int i = 1; i < terms; ++i) e += "+n";
+    return e;
+  };
+  EXPECT_THROW((void)SpecProgram::parse(with_reduce(chain(200000))), spec::ParseError);
+  // A chain of kMaxExprDepth terms is as tall as the bound allows.
+  const auto p = SpecProgram::parse(with_reduce(chain(spec::kMaxExprDepth)));
+  std::uint64_t r = 0;
+  p.leaf(p.make_root({2}), r);
+  EXPECT_EQ(r, 1u + 2u * (spec::kMaxExprDepth - 1));
+  EXPECT_THROW((void)SpecProgram::parse(with_reduce(chain(spec::kMaxExprDepth + 1))),
                spec::ParseError);
 }
 
