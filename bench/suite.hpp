@@ -103,6 +103,24 @@ std::string run_blocked_generic(const Prog& prog,
   return {};
 }
 
+// The census of a program whose pruning depends on state its leaves
+// update (knn, minmaxdist): the sequential recursion from t, running each
+// leaf so the bounds move and the walk prunes as a run does.
+template <class Prog>
+void census_walk(const Prog& prog, const typename Prog::Task& t, int depth,
+                 tb::core::TreeInfo& info) {
+  ++info.tasks;
+  info.levels = std::max(info.levels, depth + 1);
+  if (prog.is_base(t)) {
+    ++info.leaves;
+    typename Prog::Result dummy = Prog::identity();
+    prog.leaf(t, dummy);
+    return;
+  }
+  prog.expand(t,
+              [&](int, const typename Prog::Task& c) { census_walk(prog, c, depth + 1, info); });
+}
+
 class IBench {
 public:
   virtual ~IBench() = default;
@@ -495,21 +513,6 @@ public:
   }
 
 private:
-  static void census_walk(const tb::apps::KnnProgram& prog, const tb::apps::KnnProgram::Task& t,
-                          int depth, tb::core::TreeInfo& info) {
-    ++info.tasks;
-    info.levels = std::max(info.levels, depth + 1);
-    if (prog.is_base(t)) {
-      ++info.leaves;
-      tb::apps::KnnProgram::Result dummy = 0;
-      prog.leaf(t, dummy);  // keep bounds shrinking so the census walk prunes
-      return;
-    }
-    prog.expand(t, [&](int, const tb::apps::KnnProgram::Task& c) {
-      census_walk(prog, c, depth + 1, info);
-    });
-  }
-
   // The final k-best distances are schedule-independent.
   std::string digest_state(const tb::apps::KnnState& state) const {
     std::uint64_t h = 1469598103934665603ull;
@@ -578,22 +581,6 @@ public:
   }
 
 private:
-  static void census_walk(const tb::apps::MinmaxDistProgram& prog,
-                          const tb::apps::MinmaxDistProgram::Task& t, int depth,
-                          tb::core::TreeInfo& info) {
-    ++info.tasks;
-    info.levels = std::max(info.levels, depth + 1);
-    if (prog.is_base(t)) {
-      ++info.leaves;
-      tb::apps::MinmaxDistProgram::Result dummy = 0;
-      prog.leaf(t, dummy);  // keep bounds moving so the census walk prunes
-      return;
-    }
-    prog.expand(t, [&](int, const tb::apps::MinmaxDistProgram::Task& c) {
-      census_walk(prog, c, depth + 1, info);
-    });
-  }
-
   tb::spatial::Bodies points_;
   tb::spatial::KdTree tree_;
 };

@@ -4,18 +4,28 @@
 // spawns a child only when its bounding box passes the program's pruning
 // rule, and a data-parallel base case over a leaf's contiguous points.
 //
-// A program derives from KdQuery<Program> and adds its state (after the
-// `points` and `tree` members, so `Program{points, tree, state}` still
-// initializes it positionally) and four members:
-//   leaf(t, r)            the scalar base case;
+// KdQuery is a TaskRule program (task_rule.hpp) over the row KdRow<W> =
+// {query, node}: it states TaskRule's three rules once over lane width —
+// `base` (the leaf lanes), `reduce` (each leaf lane's base case, in lane
+// order) and `spawn` (the children that pass the pruning rule, each lane's
+// first child in slot 0) — and TaskRule derives from them the scalar
+// is_base/leaf/expand, the SoA block and expand_simd.
+//
+// A program derives from KdQuery<Program>, adds its state, a default
+// constructor and a positional one, `Program(points, tree, state)` (the
+// TaskRule base rules out aggregate initialization), and three members:
 //   lane_leaf(node, query, q, live, r)
-//                         the same base case for the `live` lanes of a
-//                         W-lane query batch (ids `query`, coordinates `q`)
-//                         at one leaf, the lockstep kernels' leaf: it
+//                         the base case for the `live` lanes of a query batch
+//                         (ids `query`, coordinates `q`) at one leaf, written
+//                         once over (V, I) = (float, int32), one task, and
+//                         (simd::batch<float, W>, simd::batch<int32, W>): it
 //                         streams the leaf's points against every live lane
-//                         and leaves each query's state, and `r`, as `leaf`
-//                         run lane by lane would (tests/kdquery_test.cpp pins
-//                         the two); defined in-class and forced inline;
+//                         and leaves each query's state, and `r`, as the
+//                         one-lane form run lane by lane would
+//                         (tests/kdquery_test.cpp pins both against reference
+//                         leaves); the recursion and the task-block layers
+//                         run it on one lane, the lockstep kernels on every
+//                         live lane; defined in-class and forced inline;
 //   bounds<V>(query)      the query's pruning bounds as V: for one task
 //                         (V = float, an int32 id) or for W lanes
 //                         (V = simd::batch<float, W>, a batch of ids), read
@@ -26,30 +36,27 @@
 //                         mask), and forced inline like the box distances
 //                         (spatial/kdtree.hpp says why).
 // Optionally it also adds
-//   leaf_simd(t, r)       the base case the SIMD layer runs for each leaf
-//                         lane (the scalar leaf otherwise);
 //   right_first(l, r, q)  the child-order rule: whether a query at q visits
 //                         the right child (box r) before the left (box l),
 //                         written once over V = float and V = simd::batch
 //                         like `descends` and forced inline.  Without it
 //                         every query takes the left child first.
-// expand, expand_simd and the lockstep kernels (lockstep/kernels.hpp) all
+// The task-block layers and the lockstep kernels (lockstep/kernels.hpp) all
 // call those rules on the one box distance (spatial/kdtree.hpp), so a
 // (query, node) pair prunes the same way in every execution model, and a
-// query visits a node's children in the same order: expand and expand_simd
-// put each task's first child in slot 0, and the kernels hand the rule to
-// the engine as their `reverses` hook.
+// query visits a node's children in the same order: spawn puts each task's
+// first child in slot 0, and the kernels hand the rule to the engine as
+// their `reverses` hook.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <concepts>
 #include <cstdint>
-#include <utility>
+#include <tuple>
 #include <vector>
 
+#include "apps/task_rule.hpp"
 #include "simd/batch.hpp"
-#include "simd/soa.hpp"
 #include "spatial/bodies.hpp"
 #include "spatial/kdtree.hpp"
 
@@ -61,12 +68,16 @@ concept OrdersChildren = requires(const spatial::Box<float>& b, const spatial::P
   { Program::right_first(b, b, q) } -> std::convertible_to<std::uint32_t>;
 };
 
+// A (query, node) pair per lane; KdRow<1> is the program's Task.
+template <int W>
+struct KdRow {
+  simd::lanes<std::int32_t, W> query, node;
+  auto fields() const { return std::tie(query, node); }
+};
+
 template <class Program>
-struct KdQuery {
-  struct Task {
-    std::int32_t query;
-    std::int32_t node;
-  };
+struct KdQuery : TaskRule<Program, KdRow> {
+  using Task = KdRow<1>;
   // Leaf visits for knn and minmaxdist (schedule-dependent), the in-radius
   // count for pointcorr.
   using Result = std::uint64_t;
@@ -75,10 +86,11 @@ struct KdQuery {
   const spatial::Bodies* points = nullptr;
   const spatial::KdTree* tree = nullptr;
 
+  KdQuery() = default;
+  KdQuery(const spatial::Bodies* pts, const spatial::KdTree* t) : points(pts), tree(t) {}
+
   static Result identity() { return 0; }
   static void combine(Result& a, const Result& b) { a += b; }
-
-  bool is_base(const Task& t) const { return tree->is_leaf(t.node); }
 
   // The query's coordinates, one query or gathered per lane.
   spatial::Point<float> point(std::int32_t query) const {
@@ -91,86 +103,47 @@ struct KdQuery {
             simd::gather(points->z.data(), query)};
   }
 
-  // The children that pass the rule, the first child (in the program's
-  // order) in slot 0.
-  template <class Emit>
-  void expand(const Task& t, Emit&& emit) const {
-    const Program& p = self();
-    const spatial::Point<float> q = point(t.query);
-    const auto b = p.template bounds<float>(t.query);
-    const auto n = static_cast<std::size_t>(t.node);
-    std::int32_t kids[2] = {tree->left[n], tree->right[n]};
-    if constexpr (OrdersChildren<Program>) {
-      // An internal node (expand's task) has both children.
-      if (Program::right_first(tree->box(kids[0]), tree->box(kids[1]), q) != 0) {
-        std::swap(kids[0], kids[1]);
-      }
-    }
-    for (int s = 0; s < 2; ++s) {
-      if (kids[s] != spatial::KdTree::kNoChild && p.descends(tree->box(kids[s]), q, b)) {
-        emit(s, Task{t.query, kids[s]});
-      }
+  // The lanes at a leaf.
+  template <int W>
+  [[gnu::always_inline]] std::uint32_t base(const KdRow<W>& t) const {
+    return simd::cmp_ge(simd::gather(tree->leaf_begin.data(), t.node), 0);
+  }
+
+  // Each leaf lane of m runs the program's lane leaf on its own, in lane
+  // order.
+  template <int W>
+  [[gnu::always_inline]] void reduce(const KdRow<W>& t, std::uint32_t m, Result& r) const {
+    for (; m != 0; m &= m - 1) {
+      const int l = std::countr_zero(m);
+      const std::int32_t query = simd::lane(t.query, l);
+      self().lane_leaf(simd::lane(t.node, l), query, point(query), 1u, r);
     }
   }
 
-  // ---- SoA layer -------------------------------------------------------------
-  using Block = simd::SoaBlock<std::int32_t, std::int32_t>;
-  static Task task_at(const Block& b, std::size_t i) {
-    const auto [q, n] = b.row(i);
-    return Task{q, n};
-  }
-  static void append_task(Block& b, const Task& t) { b.push_back(t.query, t.node); }
-
-  // ---- SIMD layer ------------------------------------------------------------
-  static constexpr int simd_width = simd::natural_width<float>;
-
-  using BF = simd::batch<float, simd_width>;
-  using BI = simd::batch<std::int32_t, simd_width>;
-
-  void leaf_simd(const Task& t, Result& r) const { self().leaf(t, r); }
-
-  // Per W-chunk: the leaf lanes run their base case first, then the other
-  // lanes' children that pass the rule go to slot 0 (each lane's first
-  // child) and 1 (its second).
-  void expand_simd(const Block& in, std::size_t begin, std::size_t end,
-                   const std::array<Block*, 2>& outs, Result& r, std::uint64_t& leaves) const {
+  // The children that pass the rule: each lane's first child (in the
+  // program's order) to slot 0, its second to slot 1.
+  template <int W, class Emit>
+  [[gnu::always_inline]] void spawn(const KdRow<W>& t, std::uint32_t live, Emit&& emit) const {
+    using V = simd::lanes<float, W>;
     const Program& p = self();
-    const std::int32_t* query_p = in.data<0>();
-    const std::int32_t* node_p = in.data<1>();
-    constexpr std::uint32_t full = simd::mask_all<simd_width>;
-    Result acc = identity();
-    std::uint64_t leaf_tasks = 0;
-    for (std::size_t i = begin; i < end; i += simd_width) {
-      const BI query = BI::loadu(query_p + i);
-      const BI node = BI::loadu(node_p + i);
-      const BI lb = simd::gather(tree->leaf_begin.data(), node);
-      const std::uint32_t leafy = simd::cmp_ge(lb, BI::zero()) & full;
-      leaf_tasks += std::popcount(leafy);
-      for (std::uint32_t m = leafy; m != 0; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        p.leaf_simd(Task{query[l], node[l]}, acc);
-      }
-      const std::uint32_t rec = ~leafy & full;
-      if (rec == 0) continue;
-      const spatial::Point<BF> q = point(query);
-      const auto b = p.template bounds<BF>(query);
-      // A leaf lane has no children (KdTree::kNoChild): it reads its own
-      // node's box, so every gather stays in bounds.
-      const BI lkid = simd::select(rec, simd::gather(tree->left.data(), node), node);
-      const BI rkid = simd::select(rec, simd::gather(tree->right.data(), node), node);
-      const spatial::Box<BF> lbox = tree->box(lkid);
-      const spatial::Box<BF> rbox = tree->box(rkid);
-      const std::uint32_t lmask = rec & p.descends(lbox, q, b);
-      const std::uint32_t rmask = rec & p.descends(rbox, q, b);
-      std::uint32_t rf = 0;  // the lanes that visit the right child first
-      if constexpr (OrdersChildren<Program>) rf = rec & Program::right_first(lbox, rbox, q);
-      const std::uint32_t first = (lmask & ~rf) | (rmask & rf);
-      const std::uint32_t second = (rmask & ~rf) | (lmask & rf);
-      if (first != 0) outs[0]->append_compact(first, query, simd::select(rf, rkid, lkid));
-      if (second != 0) outs[1]->append_compact(second, query, simd::select(rf, lkid, rkid));
+    const spatial::Point<V> q = point(t.query);
+    const auto b = p.template bounds<V>(t.query);
+    // A lane outside `live` (a leaf: KdTree::kNoChild) reads its own
+    // node's box, so every gather stays in bounds.
+    const auto lkid = simd::select(live, simd::gather(tree->left.data(), t.node), t.node);
+    const auto rkid = simd::select(live, simd::gather(tree->right.data(), t.node), t.node);
+    const spatial::Box<V> lbox = tree->box(lkid);
+    const spatial::Box<V> rbox = tree->box(rkid);
+    const std::uint32_t lmask = live & p.descends(lbox, q, b);
+    const std::uint32_t rmask = live & p.descends(rbox, q, b);
+    std::uint32_t rf = 0;  // the lanes that visit the right child first
+    if constexpr (OrdersChildren<Program>) rf = live & Program::right_first(lbox, rbox, q);
+    if (const std::uint32_t m = (lmask & ~rf) | (rmask & rf)) {
+      emit(0, m, KdRow<W>{t.query, simd::select(rf, rkid, lkid)});
     }
-    r += acc;
-    leaves += leaf_tasks;
+    if (const std::uint32_t m = (rmask & ~rf) | (lmask & rf)) {
+      emit(1, m, KdRow<W>{t.query, simd::select(rf, lkid, rkid)});
+    }
   }
 
   // One root task per query point (§5 data-parallel outer loop).
@@ -187,11 +160,11 @@ struct KdQuery {
   // every scheduler's results are checked against.
   Result sequential(const Task& t) const {
     Result r = identity();
-    if (is_base(t)) {
-      self().leaf(t, r);
+    if (this->is_base(t)) {
+      this->leaf(t, r);
       return r;
     }
-    expand(t, [&](int, const Task& c) { r += sequential(c); });
+    this->expand(t, [&](int, const Task& c) { r += sequential(c); });
     return r;
   }
   Result sequential() const {

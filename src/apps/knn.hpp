@@ -112,48 +112,36 @@ private:
 struct KnnProgram : KdQuery<KnnProgram> {
   KnnState* state = nullptr;
 
-  void leaf(const Task& t, Result& r) const {
-    r += 1;
-    const auto q = static_cast<std::size_t>(t.query);
-    const auto n = static_cast<std::size_t>(t.node);
-    const float qx = points->x[q], qy = points->y[q], qz = points->z[q];
-    for (std::int32_t j = tree->leaf_begin[n]; j < tree->leaf_end[n]; ++j) {
-      const auto jj = static_cast<std::size_t>(j);
-      const std::int32_t id = tree->point_index[jj];
-      if (id == t.query) continue;  // self
-      const float dx = tree->px[jj] - qx;
-      const float dy = tree->py[jj] - qy;
-      const float dz = tree->pz[jj] - qz;
-      state->offer(t.query, id, dx * dx + dy * dy + dz * dz);
-    }
-  }
+  KnnProgram() = default;
+  KnnProgram(const spatial::Bodies* pts, const spatial::KdTree* t, KnnState* s)
+      : KdQuery(pts, t), state(s) {}
 
-  // The same base case for the live lanes of a query batch at one leaf: a
-  // lane is offered a point only when the point beats the lane's cached
-  // k-th bound, in leaf order, and the bound is re-read after each offer.
-  // The cache never sits below the shared bound, which only shrinks, so
-  // each query sees exactly the offers `leaf` would make, in its order.
-  template <int W>
-  [[gnu::always_inline]] void lane_leaf(std::int32_t node,
-                                        const simd::batch<std::int32_t, W>& query,
-                                        const spatial::Point<simd::batch<float, W>>& q,
-                                        std::uint32_t live, Result& r) const {
-    using V = simd::batch<float, W>;
+  // The base case for the live lanes of one query or a query batch at one
+  // leaf: a lane is offered a point only when the point beats the lane's
+  // cached k-th bound, in leaf order, and the bound is re-read after each
+  // offer.  The cache never sits below the shared bound, which only
+  // shrinks, so each query receives exactly the offers, in leaf order,
+  // that offering it every other point of the leaf would make.
+  template <class V, class I>
+  [[gnu::always_inline]] void lane_leaf(std::int32_t node, const I& query,
+                                        const spatial::Point<V>& q, std::uint32_t live,
+                                        Result& r) const {
     r += static_cast<Result>(std::popcount(live));
     V kth = bounds<V>(query);
     const auto n = static_cast<std::size_t>(node);
     for (std::int32_t j = tree->leaf_begin[n]; j < tree->leaf_end[n]; ++j) {
       const auto jj = static_cast<std::size_t>(j);
       const std::int32_t id = tree->point_index[jj];
-      const V dx = V::broadcast(tree->px[jj]) - q.x;
-      const V dy = V::broadcast(tree->py[jj]) - q.y;
-      const V dz = V::broadcast(tree->pz[jj]) - q.z;
+      const V dx = simd::splat<V>(tree->px[jj]) - q.x;
+      const V dy = simd::splat<V>(tree->py[jj]) - q.y;
+      const V dz = simd::splat<V>(tree->pz[jj]) - q.z;
       const V d2 = dx * dx + dy * dy + dz * dz;
       std::uint32_t m = live & simd::cmp_lt(d2, kth) & ~simd::cmp_eq(query, id);
       for (; m != 0; m &= m - 1) {
         const int l = std::countr_zero(m);
-        state->offer(query[l], id, d2[l]);
-        kth.set(l, state->bound(query[l]));
+        const std::int32_t ql = simd::lane(query, l);
+        state->offer(ql, id, simd::lane(d2, l));
+        simd::set_lane(kth, l, state->bound(ql));
       }
     }
   }

@@ -104,32 +104,19 @@ inline std::string minmaxdist_digest(const MinmaxDistState& state) {
 struct MinmaxDistProgram : KdQuery<MinmaxDistProgram> {
   MinmaxDistState* state = nullptr;
 
-  void leaf(const Task& t, Result& r) const {
-    r += 1;
-    const auto q = static_cast<std::size_t>(t.query);
-    const auto n = static_cast<std::size_t>(t.node);
-    const float qx = points->x[q], qy = points->y[q], qz = points->z[q];
-    for (std::int32_t j = tree->leaf_begin[n]; j < tree->leaf_end[n]; ++j) {
-      const auto jj = static_cast<std::size_t>(j);
-      if (tree->point_index[jj] == t.query) continue;  // self
-      const float dx = tree->px[jj] - qx;
-      const float dy = tree->py[jj] - qy;
-      const float dz = tree->pz[jj] - qz;
-      state->offer(t.query, dx * dx + dy * dy + dz * dz);
-    }
-  }
+  MinmaxDistProgram() = default;
+  MinmaxDistProgram(const spatial::Bodies* pts, const spatial::KdTree* t, MinmaxDistState* s)
+      : KdQuery(pts, t), state(s) {}
 
-  // The same base case for the live lanes of a query batch at one leaf:
-  // each lane's running extremes start at its bounds and stay in registers,
-  // and a lane that improved on either offers both once, at the end.  Min
-  // and max over the same candidates are what `leaf`'s per-point offers
-  // reach.
-  template <int W>
-  [[gnu::always_inline]] void lane_leaf(std::int32_t node,
-                                        const simd::batch<std::int32_t, W>& query,
-                                        const spatial::Point<simd::batch<float, W>>& q,
-                                        std::uint32_t live, Result& r) const {
-    using V = simd::batch<float, W>;
+  // The base case for the live lanes of one query or a query batch at one
+  // leaf: each lane's running extremes start at its bounds and stay in
+  // registers, and a lane that improved on either offers both once, at the
+  // end.  Min and max over the same candidates are what offering each other
+  // point in turn reaches.
+  template <class V, class I>
+  [[gnu::always_inline]] void lane_leaf(std::int32_t node, const I& query,
+                                        const spatial::Point<V>& q, std::uint32_t live,
+                                        Result& r) const {
     r += static_cast<Result>(std::popcount(live));
     const Extremes<V> b = bounds<V>(query);
     V lo = b.min, hi = b.max;
@@ -137,9 +124,9 @@ struct MinmaxDistProgram : KdQuery<MinmaxDistProgram> {
     for (std::int32_t j = tree->leaf_begin[n]; j < tree->leaf_end[n]; ++j) {
       const auto jj = static_cast<std::size_t>(j);
       const std::uint32_t other = live & ~simd::cmp_eq(query, tree->point_index[jj]);
-      const V dx = V::broadcast(tree->px[jj]) - q.x;
-      const V dy = V::broadcast(tree->py[jj]) - q.y;
-      const V dz = V::broadcast(tree->pz[jj]) - q.z;
+      const V dx = simd::splat<V>(tree->px[jj]) - q.x;
+      const V dy = simd::splat<V>(tree->py[jj]) - q.y;
+      const V dz = simd::splat<V>(tree->pz[jj]) - q.z;
       const V d2 = dx * dx + dy * dy + dz * dz;
       lo = simd::select(other & simd::cmp_lt(d2, lo), d2, lo);
       hi = simd::select(other & simd::cmp_gt(d2, hi), d2, hi);
@@ -147,7 +134,7 @@ struct MinmaxDistProgram : KdQuery<MinmaxDistProgram> {
     std::uint32_t m = live & (simd::cmp_lt(lo, b.min) | simd::cmp_gt(hi, b.max));
     for (; m != 0; m &= m - 1) {
       const int l = std::countr_zero(m);
-      state->offer(query[l], lo[l], hi[l]);
+      state->offer(simd::lane(query, l), simd::lane(lo, l), simd::lane(hi, l));
     }
   }
 

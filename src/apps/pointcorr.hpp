@@ -5,7 +5,8 @@
 // over query points (one root task per query), a task-parallel recursive
 // kd-tree descent (children are spawned only when the query ball intersects
 // their bounding box), and a data-parallel base case (a dense count over
-// the leaf's points, vectorized in the SIMD layer).
+// the leaf's points, which the lockstep kernels stream against every live
+// lane).
 #pragma once
 
 #include <bit>
@@ -21,64 +22,22 @@ namespace tb::apps {
 struct PointCorrProgram : KdQuery<PointCorrProgram> {
   float rad2 = 0.01f;
 
-  void leaf(const Task& t, Result& r) const {
-    const auto q = static_cast<std::size_t>(t.query);
-    const auto n = static_cast<std::size_t>(t.node);
-    const float qx = points->x[q], qy = points->y[q], qz = points->z[q];
-    std::uint64_t count = 0;
-    for (std::int32_t j = tree->leaf_begin[n]; j < tree->leaf_end[n]; ++j) {
-      const auto jj = static_cast<std::size_t>(j);
-      const float dx = tree->px[jj] - qx;
-      const float dy = tree->py[jj] - qy;
-      const float dz = tree->pz[jj] - qz;
-      count += (dx * dx + dy * dy + dz * dz <= rad2) ? 1u : 0u;
-    }
-    r += count;
-  }
+  PointCorrProgram() = default;
+  PointCorrProgram(const spatial::Bodies* pts, const spatial::KdTree* t, float r2)
+      : KdQuery(pts, t), rad2(r2) {}
 
-  // Dense vectorized count over a leaf's contiguous points.
-  void leaf_simd(const Task& t, Result& r) const {
-    const auto q = static_cast<std::size_t>(t.query);
-    const auto n = static_cast<std::size_t>(t.node);
-    const BF qx = BF::broadcast(points->x[q]);
-    const BF qy = BF::broadcast(points->y[q]);
-    const BF qz = BF::broadcast(points->z[q]);
-    const BF r2 = BF::broadcast(rad2);
-    const std::int32_t b = tree->leaf_begin[n];
-    const std::int32_t e = tree->leaf_end[n];
-    std::uint64_t count = 0;
-    std::int32_t j = b;
-    for (; j + simd_width <= e; j += simd_width) {
-      const auto jj = static_cast<std::size_t>(j);
-      const BF dx = BF::loadu(tree->px.data() + jj) - qx;
-      const BF dy = BF::loadu(tree->py.data() + jj) - qy;
-      const BF dz = BF::loadu(tree->pz.data() + jj) - qz;
-      count += std::popcount(simd::cmp_le(dx * dx + dy * dy + dz * dz, r2));
-    }
-    for (; j < e; ++j) {
-      const auto jj = static_cast<std::size_t>(j);
-      const float dx = tree->px[jj] - points->x[q];
-      const float dy = tree->py[jj] - points->y[q];
-      const float dz = tree->pz[jj] - points->z[q];
-      count += (dx * dx + dy * dy + dz * dz <= rad2) ? 1u : 0u;
-    }
-    r += count;
-  }
-
-  // The count for the live lanes of a query batch at one leaf: the leaf's
-  // points stream against every live lane at once.
-  template <int W>
-  [[gnu::always_inline]] void lane_leaf(std::int32_t node, const simd::batch<std::int32_t, W>&,
-                                        const spatial::Point<simd::batch<float, W>>& q,
+  // The count for the live lanes of one query or a query batch at one leaf:
+  // the leaf's points stream against every live lane at once.
+  template <class V, class I>
+  [[gnu::always_inline]] void lane_leaf(std::int32_t node, const I&, const spatial::Point<V>& q,
                                         std::uint32_t live, Result& r) const {
-    using V = simd::batch<float, W>;
-    const V r2 = V::broadcast(rad2);
+    const V r2 = simd::splat<V>(rad2);
     const auto n = static_cast<std::size_t>(node);
     for (std::int32_t j = tree->leaf_begin[n]; j < tree->leaf_end[n]; ++j) {
       const auto jj = static_cast<std::size_t>(j);
-      const V dx = V::broadcast(tree->px[jj]) - q.x;
-      const V dy = V::broadcast(tree->py[jj]) - q.y;
-      const V dz = V::broadcast(tree->pz[jj]) - q.z;
+      const V dx = simd::splat<V>(tree->px[jj]) - q.x;
+      const V dy = simd::splat<V>(tree->py[jj]) - q.y;
+      const V dz = simd::splat<V>(tree->pz[jj]) - q.z;
       const V d2 = dx * dx + dy * dy + dz * dz;
       r += static_cast<Result>(std::popcount(live & simd::cmp_le(d2, r2)));
     }

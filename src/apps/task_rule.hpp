@@ -1,8 +1,9 @@
-// The task program shared by the eight integer Table 1 programs (fib,
-// binomial, parentheses, knapsack, graphcol, minmax, nqueens, uts): the
-// integer counterpart of KdQuery (kdquery.hpp).  A program states its
-// recursive method once, as the base/reduce/spawn clauses of the paper's
-// specification language (§5.2), over a task row templated on lane width:
+// The task program shared by eleven Table 1 programs: the eight integer
+// ones (fib, binomial, parentheses, knapsack, graphcol, minmax, nqueens,
+// uts) and, through KdQuery (kdquery.hpp), the three kd-tree queries (knn,
+// pointcorr, minmaxdist).  A program states its recursive method once, as
+// the base/reduce/spawn clauses of the paper's specification language
+// (§5.2), over a task row templated on lane width:
 //
 //   Row<W>                the task's fields as simd::lanes<T, W>: W = 1 is
 //                         one task of scalars (the program's Task), W > 1 is

@@ -15,8 +15,8 @@
 //              false when it cannot and leaves the range to this loop
 //   SimdExec — the program's vectorized kernel (expand_simd) over SoA
 //              columns with masked execution and streaming compaction
-//              ("SIMD"); apps::TaskRule and apps::KdQuery derive it from
-//              the same rule as the scalar expand
+//              ("SIMD"); apps::TaskRule derives it (for apps::KdQuery's
+//              kd-tree queries too) from the same rule as the scalar expand
 //
 // Children are emitted through a slot index in [0, max_children): BFE maps
 // every slot to one next-level block, DFE maps slot s to child block s

@@ -8,14 +8,15 @@
 // lanes, so node data is broadcast against the lanes' query state, and a
 // step costs one vector operation where a scalar traversal costs W.  Final
 // results are schedule-independent — the kd-tree kernels prune with the
-// program's own rule (apps/kdquery.hpp), the one the task-block layers'
-// expand and expand_simd call, so a (query, node) pair prunes the same way
-// in every model; knn's kernel also hands the program's child-order rule
-// to the engine (`reverses`), so each lane visits a node's children in the
-// recursion's order; at a leaf they run the program's lane leaf, which
-// streams the leaf's points against every live lane and leaves each
-// query's state bit-identical to the sequential recursion's; only visit
-// counts depend on the schedule.  The Barnes-Hut kernel likewise computes
+// program's own rule (apps/kdquery.hpp), the one KdQuery's spawn calls in
+// the recursion and the task-block layers, so a (query, node) pair prunes
+// the same way in every model; knn's kernel also hands the program's
+// child-order rule to the engine (`reverses`), so each lane visits a
+// node's children in the recursion's order; at a leaf they run the
+// program's lane leaf on every live lane, the base case the recursion
+// runs on one lane, which streams the leaf's points against the lanes and
+// leaves each query's state bit-identical to the sequential recursion's;
+// only visit counts depend on the schedule.  The Barnes-Hut kernel likewise computes
 // nothing of its own: its step runs the program's cell test, far-field
 // kick and W-lane leaf sum (apps/barneshut.hpp), the rules the recursion
 // and the task-block layers call, and its children are the program's

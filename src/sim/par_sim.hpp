@@ -199,15 +199,19 @@ private:
   }
 
   // Point blocking over arbitrary (bounded) out-degree: child i of every
-  // node goes to kids[i].
-  void expand_dfe(const Blk& in, std::vector<Blk>& kids) {
-    kids.assign(static_cast<std::size_t>(max_degree_), Blk{});
-    for (auto& k : kids) k.set_level(in.level() + 1);
+  // node goes to dfe_kids_[i].  The child blocks are reused from step to
+  // step: a block parked by merging keeps its storage for the next step.
+  void expand_dfe(const Blk& in) {
+    dfe_kids_.resize(static_cast<std::size_t>(max_degree_));
+    for (auto& k : dfe_kids_) {
+      k.clear();
+      k.set_level(in.level() + 1);
+    }
     for (std::size_t j = 0; j < in.size(); ++j) {
       const auto vv = static_cast<std::size_t>(in[j]);
       const std::int32_t deg = tree_.first[vv + 1] - tree_.first[vv];
       for (std::int32_t i = 0; i < deg; ++i) {
-        kids[static_cast<std::size_t>(i)].push_back(
+        dfe_kids_[static_cast<std::size_t>(i)].push_back(
             tree_.child[static_cast<std::size_t>(tree_.first[vv] + i)]);
       }
     }
@@ -270,11 +274,10 @@ private:
         }
       }
     } else {
-      std::vector<Blk> kids;
-      expand_dfe(w.exec_block, kids);
-      for (std::size_t s = kids.size(); s-- > 1;) park(w, std::move(kids[s]), t, core);
-      if (!kids[0].empty()) {
-        w.cur = std::move(kids[0]);
+      expand_dfe(w.exec_block);
+      for (std::size_t s = dfe_kids_.size(); s-- > 1;) park(w, std::move(dfe_kids_[s]), t, core);
+      if (!dfe_kids_[0].empty()) {
+        w.cur = std::move(dfe_kids_[0]);
         w.has_cur = true;
       }
     }
@@ -415,6 +418,7 @@ private:
   const CompTree& tree_;
   SimConfig cfg_;
   int max_degree_ = 2;
+  std::vector<Blk> dfe_kids_;  // expand_dfe's child blocks
 };
 
 inline SimResult simulate(const CompTree& tree, SimConfig cfg,

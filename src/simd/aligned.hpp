@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace tb::simd {
@@ -48,5 +50,30 @@ public:
 
 template <class T>
 using aligned_vector = std::vector<T, AlignedAllocator<T>>;
+
+// The same allocator, except that an element made without a value is
+// default-initialized: a vector of arithmetic T grows without writing its
+// new elements.  For storage whose writer stores every element before it
+// is read (SoaBlock's columns, soa.hpp).
+template <class T>
+struct UninitAlignedAllocator : AlignedAllocator<T> {
+  template <class U>
+  struct rebind {
+    using other = UninitAlignedAllocator<U>;
+  };
+
+  UninitAlignedAllocator() noexcept = default;
+  template <class U>
+  UninitAlignedAllocator(const UninitAlignedAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 }  // namespace tb::simd

@@ -455,7 +455,10 @@ inline std::uint32_t cmp_ge(float a, float b) { return cmp_lt(a, b) ^ 1u; }
 // W lanes is lanes<T, W> (T itself for one lane), an integer compare of one
 // lane is bit 0, a scalar operand of a batch operation stands for its
 // broadcast, and first_lane(v) reads lane 0, where a rule finds what every
-// task of a block shares (its tree level).
+// task of a block shares (its tree level).  lane(v, l) and set_lane(v, l, x)
+// read and write lane l, a one-lane gather loads base[idx], and an integer
+// select of one lane reads bit 0, so a kd-tree rule (apps/kdquery.hpp)
+// gathers and blends its child ids once over every width.
 template <class T, int W>
 using lanes = std::conditional_t<W == 1, T, batch<T, W>>;
 
@@ -527,6 +530,29 @@ template <std::integral T>
 template <class T, int W>
 [[gnu::always_inline]] inline T first_lane(const batch<T, W>& v) {
   return v[0];
+}
+[[gnu::always_inline]] inline float lane(float x, int) { return x; }
+[[gnu::always_inline]] inline void set_lane(float& x, int, float v) { x = v; }
+template <std::integral T>
+[[gnu::always_inline]] inline T lane(T x, int) {
+  return x;
+}
+template <class T, int W>
+[[gnu::always_inline]] inline T lane(const batch<T, W>& v, int l) {
+  return v[l];
+}
+template <class T, int W>
+[[gnu::always_inline]] inline void set_lane(batch<T, W>& x, int l, std::type_identity_t<T> v) {
+  x.set(l, v);
+}
+template <class T>
+[[gnu::always_inline]] inline T gather(const T* base, std::int32_t idx) {
+  return base[idx];
+}
+template <std::integral T>
+[[gnu::always_inline]] inline T select(std::uint32_t mask, T ifset,
+                                       std::type_identity_t<T> ifclear) {
+  return (mask & 1u) != 0 ? ifset : ifclear;
 }
 template <class Acc, std::integral T>
 [[gnu::always_inline]] inline Acc reduce_add_masked(std::uint32_t mask, T v) {

@@ -7,14 +7,20 @@
 //
 // Capacity is managed manually (columns are raw aligned buffers sized to
 // capacity), so vectorized appends may write a full vector of W lanes past
-// the logical size and then bump it by popcount(mask).
+// the logical size and then bump it by popcount(mask).  Growth moves only
+// the size() live rows into fresh columns and leaves the new rows
+// unwritten: every writer stores a row before committing it (push_back,
+// append_compact's slack, a writer through data<I>() before resize_up), and
+// nothing reads a row past size().
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "simd/aligned.hpp"
 #include "simd/batch.hpp"
@@ -160,8 +166,16 @@ private:
   void grow(std::size_t need) {
     std::size_t cap = capacity_ == 0 ? 64 : capacity_;
     while (cap < need) cap *= 2;
-    std::apply([&](auto&... col) { ((col.resize(cap)), ...); }, cols_);
+    std::apply([&](auto&... col) { ((col = widened(col, cap)), ...); }, cols_);
     capacity_ = cap;
+  }
+
+  // A column of `cap` unwritten rows holding col's live rows.
+  template <class Col>
+  Col widened(const Col& col, std::size_t cap) const {
+    Col out(cap);
+    std::copy_n(col.data(), size_, out.data());
+    return out;
   }
 
   template <std::size_t... Is>
@@ -193,7 +207,7 @@ private:
     ((compact_store(std::get<Is>(cols_).data() + size_, mask, v)), ...);
   }
 
-  std::tuple<aligned_vector<Ts>...> cols_;
+  std::tuple<std::vector<Ts, UninitAlignedAllocator<Ts>>...> cols_;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
   int level_ = 0;

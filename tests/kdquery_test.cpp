@@ -22,9 +22,11 @@
 // child first, so q2 takes R first and q0, at a tie, keeps L first;
 // pointcorr and minmaxdist have no order rule and keep L first.
 //
-// KdLeafLanes pins the other half of the kernels' node step: at a leaf,
-// each program's lane leaf must leave the state its scalar leaf leaves when
-// run lane by lane.
+// KdLeafLanes pins the base case: at a leaf, each program's lane leaf, run
+// on W lanes (the lockstep kernels' node step) and on one lane at a time
+// (the program's `leaf`, which the recursion and the task-block layers
+// run), must leave the state a reference per-point leaf leaves when run
+// lane by lane.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -376,10 +378,63 @@ TEST(KdQueryPruning, KnnVisitsTheNearerChildFirst) {
 // ---- lane leaves ---------------------------------------------------------------
 //
 // At a leaf, the lockstep kernels' step runs the program's lane leaf over
-// the live lanes.  Each case below runs it on one copy of a program's
-// state and the scalar leaf lane by lane, in lane order, on another; the
-// two copies and the two Results must end equal: knn's k-best lists (raw
-// distance bits and ids), minmaxdist's extremes, pointcorr's count.
+// the live lanes, and the program's `leaf` runs it on one lane.  Each case
+// below runs the W-lane form on one copy of a program's state, the one-lane
+// `leaf` lane by lane on a second and the reference leaf lane by lane on a
+// third, in lane order; the copies and the Results must end equal: knn's
+// k-best lists (raw distance bits and ids), minmaxdist's extremes,
+// pointcorr's count.
+//
+// The reference leaves share no code with the lane leaves: each offers
+// every other point of the leaf to the query's state, in leaf order, or
+// counts the points within the radius.
+
+void reference_leaf(const apps::KnnProgram& p, std::int32_t query, std::int32_t node,
+                    std::uint64_t& r) {
+  r += 1;
+  const auto q = static_cast<std::size_t>(query);
+  const auto n = static_cast<std::size_t>(node);
+  const float qx = p.points->x[q], qy = p.points->y[q], qz = p.points->z[q];
+  for (std::int32_t j = p.tree->leaf_begin[n]; j < p.tree->leaf_end[n]; ++j) {
+    const auto jj = static_cast<std::size_t>(j);
+    const std::int32_t id = p.tree->point_index[jj];
+    if (id == query) continue;  // self
+    const float dx = p.tree->px[jj] - qx;
+    const float dy = p.tree->py[jj] - qy;
+    const float dz = p.tree->pz[jj] - qz;
+    p.state->offer(query, id, dx * dx + dy * dy + dz * dz);
+  }
+}
+
+void reference_leaf(const apps::MinmaxDistProgram& p, std::int32_t query, std::int32_t node,
+                    std::uint64_t& r) {
+  r += 1;
+  const auto q = static_cast<std::size_t>(query);
+  const auto n = static_cast<std::size_t>(node);
+  const float qx = p.points->x[q], qy = p.points->y[q], qz = p.points->z[q];
+  for (std::int32_t j = p.tree->leaf_begin[n]; j < p.tree->leaf_end[n]; ++j) {
+    const auto jj = static_cast<std::size_t>(j);
+    if (p.tree->point_index[jj] == query) continue;  // self
+    const float dx = p.tree->px[jj] - qx;
+    const float dy = p.tree->py[jj] - qy;
+    const float dz = p.tree->pz[jj] - qz;
+    p.state->offer(query, dx * dx + dy * dy + dz * dz);
+  }
+}
+
+void reference_leaf(const apps::PointCorrProgram& p, std::int32_t query, std::int32_t node,
+                    std::uint64_t& r) {
+  const auto q = static_cast<std::size_t>(query);
+  const auto n = static_cast<std::size_t>(node);
+  const float qx = p.points->x[q], qy = p.points->y[q], qz = p.points->z[q];
+  for (std::int32_t j = p.tree->leaf_begin[n]; j < p.tree->leaf_end[n]; ++j) {
+    const auto jj = static_cast<std::size_t>(j);
+    const float dx = p.tree->px[jj] - qx;
+    const float dy = p.tree->py[jj] - qy;
+    const float dz = p.tree->pz[jj] - qz;
+    r += (dx * dx + dy * dy + dz * dz <= p.rad2) ? 1u : 0u;
+  }
+}
 
 // Where the states start before the leaf.
 enum class Bounds {
@@ -450,23 +505,27 @@ void expect_lane_leaf(const spatial::Bodies& pts, const spatial::KdTree& tree, B
   SCOPED_TRACE("W=" + std::to_string(W) + " node=" + std::to_string(node) +
                " live=" + std::to_string(live) + " bounds=" +
                std::to_string(static_cast<int>(bounds)));
-  Case lanes(pts, tree), scalar(pts, tree), before(pts, tree);
-  for (Case* c : {&lanes, &scalar, &before}) {
+  Case lanes(pts, tree), one(pts, tree), reference(pts, tree), before(pts, tree);
+  for (Case* c : {&lanes, &one, &reference, &before}) {
     std::uint64_t r = 0;
     for (int l = 0; l < W; ++l) {
       if constexpr (requires { c->tighten(qid[l]); }) {
         if (bounds == Bounds::tight) c->tighten(qid[l]);
       }
-      if (bounds == Bounds::partial) c->prog.leaf({qid[l], other_leaf(tree, node)}, r);
+      if (bounds == Bounds::partial) reference_leaf(c->prog, qid[l], other_leaf(tree, node), r);
     }
   }
-  std::uint64_t r_lanes = 0, r_scalar = 0;
+  std::uint64_t r_lanes = 0, r_one = 0, r_reference = 0;
   lanes.prog.lane_leaf(node, qid, lanes.prog.point(qid), live, r_lanes);
   for (std::uint32_t m = live; m != 0; m &= m - 1) {
-    scalar.prog.leaf({qid[std::countr_zero(m)], node}, r_scalar);
+    const std::int32_t q = qid[std::countr_zero(m)];
+    one.prog.leaf({q, node}, r_one);
+    reference_leaf(reference.prog, q, node, r_reference);
   }
-  EXPECT_EQ(r_lanes, r_scalar);
-  lanes.expect_same(scalar);
+  EXPECT_EQ(r_lanes, r_reference);
+  EXPECT_EQ(r_one, r_reference);
+  lanes.expect_same(reference);
+  one.expect_same(reference);
   if (bounds == Bounds::tight) lanes.expect_same(before);
 }
 
@@ -553,7 +612,7 @@ TEST(KdLeafLanes, PointCorrRandomLeaves) {
 }
 
 // When no leaf point improves a lane, the lane leaf leaves the state
-// untouched, as the scalar leaf does.
+// untouched, as the reference leaf does.
 TEST(KdLeafLanes, TightBoundsOfferNothing) {
   const Instance inst;
   expect_lane_leaves<KnnCase, 8>(inst.tree_points, inst.tree, Bounds::tight,
@@ -568,8 +627,8 @@ TEST(KdLeafLanes, TightBoundsOfferNothing) {
 //
 // 1,056 uniform points at leaf capacity 16 put the kd-tree's leaves at
 // depths 6 and 7, so the SIMD layer's W-chunks mix leaf and internal tasks.
-// A leaf task has no children (KdTree::kNoChild): expand_simd must read no
-// child box for it, an out-of-bounds gather that an address-sanitized
+// A leaf task has no children (KdTree::kNoChild): KdQuery's spawn, run on
+// a W-chunk, must read no child box for it, an out-of-bounds gather that an address-sanitized
 // TASKBATCH_NATIVE=OFF build reports (its W = 4 gathers are plain loads).
 // Every (policy × threshold preset) run of the SoA and SIMD layers must
 // leave each program's results equal to its sequential recursion's.

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "simd/batch.hpp"
@@ -343,6 +344,34 @@ TEST(SoaBlock, GrowthPreservesData) {
   for (std::int32_t i = 0; i < 1000; ++i) {
     EXPECT_EQ(std::get<0>(blk.row(static_cast<std::size_t>(i))), i);
   }
+}
+
+// Growth carries the live rows only: a block cut below its capacity by
+// resize_down grows with its first size() rows intact in every column, and
+// rows appended after the growth (push_back and append_compact, which
+// writes a vector of slack) land after them.
+TEST(SoaBlock, GrowthBelowCapacityKeepsTheLiveRows) {
+  SoaBlock<std::int32_t, float> blk;
+  for (std::int32_t i = 0; i < 60; ++i) blk.push_back(i, static_cast<float>(i) + 0.5f);
+  const std::size_t cap = blk.capacity();
+  blk.resize_down(10);
+  blk.reserve(cap + 1);
+  ASSERT_GT(blk.capacity(), cap);
+  ASSERT_EQ(blk.size(), 10u);
+  blk.push_back(-1, -1.5f);
+  blk.append_compact<8>(0b10100001u, batch<std::int32_t, 8>::iota(100),
+                        batch<float, 8>::iota(200.0f));
+  std::vector<std::tuple<std::int32_t, float>> want;
+  for (std::int32_t i = 0; i < 10; ++i) want.emplace_back(i, static_cast<float>(i) + 0.5f);
+  want.emplace_back(-1, -1.5f);
+  for (const int l : {0, 5, 7}) want.emplace_back(100 + l, 200.0f + static_cast<float>(l));
+  ASSERT_EQ(blk.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(blk.row(i), want[i]) << "row " << i;
+  // A second growth from the appended rows keeps them too.
+  const std::size_t n = blk.size();
+  blk.reserve(blk.capacity() * 2);
+  ASSERT_EQ(blk.size(), n);
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(blk.row(i), want[i]) << "row " << i;
 }
 
 TEST(SoaBlock, AppendCopy) {

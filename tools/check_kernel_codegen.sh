@@ -18,6 +18,13 @@
 #     sum split into lanes takes 16 per component.  When step is inlined,
 #     the bound applies to each engine loop it lands in (main_loop and
 #     masked_subtree, whose flush adds 3).  One of the two forms must exist.
+#   * Each kd-tree program's lane leaf (apps/kdquery.hpp), a template over
+#     lane types, is forced inline into the kernel's node step, so no object
+#     may define a `lane_leaf` function: out of line, a leaf's W-lane query
+#     batch and coordinates pass through memory at every leaf visit.  The
+#     engine loops it lands in — BlockedTraversal<W, char>::main_loop on the
+#     knn, minmaxdist and pointcorr kernels — must exist, so the check is
+#     never vacuous.
 #
 # Usage: check_kernel_codegen.sh <objdump> <object>...
 set -uo pipefail
@@ -56,6 +63,22 @@ for obj in "$@"; do
       echo "$name: BlockedTraversal::${fn}<BarnesHutKernel> not found"
       status=1
     elif [ "$cas" -ne 0 ]; then
+      status=1
+    fi
+  done
+  read -r found _ < <(printf '%s\n' "$asm" | count_in "::lane_leaf<" ".")
+  echo "$name: ${found} out-of-line lane_leaf function(s)"
+  if [ "$found" -ne 0 ]; then
+    printf '%s\n' "$asm" | grep -E '^[0-9a-f]+ <.*::lane_leaf<' | head -n 5
+    status=1
+  fi
+  for kernel in "KdTreeKernel<[0-9]+, tb::apps::KnnProgram>" \
+    "KdTreeKernel<[0-9]+, tb::apps::MinmaxDistProgram>" "PointCorrKernel<[0-9]+>"; do
+    found=$(printf '%s\n' "$asm" |
+      grep -cE "^[0-9a-f]+ <.*char>::main_loop<tb::lockstep::${kernel} ?>")
+    echo "$name: main_loop<${kernel//\[0-9\]+/W}>: ${found} function(s)"
+    if [ "$found" -eq 0 ]; then
+      echo "$name: BlockedTraversal::main_loop<${kernel//\[0-9\]+/W}> not found"
       status=1
     fi
   done
